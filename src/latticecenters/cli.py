@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .angles import PiOrder, arctan_sum, compare_to_pi, render_table, solve_pi_triples
 from .centers import CenterCondition, RationalPoint, center_report
@@ -46,9 +45,6 @@ EXIT_USAGE = 1
 EXIT_IMPOSSIBLE = 2
 EXIT_OPEN = 3
 
-_SHAPES = {"acute": "acute", "right": "right", "obtuse": "obtuse"}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # usage errors exit 1, not 2
         self.print_usage(sys.stderr)
@@ -63,12 +59,8 @@ def _point(text: str) -> LatticePoint:
         raise argparse.ArgumentTypeError(f"expected a lattice point 'x,y', got {text!r}")
 
 
-def _fraction(fr: Fraction) -> str:
-    return str(fr)
-
-
 def _point_json(p: RationalPoint) -> dict:
-    return {"x": _fraction(p.x), "y": _fraction(p.y), "lattice": p.is_lattice()}
+    return {"x": str(p.x), "y": str(p.y), "lattice": p.is_lattice()}
 
 
 def _emit(args, payload: dict, human: str, rows: list[dict] | None = None) -> None:
@@ -158,8 +150,8 @@ def cmd_centers(args) -> int:
         irep = incenter_report(t, inc)
         payload["incenter"] = {
             "point": list(inc.as_tuple()),
-            "inradius_squared": _fraction(irep.inradius_squared),
-            "touch_points": [[_fraction(p.x), _fraction(p.y)] for p in irep.touch_points],
+            "inradius_squared": str(irep.inradius_squared),
+            "touch_points": [[str(p.x), str(p.y)] for p in irep.touch_points],
             "touch_on_lattice": list(irep.touch_on_lattice),
         }
         lines.append(
@@ -230,7 +222,7 @@ def cmd_angles(args) -> int:
         status[row] = {PiOrder.LESS: "less", PiOrder.EQUAL: "equal", PiOrder.GREATER: "greater"}[order]
     payload = {
         "side_lengths": list(sides.as_tuple()),
-        "numerators": [_fraction(n) for n in numerators],
+        "numerators": [str(n) for n in numerators],
         "solutions": [list(s) for s in solutions],
         "table": [
             {"m": list(row), "ratio_to_pi": text, "status": status[row]}
@@ -350,7 +342,7 @@ def cmd_incenter_scan(args) -> int:
             "v0": f"{r.triangle.v0.x},{r.triangle.v0.y}",
             "v1": f"{r.triangle.v1.x},{r.triangle.v1.y}",
             "v2": f"{r.triangle.v2.x},{r.triangle.v2.y}",
-            "inradius_squared": _fraction(r.inradius_squared),
+            "inradius_squared": str(r.inradius_squared),
         }
         for r in scan.rows
     ]

@@ -7,10 +7,12 @@ equidistance d(P, side_i) = d(P, side_j) is equivalent to
 
     (n_i.P + c_i)^2 * |n_j|^2 == (n_j.P + c_j)^2 * |n_i|^2
 
-which is a pure integer comparison.  The classical weighted-vertex
-formula involves the irrational side lengths and is used in tests only
-as a floating-point cross-check; here floats never decide anything, they
-merely narrow where to look.
+which is a pure integer comparison.  The weighted-vertex formula
+I = (aA + bB + cC)/(a + b + c) locates the incenter; its irrational side
+lengths are bracketed by integer square roots, so the formula yields
+rational bounds that pin down the one lattice point that could be the
+incenter, and the equidistance test then decides.  No float is involved,
+whatever the size of the coordinates.
 
 Whether some perimeter admits a triangle with lattice incenter is an
 open question; scans therefore report witnesses and absences-in-a-box,
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import hypot
+from math import isqrt
 
 from .centers import RationalPoint
 from .lattice import (
@@ -32,7 +34,9 @@ from .lattice import (
     lattice_perimeter,
 )
 
-_BBOX_SCAN_LIMIT = 400
+# Side lengths are bracketed at scale 2**_SQRT_BITS; 4 bits keep each
+# axis of the incenter's bounding range narrower than one unit.
+_SQRT_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -54,27 +58,13 @@ def _side_lines(t: LatticeTriangle) -> list[tuple[int, int, int, LatticePoint, L
     return out
 
 
-def _line_values(t: LatticeTriangle, p: LatticePoint) -> list[int]:
-    return [nx * p.x + ny * p.y + c for nx, ny, c, _, _ in _side_lines(t)]
-
-
-def _interior_signs(t: LatticeTriangle) -> list[int]:
-    # Sign of each side's edge function at the opposite vertex.
-    signs = []
-    for line, v in zip(_side_lines(t), t.vertices):
-        nx, ny, c, _, _ = line
-        val = nx * v.x + ny * v.y + c
-        signs.append(1 if val > 0 else -1)
-    return signs
-
-
 def _is_lattice_incenter(t: LatticeTriangle, p: LatticePoint) -> bool:
     lines = _side_lines(t)
-    vals = _line_values(t, p)
-    signs = _interior_signs(t)
-    for val, sign in zip(vals, signs):
-        if val == 0 or (val > 0) != (sign > 0):
-            return False  # not strictly interior
+    vals = [nx * p.x + ny * p.y + c for nx, ny, c, _, _ in lines]
+    for val, (nx, ny, c, _, _), v in zip(vals, lines, t.vertices):
+        # strictly interior: on the same side of each line as the opposite vertex
+        if val == 0 or (val > 0) != (nx * v.x + ny * v.y + c > 0):
+            return False
     norms = [nx * nx + ny * ny for nx, ny, _, _, _ in lines]
     return (
         vals[0] ** 2 * norms[1] == vals[1] ** 2 * norms[0]
@@ -82,46 +72,42 @@ def _is_lattice_incenter(t: LatticeTriangle, p: LatticePoint) -> bool:
     )
 
 
-def _float_incenter(t: LatticeTriangle) -> tuple[float, float]:
-    a = hypot(t.v1.x - t.v2.x, t.v1.y - t.v2.y)
-    b = hypot(t.v2.x - t.v0.x, t.v2.y - t.v0.y)
-    c = hypot(t.v0.x - t.v1.x, t.v0.y - t.v1.y)
-    s = a + b + c
-    ix = (a * t.v0.x + b * t.v1.x + c * t.v2.x) / s
-    iy = (a * t.v0.y + b * t.v1.y + c * t.v2.y) / s
-    return ix, iy
+def _scaled_sqrt_bracket(n: int) -> tuple[int, int]:
+    # floor and ceil of sqrt(n) * 2**_SQRT_BITS
+    lo = isqrt(n << (2 * _SQRT_BITS))
+    return lo, lo + (lo * lo != n << (2 * _SQRT_BITS))
+
+
+def _axis_candidates(coords: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, ...]) -> range:
+    # Integers within [N_lo/D_hi, N_hi/D_lo], the bounds of
+    # sum(w_i x_i)/sum(w_i) over lo_i <= w_i <= hi_i.  Shifting by the
+    # minimum makes every coordinate non-negative, so the bounds are
+    # monotone in each weight.
+    base = min(coords)
+    shifted = [x - base for x in coords]
+    n_lo = sum(w * x for w, x in zip(lo, shifted))
+    n_hi = sum(w * x for w, x in zip(hi, shifted))
+    return range(base - (-n_lo // sum(hi)), base + n_hi // sum(lo) + 1)
 
 
 def lattice_incenter(t: LatticeTriangle) -> LatticePoint | None:
     """The incenter, if it is a lattice point; decided exactly.
 
-    Small triangles scan every interior lattice point of the bounding
-    box; larger ones examine a radius-2 neighborhood of a floating-point
-    estimate (the incenter of a realistically sized triangle is located
-    far more accurately than one unit).  Either way each candidate faces
-    the exact integer equidistance test, and the incenter is the only
-    interior point that can pass it.
+    Each side length is bracketed as floor/ceil of its square root at
+    scale 2**_SQRT_BITS, which encloses the weighted-vertex incenter in
+    an integer-bounded box.  Each axis of the box is shorter than one
+    unit (its width is at most 5W / (2**(_SQRT_BITS+1) W - 3) for a
+    triangle of width W), so at most one lattice point can lie in it;
+    that candidate faces the exact integer equidistance test, and the
+    incenter is the only interior point that can pass it.
     """
-    xs = [v.x for v in t.vertices]
-    ys = [v.y for v in t.vertices]
-    wx, wy = max(xs) - min(xs), max(ys) - min(ys)
-    if (wx - 1) * (wy - 1) <= _BBOX_SCAN_LIMIT:
-        candidates = [
-            LatticePoint(x, y)
-            for x in range(min(xs) + 1, max(xs))
-            for y in range(min(ys) + 1, max(ys))
-        ]
-    else:
-        ix, iy = _float_incenter(t)
-        candidates = [
-            LatticePoint(x, y)
-            for x in range(round(ix) - 2, round(ix) + 3)
-            for y in range(round(iy) - 2, round(iy) + 3)
-        ]
-    hits = [p for p in candidates if _is_lattice_incenter(t, p)]
-    if len(hits) > 1:
-        raise ArithmeticError(f"multiple interior equidistant points in {t}: {hits}")
-    return hits[0] if hits else None
+    # side i is opposite vertex i, and |n_i|^2 is its squared length
+    lo, hi = zip(*(_scaled_sqrt_bracket(nx * nx + ny * ny) for nx, ny, _, _, _ in _side_lines(t)))
+    for x in _axis_candidates((t.v0.x, t.v1.x, t.v2.x), lo, hi):
+        for y in _axis_candidates((t.v0.y, t.v1.y, t.v2.y), lo, hi):
+            if _is_lattice_incenter(t, LatticePoint(x, y)):
+                return LatticePoint(x, y)
+    return None
 
 
 def incenter_report(t: LatticeTriangle, center: LatticePoint | None = None) -> IncenterReport:
@@ -139,7 +125,7 @@ def incenter_report(t: LatticeTriangle, center: LatticePoint | None = None) -> I
         raise ValueError(f"{center} is not the incenter of {t}")
 
     lines = _side_lines(t)
-    vals = _line_values(t, center)
+    vals = [nx * center.x + ny * center.y + c for nx, ny, c, _, _ in lines]
     radii = {Fraction(v * v, nx * nx + ny * ny) for v, (nx, ny, _, _, _) in zip(vals, lines)}
     if len(radii) != 1:
         raise ArithmeticError(f"unequal side distances from {center} in {t}")

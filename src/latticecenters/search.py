@@ -15,8 +15,9 @@ The atlas maps (center condition, shape, perimeter) cells to one of:
 
 Searching is vectorized over Q for each P.  The lattice tests for the
 circumcenter, centroid and orthocenter are exact integer arithmetic even
-in vectorized form; the incenter test uses floating point only to narrow
-candidates, with every hit confirmed by the exact decision procedure.
+in vectorized form.  The incenter is screened in floating point with a
+tolerance derived from the rounding error, so no true hit is dropped,
+and every pair that passes is confirmed by the exact decision procedure.
 Sharding splits the P loop round-robin; per-cell results merge by
 minimal (P index, Q index), so output is independent of the shard count.
 """
@@ -67,8 +68,11 @@ SHAPE_ORDER = (ShapeClass.ACUTE, ShapeClass.OBTUSE, ShapeClass.RIGHT)
 
 STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 
-# Incenter candidates pass a coarse float screen before the exact test.
-_NEAR_INTEGER_TOL = 0.02
+# Largest accepted box radius.  Beyond it the int64 circumcenter
+# numerators (up to 8 B^3) wrap around, and the squared side lengths
+# (up to 8 B^2) are no longer exact in float64, which the incenter
+# screen's error bound assumes.
+MAX_BOX_RADIUS = 10**6
 
 
 # --- canonical forms -------------------------------------------------------
@@ -161,6 +165,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.box_radius < 2:
             raise ValueError("box_radius must be at least 2")
+        if self.box_radius > MAX_BOX_RADIUS:
+            raise ValueError(f"box_radius must be at most {MAX_BOX_RADIUS}")
         if self.lmax < 3:
             raise ValueError("lmax must be at least 3")
         if self.shard_count < 1:
@@ -200,6 +206,26 @@ Candidate = tuple[int, int, int, int, int, int]
 def _grid_points(box_radius: int) -> list[tuple[int, int]]:
     span = range(-box_radius, box_radius + 1)
     return [(x, y) for x in span for y in span]
+
+
+def _incenter_screen(px: int, py: int, qx: np.ndarray, qy: np.ndarray, box_radius: int) -> np.ndarray:
+    # Pairs whose float incenter is within rounding error of a lattice
+    # point.  With eps = 2**-52 and coordinates at most B: squared sides
+    # (< 8 B^2 <= 2^53) are exact, sqrt is correctly rounded and hypot
+    # within an ulp, so each side carries relative error eps and the sum
+    # about 2 eps.  The worst case is cancellation in b*px + c*qx, off by
+    # about 2 eps (b + c) B, which is 2 eps B after division by the
+    # perimeter; its error adds 2 eps |I| <= 2 eps B.  So a lattice
+    # incenter is computed within 5 eps B (x - rint(x) is exact), and
+    # the tolerance 64 eps B keeps a margin of more than ten.
+    tol = 64 * box_radius * np.finfo(np.float64).eps
+    fa = np.sqrt(((px - qx) ** 2 + (py - qy) ** 2).astype(np.float64))
+    fb = np.hypot(qx.astype(np.float64), qy.astype(np.float64))
+    fc = math.hypot(px, py)
+    total = fa + fb + fc
+    ix = (fb * px + fc * qx) / total
+    iy = (fb * py + fc * qy) / total
+    return (np.abs(ix - np.rint(ix)) <= tol) & (np.abs(iy - np.rint(iy)) <= tol)
 
 
 def _exact_incenter_hit(px: int, py: int, qx: int, qy: int) -> bool:
@@ -286,15 +312,7 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         if CenterCondition.ALL_THREE in need:
             masks[CenterCondition.ALL_THREE] = f_mask & g_mask & h_mask
         if CenterCondition.INCENTER in need:
-            fa = np.sqrt(((px - qx) ** 2 + (py - qy) ** 2).astype(np.float64))
-            fb = np.hypot(qx.astype(np.float64), qy.astype(np.float64))
-            fc = math.hypot(px, py)
-            total = fa + fb + fc
-            ix = (fb * px + fc * qx) / total
-            iy = (fb * py + fc * qy) / total
-            masks[CenterCondition.INCENTER] = (
-                np.abs(ix - np.rint(ix)) < _NEAR_INTEGER_TOL
-            ) & (np.abs(iy - np.rint(iy)) < _NEAR_INTEGER_TOL)
+            masks[CenterCondition.INCENTER] = _incenter_screen(px, py, qx, qy, config.box_radius)
 
         for cond, cond_mask in masks.items():
             combined = base & cond_mask

@@ -62,6 +62,33 @@ def interior_count(t: LatticeTriangle) -> int:
     return count
 
 
+def incenter_bbox_scan(t: LatticeTriangle) -> LatticePoint | None:
+    """The lattice incenter, by testing every interior point of the bounding box.
+
+    A point is the incenter when it lies strictly inside and its squared
+    distances to the three side lines, d_i^2 = e_i^2 / |n_i|^2 for the
+    edge function e_i and normal n_i, agree; compared cross-multiplied.
+    """
+    xs = [v.x for v in t.vertices]
+    ys = [v.y for v in t.vertices]
+    edges = []
+    for v, p, q in ((t.v0, t.v1, t.v2), (t.v1, t.v2, t.v0), (t.v2, t.v0, t.v1)):
+        nx, ny = q.y - p.y, p.x - q.x
+        c = -(nx * p.x + ny * p.y)
+        edges.append((nx, ny, c, nx * v.x + ny * v.y + c > 0))
+    hits = []
+    for x in range(min(xs) + 1, max(xs)):
+        for y in range(min(ys) + 1, max(ys)):
+            vals = [nx * x + ny * y + c for nx, ny, c, _ in edges]
+            if any(e == 0 or (e > 0) != side for e, (_, _, _, side) in zip(vals, edges)):
+                continue
+            (e0, e1, e2), (m0, m1, m2) = vals, [nx * nx + ny * ny for nx, ny, _, _ in edges]
+            if e0 * e0 * m1 == e1 * e1 * m0 and e0 * e0 * m2 == e2 * e2 * m0:
+                hits.append(LatticePoint(x, y))
+    assert len(hits) <= 1, hits
+    return hits[0] if hits else None
+
+
 def orbit_signature(t: LatticeTriangle) -> frozenset:
     """Translation-normalized vertex tuples over all D4 images."""
     vs = [(v.x, v.y) for v in t.vertices]

@@ -38,6 +38,12 @@ class TestBasicCommands:
         assert data["incenter"]["point"] == [8, 4]
         assert data["incenter"]["inradius_squared"] == "8"
 
+    def test_centers_beyond_float_range(self, capsys):
+        k = 10**310
+        code, out, _ = run(capsys, "centers", "0,0", f"{14 * k},{2 * k}", f"{8 * k},{8 * k}")
+        assert code == 0
+        assert f"incenter     I = ({8 * k},{4 * k}) [lattice]" in out
+
     def test_unit_right_triangle(self, capsys):
         code, out, _ = run(capsys, "centers", "0,0", "1,0", "0,1", "--format", "json")
         data = json.loads(out)
@@ -165,6 +171,10 @@ class TestScanFigureProps:
         assert lines[0].startswith("# empirical incenter scan: box_radius=10")
         assert lines[1] == "shape,perimeter,v0,v1,v2,inradius_squared"
         assert len(lines) >= 3  # at least one witness row
+
+    def test_scan_box_beyond_int64_range_rejected(self, capsys):
+        code, out, err = run(capsys, "incenter-scan", "--box", "1000001")
+        assert code == 1 and "box_radius" in err and out == ""
 
     def test_figures_render(self, capsys, tmp_path):
         for name in ("euler", "model", "incircle-345", "incircle"):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from latticecenters.incenter import incenter_report, incenter_scan, lattice_incenter
-from latticecenters.lattice import LatticePoint, ShapeClass, lattice_perimeter, triangle
+from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, lattice_perimeter, triangle
 
 import oracles
 
@@ -50,9 +50,43 @@ class TestLatticeIncenter:
                 assert abs(ix - hit.x) < tol and abs(iy - hit.y) < tol
         assert found >= 15
 
-    def test_large_triangle_uses_float_narrowing(self):
-        big = triangle((0, 0), (1400, 200), (800, 800))  # scaled reference
-        assert lattice_incenter(big) == LatticePoint(800, 400)
+    def test_large_triangles_located_exactly(self):
+        # scaled copies of the reference example, up to sizes where a
+        # float estimate of the incenter is off by units or overflows
+        for k in (100, 10**17, 3 * 10**17 + 1, 10**310):
+            big = triangle((0, 0), (14 * k, 2 * k), (8 * k, 8 * k))
+            assert lattice_incenter(big) == LatticePoint(8 * k, 4 * k)
+
+    def test_agrees_with_bbox_scan_on_small_anchored_triangles(self):
+        span = range(-4, 5)
+        checked = found = 0
+        for px in span:
+            for py in span:
+                for qx in span:
+                    for qy in span:
+                        if px * qy - py * qx == 0:
+                            continue
+                        t = triangle((0, 0), (px, py), (qx, qy))
+                        hit = lattice_incenter(t)
+                        assert hit == oracles.incenter_bbox_scan(t), t
+                        checked += 1
+                        found += hit is not None
+        assert checked > 5000 and found > 0
+
+    def test_agrees_with_bbox_scan_on_random_triangles(self):
+        rng = random.Random(15)
+        candidates = [oracles.random_triangle(rng, 12) for _ in range(400)]
+        base = triangle((0, 0), (14, 2), (21, 51))
+        candidates += [
+            LatticeTriangle(*(LatticePoint(v.x + dx, v.y + dy) for v in base.vertices))
+            for dx, dy in ((0, 0), (-30, 7), (11, -40))
+        ]
+        found = 0
+        for t in candidates:
+            hit = lattice_incenter(t)
+            assert hit == oracles.incenter_bbox_scan(t), t
+            found += hit is not None
+        assert found >= 3
 
     def test_scaling(self):
         rng = random.Random(13)

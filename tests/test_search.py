@@ -1,14 +1,19 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
+from latticecenters.incenter import lattice_incenter
 from latticecenters.search import (
+    MAX_BOX_RADIUS,
     SearchConfig,
+    _grid_points,
+    _incenter_screen,
     atlas_from_document,
     build_atlas,
     canonical_key,
@@ -165,6 +170,49 @@ class TestSearch:
         assert resumed.to_json_bytes() == fresh.to_json_bytes()
         # no duplicate records were appended on the resumed run
         assert len(files[0].read_text().strip().splitlines()) == 3
+
+    def test_incenter_screen_keeps_every_lattice_incenter(self):
+        box = 8
+        pts = _grid_points(box)
+        qx = np.array([q[0] for q in pts], dtype=np.int64)
+        qy = np.array([q[1] for q in pts], dtype=np.int64)
+        hits = screened = 0
+        for px, py in pts:
+            if (px, py) == (0, 0):
+                continue
+            mask = _incenter_screen(px, py, qx, qy, box)
+            for i, (x, y) in enumerate(pts):
+                if px * y - py * x == 0:
+                    continue
+                screened += bool(mask[i])
+                if lattice_incenter(triangle((0, 0), (px, py), (x, y))) is not None:
+                    hits += 1
+                    assert mask[i], ((px, py), (x, y))
+        # no incenter this small comes within the tolerance of a lattice
+        # point without being one, so the screen passes exactly the hits
+        assert hits == screened > 0
+
+    def test_incenter_screen_at_the_largest_box(self):
+        # lattice-incenter triangles scaled to fill the largest box, each
+        # anchored at every vertex in turn and under every D4 symmetry
+        bases = (((0, 0), (14, 2), (8, 8)), ((0, 0), (14, 2), (21, 51)), ((0, 0), (4, 0), (4, 3)))
+        checked = 0
+        for base in bases:
+            k = MAX_BOX_RADIUS // (2 * max(abs(c) for v in base for c in v))
+            for a, b, c, d in oracles.D4:
+                verts = [(k * (a * x + b * y), k * (c * x + d * y)) for x, y in base]
+                for ox, oy in verts:
+                    (px, py), (qx, qy) = [(x - ox, y - oy) for x, y in verts if (x, y) != (ox, oy)]
+                    assert lattice_incenter(triangle((0, 0), (px, py), (qx, qy))) is not None
+                    mask = _incenter_screen(px, py, np.array([qx]), np.array([qy]), MAX_BOX_RADIUS)
+                    assert mask[0], ((px, py), (qx, qy))
+                    checked += 1
+        assert checked == 3 * 8 * 3
+
+    def test_box_radius_limit(self):
+        SearchConfig(box_radius=MAX_BOX_RADIUS)
+        with pytest.raises(ValueError):
+            SearchConfig(box_radius=MAX_BOX_RADIUS + 1)
 
     def test_atlas_monotone_in_box_radius(self):
         small = build_atlas(SearchConfig(box_radius=6, lmax=10, conditions=(INC,)))
