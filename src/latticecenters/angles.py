@@ -1,10 +1,11 @@
-"""Exact arithmetic on angles of the form k*pi + arctan(t), t rational.
+"""Exact arithmetic on sums of arctangents of rationals, without floats.
 
-The normal form is unique: the arctan part always lies in (-pi/2, pi/2),
-with a distinguished half-pi marker for angles of the form k*pi + pi/2.
-Sums of arctangents of rationals stay in this family (tangent addition
-with quadrant tracking), so equality and comparison against pi are
-decidable without any floating point.
+Three positive tangents n_i / M_i (integers) have arctangents summing
+to at least pi exactly when n0*M1*M2 + n1*M0*M2 + n2*M0*M1 <= n0*n1*n2,
+with equality exactly at pi: the TangentSum solver and the table
+frontier use that identity.  General angles k*pi + arctan(t) have a
+unique normal form (arctan part in (-pi/2, pi/2), or a half-pi marker)
+closed under addition with quadrant tracking.
 
 A separate directed-rounding layer produces certified decimal digits of
 angle-sum / pi ratios; it never feeds back into the exact comparisons.
@@ -13,7 +14,7 @@ angle-sum / pi ratios; it never feeds back into the exact comparisons.
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -55,8 +56,6 @@ class ExactAngle:
         return self._order_key() < other._order_key()
 
     def __float__(self) -> float:
-        import math
-
         if self.half_pi:
             return self.pi_multiples * math.pi + math.pi / 2
         return self.pi_multiples * math.pi + math.atan(self.tail)
@@ -134,53 +133,58 @@ def compare_to_pi(a: ExactAngle) -> PiOrder:
     return PiOrder.GREATER
 
 
+def _integer_numerators(numerators: Sequence[Rational]) -> tuple[tuple[int, int, int], int]:
+    """(n, L): three positive rationals scaled by their common denominator L to integers."""
+    p = [Fraction(x) for x in numerators]
+    if len(p) != 3 or any(x <= 0 for x in p):
+        raise ValueError("expected three positive rationals")
+    scale = math.lcm(*(x.denominator for x in p))
+    n0, n1, n2 = (int(x * scale) for x in p)
+    return (n0, n1, n2), scale
+
+
+def _pi_gap(n: tuple[int, int, int], scale: int, m: tuple[int, int, int]) -> int:
+    """An integer with the sign of (sum of arctan(n_i / (L*m_i))) - pi."""
+    big0, big1, big2 = (scale * x for x in m)
+    return n[0] * n[1] * n[2] - n[0] * big1 * big2 - n[1] * big0 * big2 - n[2] * big0 * big1
+
+
+def _denominator_bound(n: tuple[int, int, int], scale: int, i: int) -> int:
+    """Largest m_i with _pi_gap >= 0 at m_j = m_k = 1, or 0: no sum reaching pi has a larger m_i."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    return max(0, n[i] * (n[j] * n[k] - scale * scale) // (scale * scale * (n[j] + n[k])))
+
+
 def sums_to_pi(tangents: Sequence[Rational]) -> bool:
-    """Symmetric-function test: three positive tangents sum to pi iff
-    t0+t1+t2 == t0*t1*t2 and the pairwise-product sum differs from 1."""
-    t = [Fraction(x) for x in tangents]
-    if len(t) != 3 or any(x <= 0 for x in t):
-        raise ValueError("expected three positive tangents")
-    s1 = t[0] + t[1] + t[2]
-    s2 = t[0] * t[1] + t[0] * t[2] + t[1] * t[2]
-    s3 = t[0] * t[1] * t[2]
-    return s1 == s3 and s2 != 1
+    """Whether three positive tangents have arctangents summing to exactly pi."""
+    n, scale = _integer_numerators(tangents)
+    return _pi_gap(n, scale, (1, 1, 1)) == 0
 
 
 def solve_pi_triples(numerators: Sequence[Rational]) -> list[tuple[int, int, int]]:
-    """All (m0, m1, m2) in N^3 with sum of arctan(p_i / m_i) equal to pi.
+    """All (m0, m1, m2) in N^3 with sum of arctan(p_i / m_i) equal to pi,
+    in increasing (m0, m1) order.
 
-    Each summand strictly decreases as its m grows, so each m_i is
-    bounded by the largest value keeping the sum at least pi while the
-    other two denominators sit at 1.  Within those bounds the third
-    denominator is solved exactly rather than scanned.
+    With the p_i scaled to integers n_i and M_i = L*m_i, the equation
+    n0*M1*M2 + n1*M0*M2 + n2*M0*M1 = n0*n1*n2 fixes
+    M2 = n2*(n0*n1 - M0*M1) / (n0*M1 + M0*n1) for each (m0, m1) under the
+    hyperbola M0*M1 < n0*n1.  m0 <= n0*(n1*n2 - L^2) / (L^2*(n1 + n2)),
+    the closed form of "the sum at (m0, 1, 1) reaches pi".
     """
-    p = [Fraction(x) for x in numerators]
-    if len(p) != 3 or any(x <= 0 for x in p):
-        raise ValueError("expected three positive numerators")
-
-    def bound(i: int) -> int:
-        others = angle_sum(angle_from_tan(p[j]) for j in range(3) if j != i)
-        m = 1
-        while compare_to_pi(angle_add(others, angle_from_tan(p[i] / m))) is not PiOrder.LESS:
-            m += 1
-        return m - 1
-
-    m0_max, m1_max = bound(0), bound(1)
+    (n0, n1, n2), scale = _integer_numerators(numerators)
     solutions: list[tuple[int, int, int]] = []
-    for m0 in range(1, m0_max + 1):
-        a0 = angle_from_tan(p[0] / m0)
+    for m0 in range(1, _denominator_bound((n0, n1, n2), scale, 0) + 1):
+        big0 = scale * m0
+        # m2 >= 1 iff n2*(n0*n1 - M0*M1) >= L*(n0*M1 + M0*n1)
+        m1_max = n1 * (n0 * n2 - scale * big0) // (scale * (n2 * big0 + scale * n0))
+        # m2 = num / den, both linear in m1: step them from m1 = 1
+        num, den = n2 * (n0 * n1 - big0 * scale), scale * (n0 * scale + big0 * n1)
+        num_step, den_step = n2 * big0 * scale, scale * scale * n0
         for m1 in range(1, m1_max + 1):
-            partial = angle_add(a0, angle_from_tan(p[1] / m1))
-            residue = angle_add(PI_ANGLE, angle_neg(partial))
-            # Need residue = arctan(p2/m2) for a positive integer m2.
-            if residue.half_pi or residue.pi_multiples != 0:
-                continue
-            assert residue.tail is not None
-            if residue.tail <= 0:
-                continue
-            m2 = p[2] / residue.tail
-            if m2.denominator == 1 and m2 >= 1:
-                solutions.append((m0, m1, int(m2)))
+            if num % den == 0:
+                solutions.append((m0, m1, num // den))
+            num -= num_step
+            den += den_step
     return solutions
 
 
@@ -273,26 +277,37 @@ def certified_ratio_string(tangents: Sequence[Rational], digits: int = 6) -> str
     raise ArithmeticError(f"could not certify {digits} digits for tangents {tangents}")
 
 
+# Largest denominator table frontier_rows builds; larger requests raise
+# ValueError.  Rendering 48k rows takes about 25 s on a 2-core x86 host.
+FRONTIER_ROW_LIMIT = 50_000
+
+
 def frontier_rows(numerators: Sequence[Rational]) -> list[tuple[int, int, int]]:
     """Denominator triples ordered by total, up to the first total whose
-    rows all fall below pi (after which monotonicity keeps them below)."""
-    p = [Fraction(x) for x in numerators]
+    rows all fall below pi (after which monotonicity keeps them below).
+
+    A row reaching pi has each m_i within _denominator_bound, so that
+    total is at most their sum plus one.  Tables over FRONTIER_ROW_LIMIT
+    rows raise ValueError.
+    """
+    n, scale = _integer_numerators(numerators)
+    closing = max(3, sum(_denominator_bound(n, scale, i) for i in range(3)) + 1)
     rows: list[tuple[int, int, int]] = []
-    for total in itertools.count(3):
+    for total in range(3, closing + 1):
         level = [
             (m0, m1, total - m0 - m1)
             for m0 in range(1, total - 1)
             for m1 in range(1, total - m0)
         ]
         rows.extend(level)
-        below = all(
-            compare_to_pi(arctan_sum([p[0] / m0, p[1] / m1, p[2] / m2])) is PiOrder.LESS
-            for m0, m1, m2 in level
-        )
-        if below:
-            return rows
-        if total > 64:
-            raise ArithmeticError(f"frontier did not close for numerators {numerators}")
+        if len(rows) > FRONTIER_ROW_LIMIT:
+            raise ValueError(
+                f"the denominator table for numerators ({', '.join(map(str, numerators))}) "
+                f"would exceed {FRONTIER_ROW_LIMIT} rows"
+            )
+        if all(_pi_gap(n, scale, row) < 0 for row in level):
+            break
+    return rows
 
 
 def render_table(

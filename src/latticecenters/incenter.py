@@ -190,8 +190,8 @@ def incenter_scan(box_radius: int, lmax: int, shard_count: int = 1) -> IncenterS
     )
     hits = search_witnesses(config, cells)
     rows = []
-    for (cond, shape, ell), tri in sorted(hits.items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
-        report = incenter_report(tri)
+    for (cond, shape, ell), (tri, center) in sorted(hits.items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
+        report = incenter_report(tri, center)
         if classify_shape(tri) is not shape or lattice_perimeter(tri) != ell:
             raise ArithmeticError(f"scan witness {tri} fails its cell {shape}/{ell}")
         rows.append(IncenterScanRow(shape, ell, tri, report.inradius_squared))

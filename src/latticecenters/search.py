@@ -30,7 +30,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -199,8 +199,15 @@ class SearchConfig:
 
 
 Cell = tuple[CenterCondition, ShapeClass, int]
-# (p_idx, q_idx, px, py, qx, qy): indices give the deterministic merge order
-Candidate = tuple[int, int, int, int, int, int]
+# (p_idx, q_idx, px, py, qx, qy, incenter): indices give the deterministic
+# merge order; incenter is the lattice incenter an INCENTER hit was
+# confirmed with, else None.
+Candidate = tuple[int, int, int, int, int, int, LatticePoint | None]
+
+
+class SearchHit(NamedTuple):
+    triangle: LatticeTriangle
+    incenter: LatticePoint | None  # confirmed incenter of an INCENTER hit found in this run
 
 
 def _grid_points(box_radius: int) -> list[tuple[int, int]]:
@@ -226,11 +233,6 @@ def _incenter_screen(px: int, py: int, qx: np.ndarray, qy: np.ndarray, box_radiu
     ix = (fb * px + fc * qx) / total
     iy = (fb * py + fc * qy) / total
     return (np.abs(ix - np.rint(ix)) <= tol) & (np.abs(iy - np.rint(iy)) <= tol)
-
-
-def _exact_incenter_hit(px: int, py: int, qx: int, qy: int) -> bool:
-    t = triangle((0, 0), (px, py), (qx, qy))
-    return incenter_mod.lattice_incenter(t) is not None
 
 
 def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[Cell]) -> dict[Cell, Candidate]:
@@ -332,16 +334,19 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
                 if cell not in remaining:
                     continue
                 qxx, qyy = int(qx[q_idx]), int(qy[q_idx])
-                if not exact and not _exact_incenter_hit(px, py, qxx, qyy):
-                    continue
-                found[cell] = (p_idx, int(q_idx), px, py, qxx, qyy)
+                center = None
+                if not exact:
+                    center = incenter_mod.lattice_incenter(triangle((0, 0), (px, py), (qxx, qyy)))
+                    if center is None:
+                        continue  # a false positive of the float screen
+                found[cell] = (p_idx, int(q_idx), px, py, qxx, qyy, center)
                 remaining.discard(cell)
     return found
 
 
-def _candidate_triangle(cand: Candidate) -> LatticeTriangle:
-    _, _, px, py, qx, qy = cand
-    return triangle((0, 0), (px, py), (qx, qy))
+def _candidate_hit(cand: Candidate) -> SearchHit:
+    _, _, px, py, qx, qy, center = cand
+    return SearchHit(triangle((0, 0), (px, py), (qx, qy)), center)
 
 
 def _merge_candidates(results: Sequence[dict[Cell, Candidate]]) -> dict[Cell, Candidate]:
@@ -367,28 +372,31 @@ def _load_checkpoint(path: str, config: SearchConfig, cells_hash: str) -> dict[i
     done: dict[int, dict[Cell, Candidate]] = {}
     if not os.path.exists(path):
         return done
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if (
-                record.get("config_hash") != config.run_hash()
-                or record.get("cells_hash") != cells_hash
-                or record.get("status") != "done"
-            ):
-                continue
-            partial: dict[Cell, Candidate] = {}
-            for item in record.get("found", []):
-                cond = CenterCondition(item["condition"])
-                shape = ShapeClass(item["shape"])
-                cell = (cond, shape, int(item["perimeter"]))
-                p, q = item["vertices"][1], item["vertices"][2]
-                partial[cell] = (
-                    int(item["p_idx"]), int(item["q_idx"]), p[0], p[1], q[0], q[1]
-                )
-            done[int(record["shard_id"])] = partial
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        # A record torn by an interrupted write: drop it so the next one
+        # starts on a fresh line; its shard simply runs again.
+        os.truncate(path, complete)
+    for line in data[:complete].splitlines():
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        if (
+            record.get("config_hash") != config.run_hash()
+            or record.get("cells_hash") != cells_hash
+            or record.get("status") != "done"
+        ):
+            continue
+        partial: dict[Cell, Candidate] = {}
+        for item in record.get("found", []):
+            cond = CenterCondition(item["condition"])
+            shape = ShapeClass(item["shape"])
+            cell = (cond, shape, int(item["perimeter"]))
+            p, q = item["vertices"][1], item["vertices"][2]
+            partial[cell] = (int(item["p_idx"]), int(item["q_idx"]), p[0], p[1], q[0], q[1], None)
+        done[int(record["shard_id"])] = partial
     return done
 
 
@@ -412,19 +420,22 @@ def _append_checkpoint(
             for cell, cand in sorted(partial.items(), key=lambda kv: _cell_sort_key(kv[0]))
         ],
     }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    # one write per record, so a crash can tear at most the last line
+    with open(path, "ab") as fh:
+        fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
+        fh.flush()
 
 
 def search_witnesses(
     config: SearchConfig,
     cells_needed: frozenset[Cell],
     checkpoint_dir: str | None = None,
-) -> dict[Cell, LatticeTriangle]:
+) -> dict[Cell, SearchHit]:
     """Find one triangle per requested cell within the box, if any exists.
 
     Deterministic for a fixed (box_radius, lmax, conditions, shapes):
-    results do not depend on shard_count or on checkpoint reuse.
+    the triangles do not depend on shard_count or on checkpoint reuse.
+    A hit reloaded from a checkpoint carries no incenter.
     """
     if not cells_needed:
         return {}
@@ -456,7 +467,7 @@ def search_witnesses(
                 _append_checkpoint(checkpoint, config, cells_hash, sid, results[sid])
 
     merged = _merge_candidates([results[sid] for sid in sorted(results)])
-    return {cell: _candidate_triangle(cand) for cell, cand in merged.items()}
+    return {cell: _candidate_hit(cand) for cell, cand in merged.items()}
 
 
 # --- the atlas ---------------------------------------------------------------
@@ -471,6 +482,10 @@ class AtlasEntry:
     witness: LatticeTriangle | None = None
     source: str | None = None  # "construction" | "search" for witnesses
     certificates: tuple[ExclusionCertificate, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.status not in ("witness", "impossible", "open"):
+            raise ValueError(f"unknown atlas entry status {self.status!r}")
 
     def to_json(self) -> dict:
         out: dict = {
@@ -542,7 +557,10 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     """Parse an atlas document, re-verifying witnesses and certificates."""
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')}")
-    cfg = doc["config"]
+    try:
+        cfg, items = doc["config"], doc["entries"]
+    except KeyError as exc:
+        raise ValueError(f"atlas document has no {exc.args[0]!r}") from None
     config = SearchConfig(
         box_radius=cfg["box_radius"],
         lmax=cfg["lmax"],
@@ -550,7 +568,7 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
         shapes=tuple(ShapeClass(s) for s in cfg["shapes"]),
     )
     atlas = AchievabilityAtlas(config)
-    for item in doc["entries"]:
+    for item in items:
         condition = CenterCondition(item["condition"])
         shape = ShapeClass(item["shape"])
         perimeter = int(item["perimeter"])
@@ -623,11 +641,11 @@ def build_atlas(
 
     hits = search_witnesses(config, frozenset(unresolved), checkpoint_dir)
     for cell in unresolved:
-        t = hits.get(cell)
-        if t is None:
+        hit = hits.get(cell)
+        if hit is None:
             atlas.entries[cell] = AtlasEntry(*cell, status="open")
         else:
-            entry = AtlasEntry(*cell, status="witness", witness=t, source="search")
+            entry = AtlasEntry(*cell, status="witness", witness=hit.triangle, source="search")
             _verify_witness_entry(entry)
             atlas.entries[cell] = entry
     return atlas

@@ -3,14 +3,26 @@
 Everything here deliberately avoids the code paths under test: boundary
 and interior lattice points are counted point by point, orbits are
 partitioned through explicit symmetry images, and angle sums are checked
-through high-precision floating point.
+through high-precision floating point.  The previous incenter and
+pi-triple algorithms are kept here as the references their faster
+replacements are tested against.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+from latticecenters.angles import (
+    PI_ANGLE,
+    PiOrder,
+    angle_add,
+    angle_from_tan,
+    angle_neg,
+    angle_sum,
+    compare_to_pi,
+)
 from latticecenters.lattice import LatticePoint, LatticeTriangle
 
 D4 = (
@@ -126,17 +138,56 @@ def pi_triple_solutions_bruteforce(numerators, bound: int) -> set:
 
     Uses the symmetric-function identity directly: with positive
     tangents t_i, the sum equals pi iff t0+t1+t2 == t0*t1*t2 and the
-    second symmetric function differs from 1.
+    second symmetric function differs from 1.  With t_i = n_i / M_i for
+    integers n_i = L*p_i and M_i = L*m_i (L the common denominator of
+    the p_i), both tests are cross-multiplied by M0*M1*M2.
     """
     p = [Fraction(x) for x in numerators]
+    scale = math.lcm(*(x.denominator for x in p))
+    n0, n1, n2 = (int(x * scale) for x in p)
     out = set()
     for m0 in range(1, bound + 1):
+        big0 = scale * m0
         for m1 in range(1, bound + 1):
+            big1 = scale * m1
             for m2 in range(1, bound + 1):
-                t = [p[0] / m0, p[1] / m1, p[2] / m2]
-                s1 = t[0] + t[1] + t[2]
-                s2 = t[0] * t[1] + t[0] * t[2] + t[1] * t[2]
-                s3 = t[0] * t[1] * t[2]
-                if s1 == s3 and s2 != 1:
+                big2 = scale * m2
+                s1 = n0 * big1 * big2 + n1 * big0 * big2 + n2 * big0 * big1
+                s2 = n0 * n1 * big2 + n0 * n2 * big1 + n1 * n2 * big0
+                if s1 == n0 * n1 * n2 and s2 != big0 * big1 * big2:
                     out.add((m0, m1, m2))
     return out
+
+
+def pi_triples_angle_scan(numerators) -> list:
+    """The TangentSum solutions by an m0 x m1 scan over exact angles.
+
+    Each m_i is bounded by a linear search for the largest value keeping
+    the sum at least pi with the other two denominators at 1; for each
+    (m0, m1) in that grid the residue pi - arctan(t0) - arctan(t1) is
+    formed in the k*pi + arctan(t) normal form and m2 read off its tail.
+    Solutions come in increasing (m0, m1) order.
+    """
+    p = [Fraction(x) for x in numerators]
+
+    def bound(i: int) -> int:
+        others = angle_sum(angle_from_tan(p[j]) for j in range(3) if j != i)
+        m = 1
+        while compare_to_pi(angle_add(others, angle_from_tan(p[i] / m))) is not PiOrder.LESS:
+            m += 1
+        return m - 1
+
+    m0_max, m1_max = bound(0), bound(1)
+    solutions = []
+    for m0 in range(1, m0_max + 1):
+        a0 = angle_from_tan(p[0] / m0)
+        for m1 in range(1, m1_max + 1):
+            partial = angle_add(a0, angle_from_tan(p[1] / m1))
+            residue = angle_add(PI_ANGLE, angle_neg(partial))
+            # Need residue = arctan(p2/m2) for a positive integer m2.
+            if residue.half_pi or residue.pi_multiples != 0 or residue.tail <= 0:
+                continue
+            m2 = p[2] / residue.tail
+            if m2.denominator == 1:
+                solutions.append((m0, m1, int(m2)))
+    return solutions

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecenters.angles import (
+    FRONTIER_ROW_LIMIT,
     PI_ANGLE,
     ExactAngle,
     PiOrder,
@@ -21,6 +22,7 @@ from latticecenters.angles import (
     solve_pi_triples,
     sums_to_pi,
 )
+from latticecenters.feasibility import SideMultiset, halved_numerators
 
 import oracles
 
@@ -169,11 +171,63 @@ class TestSolver:
             assert got == expected, nums
             assert all(max(sol) <= 25 for sol in got)
 
+    def test_matches_angle_scan_on_every_small_multiset(self):
+        # same list, same (m0, m1) order: certificate text prints it
+        for perimeter in range(3, 25):
+            for a in range(1, perimeter // 3 + 1):
+                for b in range(a, (perimeter - a) // 2 + 1):
+                    nums = halved_numerators(SideMultiset(a, b, perimeter - a - b))
+                    assert solve_pi_triples(nums) == oracles.pi_triples_angle_scan(nums), nums
+
+    def test_matches_angle_scan_on_rational_numerators(self):
+        cases = [
+            ((Fraction(7, 2), 3, 5), [(3, 1, 3)]),
+            ((1, Fraction(3, 2), 5), [(1, 1, 1)]),
+            ((Fraction(5, 2), Fraction(7, 3), 4), [(1, 1, 4)]),
+            ((Fraction(15, 2), 4, Fraction(9, 2)), [(3, 2, 4), (15, 1, 1)]),
+            ((Fraction(9, 2), Fraction(11, 2), Fraction(13, 4)), []),
+        ]
+        for nums, expected in cases:
+            assert solve_pi_triples(nums) == expected
+            assert oracles.pi_triples_angle_scan(nums) == expected
+
+
+def _level(rows, total):
+    return [r for r in rows if sum(r) == total]
+
 
 class TestRenderTable:
     def test_frontier_row_selection(self):
         assert frontier_rows((1, 2, 5)) == [r for r, _ in TABLE_145]
         assert frontier_rows((1, 3, 5)) == [r for r, _ in TABLE_235]
+
+    def test_frontier_closes_at_first_level_below_pi(self):
+        def below(nums, row):
+            return compare_to_pi(arctan_sum([n / m for n, m in zip(nums, row)])) is PiOrder.LESS
+
+        for perimeter in range(3, 13):
+            for a in range(1, perimeter // 3 + 1):
+                for b in range(a, (perimeter - a) // 2 + 1):
+                    nums = halved_numerators(SideMultiset(a, b, perimeter - a - b))
+                    rows = frontier_rows(nums)
+                    last = max(map(sum, rows))
+                    assert all(below(nums, r) for r in _level(rows, last))
+                    for total in range(3, last):
+                        assert not all(below(nums, r) for r in _level(rows, total))
+
+    def test_large_frontier_closes(self):
+        nums = (3, 5, 37)
+        rows = frontier_rows(nums)
+        assert len(rows) == 47905  # closes at total 67
+        assert max(map(sum, rows)) == 67
+        assert not all(
+            compare_to_pi(arctan_sum([Fraction(n, m) for n, m in zip(nums, row)])) is PiOrder.LESS
+            for row in _level(rows, 66)
+        )
+
+    def test_frontier_over_row_limit_refused(self):
+        with pytest.raises(ValueError, match=str(FRONTIER_ROW_LIMIT)):
+            frontier_rows((20, 41, 43))
 
     def test_reference_tables_digit_for_digit(self):
         assert render_table((1, 2, 5)) == TABLE_145

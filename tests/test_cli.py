@@ -114,6 +114,11 @@ class TestAngles:
         code, out, _ = run(capsys, "angles", "1", "1", "1", "--format", "json")
         assert json.loads(out)["solutions"] == []
 
+    def test_oversized_table_exits_with_message(self, capsys):
+        code, out, err = run(capsys, "angles", "40", "41", "43")
+        assert code == 1 and out == ""
+        assert err.startswith("error: the denominator table for numerators (20, 41, 43)")
+
 
 class TestTableAndAtlas:
     def test_table_small(self, capsys):
@@ -161,6 +166,18 @@ class TestTableAndAtlas:
         logs = [p for p in tmp_path.iterdir() if p.suffix == ".jsonl"]
         assert len(logs) == 1  # the shard checkpoint log landed in LC_ATLAS_DIR
         assert len(logs[0].read_text().strip().splitlines()) == 2
+
+    def test_torn_checkpoint_record_is_skipped(self, capsys, tmp_path):
+        argv = ("atlas", "--box", "6", "--lmax", "8", "--conditions", "I", "--atlas-dir", str(tmp_path))
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        (log,) = tmp_path.iterdir()
+        record = log.read_bytes()
+        with open(log, "ab") as fh:  # a crash halfway through the next record
+            fh.write(record[: len(record) // 2])
+        code, again, err = run(capsys, *argv)
+        assert (code, again, err) == (0, first, "")
+        assert log.read_bytes() == record
 
 
 class TestScanFigureProps:

@@ -186,3 +186,19 @@ class TestIncenterScan:
         scan = incenter_scan(9, 12)
         cells = [(r.shape, r.perimeter) for r in scan.rows]
         assert len(cells) == len(set(cells))
+
+    def test_each_row_locates_its_incenter_once(self, monkeypatch):
+        import latticecenters.incenter as incenter_mod
+
+        located = []
+
+        def counting(t):
+            center = lattice_incenter(t)
+            if center is not None:
+                located.append(t)
+            return center
+
+        monkeypatch.setattr(incenter_mod, "lattice_incenter", counting)
+        scan = incenter_scan(10, 14)
+        assert scan.rows
+        assert sorted(map(str, located)) == sorted(str(r.triangle) for r in scan.rows)

@@ -142,11 +142,20 @@ class TestSearch:
         cells = frozenset((G, ShapeClass.OBTUSE, ell) for ell in range(3, 11))
         hits = search_witnesses(config, cells)
         assert hits  # obtuse lattice-centroid triangles exist in range
-        for (cond, shape, ell), t in hits.items():
+        for (cond, shape, ell), (t, center) in hits.items():
             rep = center_report(t)
             assert rep.shape is shape
             assert rep.perimeter == ell
             assert cond.satisfied_by(rep)
+            assert center is None
+
+    def test_incenter_hits_carry_their_confirmed_incenter(self):
+        config = SearchConfig(box_radius=8, lmax=12, conditions=(INC,))
+        cells = frozenset((INC, s, ell) for s in ShapeClass for ell in range(3, 13))
+        hits = search_witnesses(config, cells)
+        assert hits
+        for t, center in hits.values():
+            assert center is not None and center == lattice_incenter(t)
 
     def test_shard_counts_agree(self):
         base = None
@@ -170,6 +179,26 @@ class TestSearch:
         assert resumed.to_json_bytes() == fresh.to_json_bytes()
         # no duplicate records were appended on the resumed run
         assert len(files[0].read_text().strip().splitlines()) == 3
+
+    def test_torn_trailing_checkpoint_record_is_dropped(self, tmp_path):
+        config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,), shard_count=3)
+        fresh = build_atlas(config, checkpoint_dir=str(tmp_path))
+        (log,) = tmp_path.iterdir()
+        records = log.read_bytes().splitlines(keepends=True)
+        # lose the last shard's record, leaving half of it behind
+        log.write_bytes(b"".join(records[:2]) + records[2][: len(records[2]) // 2])
+        resumed = build_atlas(config, checkpoint_dir=str(tmp_path))
+        assert resumed.to_json_bytes() == fresh.to_json_bytes()
+        # the torn half is gone and the re-run shard's record is whole
+        assert sorted(log.read_bytes().splitlines(keepends=True)) == sorted(records)
+
+    def test_corrupt_checkpoint_record_is_reported(self, tmp_path):
+        config = SearchConfig(box_radius=6, lmax=8, conditions=(INC,))
+        build_atlas(config, checkpoint_dir=str(tmp_path))
+        (log,) = tmp_path.iterdir()
+        log.write_bytes(b"{not json\n" + log.read_bytes())
+        with pytest.raises(ValueError):  # only a torn last record is forgiven
+            build_atlas(config, checkpoint_dir=str(tmp_path))
 
     def test_incenter_screen_keeps_every_lattice_incenter(self):
         box = 8
@@ -250,6 +279,19 @@ class TestAtlas:
                 entry["witness_vertices"][1] = [7, 7]  # no longer that perimeter
                 break
         with pytest.raises(ValueError):
+            atlas_from_document(doc)
+
+    def test_unknown_status_rejected(self):
+        doc = json.loads(build_atlas(SearchConfig(box_radius=5, lmax=8, conditions=(G,))).to_json_bytes())
+        doc["entries"][0]["status"] = "bogus"
+        with pytest.raises(ValueError, match="bogus"):
+            atlas_from_document(doc)
+
+    @pytest.mark.parametrize("key", ["config", "entries"])
+    def test_missing_section_is_a_value_error(self, key):
+        doc = json.loads(build_atlas(SearchConfig(box_radius=5, lmax=8, conditions=(G,))).to_json_bytes())
+        del doc[key]
+        with pytest.raises(ValueError, match=key):
             atlas_from_document(doc)
 
     def test_results_table_small(self):
