@@ -115,7 +115,8 @@ def incenter_report(t: LatticeTriangle, center: LatticePoint | None = None) -> I
 
     The touch point on each side is the foot of the perpendicular from
     the incenter, I - (n.I + c)/|n|^2 * n, a rational point lying within
-    the closed side segment.
+    the closed side segment.  Every check runs in integers, scaled by
+    |n|^2; only the reported values are Fractions.
     """
     if center is None:
         center = lattice_incenter(t)
@@ -126,25 +127,26 @@ def incenter_report(t: LatticeTriangle, center: LatticePoint | None = None) -> I
 
     lines = _side_lines(t)
     vals = [nx * center.x + ny * center.y + c for nx, ny, c, _, _ in lines]
-    radii = {Fraction(v * v, nx * nx + ny * ny) for v, (nx, ny, _, _, _) in zip(vals, lines)}
-    if len(radii) != 1:
+    norms = [nx * nx + ny * ny for nx, ny, _, _, _ in lines]
+    # the squared distance to side i is vals[i]**2 / norms[i]; compared cross-multiplied
+    v0, m0 = vals[0], norms[0]
+    if any(v * v * m0 != v0 * v0 * m for v, m in zip(vals, norms)):
         raise ArithmeticError(f"unequal side distances from {center} in {t}")
-    r2 = radii.pop()
 
     touches = []
     flags = []
-    for v, (nx, ny, c, p, q) in zip(vals, lines):
-        norm = nx * nx + ny * ny
-        tp = RationalPoint(center.x - Fraction(v * nx, norm), center.y - Fraction(v * ny, norm))
-        d2 = (tp.x - center.x) ** 2 + (tp.y - center.y) ** 2
-        if d2 != r2:
+    for v, m, (nx, ny, _, p, q) in zip(vals, norms, lines):
+        # touch point (tx, ty) / m, with m = |n|^2 = |q - p|^2
+        tx, ty = center.x * m - v * nx, center.y * m - v * ny
+        tp = RationalPoint(Fraction(tx, m), Fraction(ty, m))
+        if ((tx - center.x * m) ** 2 + (ty - center.y * m) ** 2) * m0 != v0 * v0 * m * m:
             raise ArithmeticError(f"touch point {tp} not at inradius from {center}")
-        along = (tp.x - p.x) * (q.x - p.x) + (tp.y - p.y) * (q.y - p.y)
-        span = Fraction((q.x - p.x) ** 2 + (q.y - p.y) ** 2)
-        if not 0 <= along <= span:
+        along = (tx - p.x * m) * (q.x - p.x) + (ty - p.y * m) * (q.y - p.y)
+        if not 0 <= along <= m * m:
             raise ArithmeticError(f"touch point {tp} outside its side segment")
         touches.append(tp)
         flags.append(tp.is_lattice())
+    r2 = Fraction(v0 * v0, m0)
     return IncenterReport(center, r2, tuple(touches), tuple(flags))
 
 

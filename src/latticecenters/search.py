@@ -13,13 +13,18 @@ The atlas maps (center condition, shape, perimeter) cells to one of:
     impossible  replayable exclusion certificates from the filter module
     open        nothing found within the box; never a claim of impossibility
 
-Searching is vectorized over Q for each P.  The lattice tests for the
-circumcenter, centroid and orthocenter are exact integer arithmetic even
-in vectorized form.  The incenter is screened in floating point with a
-tolerance derived from the rounding error, so no true hit is dropped,
-and every pair that passes is confirmed by the exact decision procedure.
-Sharding splits the P loop round-robin; per-cell results merge by
-minimal (P index, Q index), so output is independent of the shard count.
+Each cell's witness is the anchored triangle with the smallest grid
+indices (P index, Q index).  The box is mapped to itself by the eight
+symmetries of the square (D4), and so is every cell, so that P is the
+smallest-index point of its D4 orbit: the sweep takes P only from those
+points, one per orbit, which are the points with x <= y <= 0.  Searching is
+vectorized over Q for each P.  The lattice tests for the circumcenter,
+centroid and orthocenter are exact integer arithmetic even in vectorized
+form.  The incenter is screened in floating point with a tolerance
+derived from the rounding error, so no true hit is dropped, and pairs
+that pass are confirmed by the exact decision procedure.  Sharding
+splits the swept points round-robin; per-cell results merge by minimal
+(P index, Q index), so output is independent of the shard count.
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 # screen's error bound assumes.
 MAX_BOX_RADIUS = 10**6
 
+# Checkpoint tag of the first-vertex sweep: one point per D4 orbit,
+# round-robin over shards (see _search_shard).
+_SWEEP = "d4-orbit-minima"
+
 
 # --- canonical forms -------------------------------------------------------
 
@@ -89,6 +98,18 @@ _D4 = (
 )
 
 CanonicalKey = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+
+def _grid_points(box_radius: int) -> list[tuple[int, int]]:
+    # [-B, B]^2 in grid-index order: point (x, y) has index (x + B) * (2B + 1) + (y + B)
+    span = range(-box_radius, box_radius + 1)
+    return [(x, y) for x in span for y in span]
+
+
+def _cone_points(width: int) -> list[tuple[int, int]]:
+    # 0 <= y <= x <= width without the origin: each D4 orbit of a nonzero
+    # point of [-width, width]^2 has exactly one member here, (max, min) of |x|, |y|
+    return [(x, y) for x in range(1, width + 1) for y in range(0, x + 1)]
 
 
 def canonical_key(t: LatticeTriangle) -> CanonicalKey:
@@ -117,17 +138,15 @@ def iter_canonical_triangles(width: int, lmax: int | None = None) -> Iterator[La
     """One representative per orbit of triangles fitting a width x width box.
 
     The first edge vector is restricted to the cone 0 <= y <= x (every
-    orbit has a member there), remaining duplicates are removed by
-    canonical key.  Optional perimeter cap lmax prunes early.
+    orbit has a member there, see _cone_points), remaining duplicates are
+    removed by canonical key.  Optional perimeter cap lmax prunes early.
     """
     if width < 1:
         raise ValueError("width must be positive")
-    span = range(-width, width + 1)
-    grid = [(x, y) for x in span for y in span]
-    cone = [(x, y) for x in range(1, width + 1) for y in range(0, x + 1)]
+    grid = _grid_points(width)
     seen: set[CanonicalKey] = set()
     origin = LatticePoint(0, 0)
-    for px, py in cone:
+    for px, py in _cone_points(width):
         gp = math.gcd(px, py)
         if lmax is not None and gp + 2 > lmax:
             continue
@@ -193,7 +212,9 @@ class SearchConfig:
         }
 
     def run_hash(self) -> str:
-        payload = dict(self.document_echo(), shard_count=self.shard_count)
+        # The sweep tag names how shards partition the search, so records
+        # written under another partition are never merged with these.
+        payload = dict(self.document_echo(), shard_count=self.shard_count, sweep=_SWEEP)
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -208,11 +229,6 @@ Candidate = tuple[int, int, int, int, int, int, LatticePoint | None]
 class SearchHit(NamedTuple):
     triangle: LatticeTriangle
     incenter: LatticePoint | None  # confirmed incenter of an INCENTER hit found in this run
-
-
-def _grid_points(box_radius: int) -> list[tuple[int, int]]:
-    span = range(-box_radius, box_radius + 1)
-    return [(x, y) for x in span for y in span]
 
 
 def _incenter_screen(px: int, py: int, qx: np.ndarray, qy: np.ndarray, box_radius: int) -> np.ndarray:
@@ -236,26 +252,40 @@ def _incenter_screen(px: int, py: int, qx: np.ndarray, qy: np.ndarray, box_radiu
 
 
 def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[Cell]) -> dict[Cell, Candidate]:
-    """Scan this shard's slice of first vertices; first hit per cell wins."""
-    pts = _grid_points(config.box_radius)
+    """Sweep this shard's first vertices; the first hit per cell is the minimal one.
+
+    A cell's witness is its anchored pair with the smallest grid indices
+    (p_idx, q_idx).  The box and every cell are closed under the eight
+    symmetries of the square (D4) applied to both P and Q, so that pair's
+    P is the smallest-index point of its D4 orbit, (-x, -y) for a point
+    (x, y) of the cone 0 <= y <= x.  Only those points are swept, in
+    ascending index order (x descending, then y descending), each with
+    every Q of the box in index order; shards take every shard_count-th
+    of them.  An earlier P cannot hit the cell (its pair would be
+    smaller), so the first hit per cell in the shard holding the minimum
+    is the minimum, and merging shards by index gives it whatever the
+    shard count.
+    """
+    box = config.box_radius
+    side = 2 * box + 1
+    pts = _grid_points(box)
     qx = np.array([p[0] for p in pts], dtype=np.int64)
     qy = np.array([p[1] for p in pts], dtype=np.int64)
     gcd_q = np.gcd(np.abs(qx), np.abs(qy))
     lmax = config.lmax
 
-    shape_by_code = {0: ShapeClass.ACUTE, 1: ShapeClass.RIGHT, 2: ShapeClass.OBTUSE}
-    allowed_codes = {code for code, s in shape_by_code.items() if s in config.shapes}
+    shape_by_code = (ShapeClass.ACUTE, ShapeClass.RIGHT, ShapeClass.OBTUSE)
+    shape_allowed = np.array([s in config.shapes for s in shape_by_code])
     conditions = [c for c in config.conditions if any(c == cell[0] for cell in cells_needed)]
 
     found: dict[Cell, Candidate] = {}
     remaining = set(cells_needed)
 
-    for p_idx in range(shard_id, len(pts), config.shard_count):
+    for x, y in _cone_points(box)[::-1][shard_id :: config.shard_count]:
         if not remaining:
             break
-        px, py = pts[p_idx]
-        if px == 0 and py == 0:
-            continue
+        px, py = -x, -y
+        p_idx = (px + box) * side + py + box
         gp = math.gcd(px, py)
         if gp + 2 > lmax:
             continue  # partial perimeter already over budget
@@ -273,8 +303,7 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         d2 = qx * (qx - px) + qy * (qy - py)
         min_dot = np.minimum(d0, np.minimum(d1, d2))
         shape_code = np.where(min_dot > 0, 0, np.where(min_dot == 0, 1, 2))
-        shape_ok = np.isin(shape_code, list(allowed_codes))
-        base = valid & shape_ok
+        base = valid & shape_allowed[shape_code]
         if not base.any():
             continue
 
@@ -314,7 +343,7 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         if CenterCondition.ALL_THREE in need:
             masks[CenterCondition.ALL_THREE] = f_mask & g_mask & h_mask
         if CenterCondition.INCENTER in need:
-            masks[CenterCondition.INCENTER] = _incenter_screen(px, py, qx, qy, config.box_radius)
+            masks[CenterCondition.INCENTER] = _incenter_screen(px, py, qx, qy, box)
 
         for cond, cond_mask in masks.items():
             combined = base & cond_mask
@@ -533,11 +562,17 @@ class AchievabilityAtlas:
         return (json.dumps(self.to_document(), sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def _verify_witness_entry(entry: AtlasEntry) -> None:
+def _verify_witness_entry(entry: AtlasEntry, center: LatticePoint | None = None) -> None:
+    # center: the lattice incenter a search hit was confirmed with, checked
+    # directly instead of being located again
     t = entry.witness
     assert t is not None
     if entry.condition is CenterCondition.INCENTER:
-        if incenter_mod.lattice_incenter(t) is None:
+        if center is None:
+            located = incenter_mod.lattice_incenter(t) is not None
+        else:
+            located = incenter_mod._is_lattice_incenter(t, center)
+        if not located:
             raise ValueError(f"witness {t} has no lattice incenter")
         shape = classify_shape(t)
         perim = lattice_perimeter(t)
@@ -646,7 +681,7 @@ def build_atlas(
             atlas.entries[cell] = AtlasEntry(*cell, status="open")
         else:
             entry = AtlasEntry(*cell, status="witness", witness=hit.triangle, source="search")
-            _verify_witness_entry(entry)
+            _verify_witness_entry(entry, hit.incenter)
             atlas.entries[cell] = entry
     return atlas
 

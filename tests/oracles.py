@@ -3,9 +3,9 @@
 Everything here deliberately avoids the code paths under test: boundary
 and interior lattice points are counted point by point, orbits are
 partitioned through explicit symmetry images, and angle sums are checked
-through high-precision floating point.  The previous incenter and
-pi-triple algorithms are kept here as the references their faster
-replacements are tested against.
+through high-precision floating point.  The previous incenter,
+incenter-report, pi-triple and full-grid search algorithms are kept here
+as the references their faster replacements are tested against.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from latticecenters.angles import (
     PI_ANGLE,
@@ -23,7 +25,10 @@ from latticecenters.angles import (
     angle_sum,
     compare_to_pi,
 )
-from latticecenters.lattice import LatticePoint, LatticeTriangle
+from latticecenters.centers import CenterCondition, RationalPoint
+from latticecenters.incenter import IncenterReport, _is_lattice_incenter, _side_lines, lattice_incenter
+from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
+from latticecenters.search import SearchConfig, _grid_points, _incenter_screen
 
 D4 = (
     (1, 0, 0, 1),
@@ -191,3 +196,157 @@ def pi_triples_angle_scan(numerators) -> list:
             if m2.denominator == 1:
                 solutions.append((m0, m1, int(m2)))
     return solutions
+
+
+def incenter_report_fractions(t: LatticeTriangle, center: LatticePoint | None = None) -> IncenterReport:
+    """The incenter report with every check done in Fractions.
+
+    The touch point on each side is the foot of the perpendicular from
+    the incenter, I - (n.I + c)/|n|^2 * n, a rational point lying within
+    the closed side segment; distances and positions along the side are
+    compared as Fractions.
+    """
+    if center is None:
+        center = lattice_incenter(t)
+        if center is None:
+            raise ValueError(f"{t} has no lattice incenter")
+    elif not _is_lattice_incenter(t, center):
+        raise ValueError(f"{center} is not the incenter of {t}")
+
+    lines = _side_lines(t)
+    vals = [nx * center.x + ny * center.y + c for nx, ny, c, _, _ in lines]
+    radii = {Fraction(v * v, nx * nx + ny * ny) for v, (nx, ny, _, _, _) in zip(vals, lines)}
+    if len(radii) != 1:
+        raise ArithmeticError(f"unequal side distances from {center} in {t}")
+    r2 = radii.pop()
+
+    touches = []
+    flags = []
+    for v, (nx, ny, c, p, q) in zip(vals, lines):
+        norm = nx * nx + ny * ny
+        tp = RationalPoint(center.x - Fraction(v * nx, norm), center.y - Fraction(v * ny, norm))
+        d2 = (tp.x - center.x) ** 2 + (tp.y - center.y) ** 2
+        if d2 != r2:
+            raise ArithmeticError(f"touch point {tp} not at inradius from {center}")
+        along = (tp.x - p.x) * (q.x - p.x) + (tp.y - p.y) * (q.y - p.y)
+        span = Fraction((q.x - p.x) ** 2 + (q.y - p.y) ** 2)
+        if not 0 <= along <= span:
+            raise ArithmeticError(f"touch point {tp} outside its side segment")
+        touches.append(tp)
+        flags.append(tp.is_lattice())
+    return IncenterReport(center, r2, tuple(touches), tuple(flags))
+
+
+def search_shard_full_grid(config: SearchConfig, shard_id: int, cells_needed: frozenset) -> dict:
+    """The search shard sweeping every nonzero grid point as first vertex.
+
+    First vertices P run over [-B, B]^2 in grid-index order, round-robin
+    over shards; for each P the first surviving Q per cell wins, so a
+    cell ends with its smallest (p_idx, q_idx).  The D4 cone sweep of
+    search._search_shard must give the same merged candidates.
+    """
+    pts = _grid_points(config.box_radius)
+    qx = np.array([p[0] for p in pts], dtype=np.int64)
+    qy = np.array([p[1] for p in pts], dtype=np.int64)
+    gcd_q = np.gcd(np.abs(qx), np.abs(qy))
+    lmax = config.lmax
+
+    shape_by_code = {0: ShapeClass.ACUTE, 1: ShapeClass.RIGHT, 2: ShapeClass.OBTUSE}
+    allowed_codes = {code for code, s in shape_by_code.items() if s in config.shapes}
+    conditions = [c for c in config.conditions if any(c == cell[0] for cell in cells_needed)]
+
+    found: dict = {}
+    remaining = set(cells_needed)
+
+    for p_idx in range(shard_id, len(pts), config.shard_count):
+        if not remaining:
+            break
+        px, py = pts[p_idx]
+        if px == 0 and py == 0:
+            continue
+        gp = math.gcd(px, py)
+        if gp + 2 > lmax:
+            continue  # partial perimeter already over budget
+
+        cross = px * qy - py * qx
+        valid = cross != 0
+        gcd_pq = np.gcd(np.abs(px - qx), np.abs(py - qy))
+        perim = gp + gcd_q + gcd_pq
+        valid &= perim <= lmax
+        if not valid.any():
+            continue
+
+        d0 = px * qx + py * qy
+        d1 = px * (px - qx) + py * (py - qy)
+        d2 = qx * (qx - px) + qy * (qy - py)
+        min_dot = np.minimum(d0, np.minimum(d1, d2))
+        shape_code = np.where(min_dot > 0, 0, np.where(min_dot == 0, 1, 2))
+        shape_ok = np.isin(shape_code, list(allowed_codes))
+        base = valid & shape_ok
+        if not base.any():
+            continue
+
+        safe_cross = np.where(valid, cross, 1)
+        hx_num = d0 * (qy - py)
+        hy_num = d0 * (px - qx)
+        masks: dict = {}
+        need = {c for c in conditions if any(cell[0] == c for cell in remaining)}
+        need_h = {
+            CenterCondition.ORTHOCENTER,
+            CenterCondition.CENTROID_AND_ORTHOCENTER,
+            CenterCondition.ALL_THREE,
+        } & need
+        need_g = {
+            CenterCondition.CENTROID,
+            CenterCondition.CENTROID_AND_ORTHOCENTER,
+            CenterCondition.ALL_THREE,
+        } & need
+        need_f = {CenterCondition.CIRCUMCENTER, CenterCondition.ALL_THREE} & need
+        h_mask = g_mask = f_mask = None
+        if need_h or need_f:
+            h_mask = (hx_num % safe_cross == 0) & (hy_num % safe_cross == 0)
+        if need_g:
+            g_mask = ((px + qx) % 3 == 0) & ((py + qy) % 3 == 0)
+        if need_f:
+            fx_num = (px + qx) * cross - hx_num
+            fy_num = (py + qy) * cross - hy_num
+            f_mask = (fx_num % (2 * safe_cross) == 0) & (fy_num % (2 * safe_cross) == 0)
+        if CenterCondition.ORTHOCENTER in need:
+            masks[CenterCondition.ORTHOCENTER] = h_mask
+        if CenterCondition.CENTROID in need:
+            masks[CenterCondition.CENTROID] = g_mask
+        if CenterCondition.CIRCUMCENTER in need:
+            masks[CenterCondition.CIRCUMCENTER] = f_mask
+        if CenterCondition.CENTROID_AND_ORTHOCENTER in need:
+            masks[CenterCondition.CENTROID_AND_ORTHOCENTER] = g_mask & h_mask
+        if CenterCondition.ALL_THREE in need:
+            masks[CenterCondition.ALL_THREE] = f_mask & g_mask & h_mask
+        if CenterCondition.INCENTER in need:
+            masks[CenterCondition.INCENTER] = _incenter_screen(px, py, qx, qy, config.box_radius)
+
+        for cond, cond_mask in masks.items():
+            combined = base & cond_mask
+            if not combined.any():
+                continue
+            survivors = np.flatnonzero(combined)
+            cell_ids = shape_code[survivors] * (lmax + 1) + perim[survivors]
+            exact = cond is not CenterCondition.INCENTER
+            if exact:
+                _, first = np.unique(cell_ids, return_index=True)
+                picks = survivors[np.sort(first)]
+            else:
+                picks = survivors  # float screen may have false positives
+            for q_idx in picks:
+                code = int(shape_code[q_idx])
+                cell = (cond, shape_by_code[code], int(perim[q_idx]))
+                if cell not in remaining:
+                    continue
+                qxx, qyy = int(qx[q_idx]), int(qy[q_idx])
+                center = None
+                if not exact:
+                    center = lattice_incenter(triangle((0, 0), (px, py), (qxx, qyy)))
+                    if center is None:
+                        continue  # a false positive of the float screen
+                found[cell] = (p_idx, int(q_idx), px, py, qxx, qyy, center)
+                remaining.discard(cell)
+    return found

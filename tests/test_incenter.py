@@ -145,6 +145,29 @@ class TestIncenterReport:
                 assert 0 <= along <= dx * dx + dy * dy
         assert checked >= 8
 
+    def test_matches_fraction_report(self):
+        span = range(-6, 7)
+        checked = 0
+        for px in span:
+            for py in span:
+                for qx in span:
+                    for qy in span:
+                        if px * qy - py * qx == 0:
+                            continue
+                        t = triangle((0, 0), (px, py), (qx, qy))
+                        hit = lattice_incenter(t)
+                        if hit is None:
+                            continue
+                        assert incenter_report(t, hit) == oracles.incenter_report_fractions(t, hit), t
+                        checked += 1
+        assert checked > 50
+        bases = (((0, 0), (14, 2), (8, 8)), ((0, 0), (14, 2), (21, 51)), ((0, 0), (4, 0), (4, 3)))
+        for base in bases:
+            for k in (1, 7, 10**5, 10**15, 3 * 10**17 + 1, 10**30):
+                big = triangle(*base).scaled(k)
+                for t in (big, big.translated(LatticePoint(-(10**29), 3))):
+                    assert incenter_report(t) == oracles.incenter_report_fractions(t), t
+
     def test_wrong_center_rejected(self):
         t = triangle((0, 0), (14, 2), (8, 8))
         with pytest.raises(ValueError):

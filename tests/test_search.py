@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 
@@ -10,10 +12,16 @@ from latticecenters.centers import CenterCondition, center_report
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
 from latticecenters.incenter import lattice_incenter
 from latticecenters.search import (
+    CONDITION_ORDER,
     MAX_BOX_RADIUS,
+    SHAPE_ORDER,
     SearchConfig,
+    _cells_hash,
+    _checkpoint_path,
     _grid_points,
     _incenter_screen,
+    _merge_candidates,
+    _search_shard,
     atlas_from_document,
     build_atlas,
     canonical_key,
@@ -157,6 +165,39 @@ class TestSearch:
         for t, center in hits.values():
             assert center is not None and center == lattice_incenter(t)
 
+    @pytest.mark.parametrize(
+        "box, conditions",
+        [(box, CONDITION_ORDER) for box in range(2, 11)] + [(16, (INC,))],
+    )
+    def test_cone_sweep_matches_full_grid(self, box, conditions):
+        # every shape and reachable perimeter of the box
+        lmax = 4 * box + 2
+        config = SearchConfig(box_radius=box, lmax=lmax, conditions=conditions)
+        cells = frozenset((c, s, ell) for c in conditions for s in SHAPE_ORDER for ell in range(3, lmax + 1))
+        expected = _merge_candidates([oracles.search_shard_full_grid(config, 0, cells)])
+        assert len(expected) > 10 and (box < 4 or any(cell[0] is INC for cell in expected))
+        for shards in (1, 2, 3):
+            sharded = dataclasses.replace(config, shard_count=shards)
+            got = _merge_candidates([_search_shard(sharded, sid, cells) for sid in range(shards)])
+            assert got == expected, shards
+
+    def test_incenter_search_hits_are_located_once(self, monkeypatch):
+        import latticecenters.incenter as incenter_mod
+
+        located = []
+
+        def counting(t):
+            center = lattice_incenter(t)
+            if center is not None:
+                located.append(t)
+            return center
+
+        monkeypatch.setattr(incenter_mod, "lattice_incenter", counting)
+        atlas = build_atlas(SearchConfig(box_radius=8, lmax=12, conditions=(INC,)))
+        witnesses = [e.witness for e in atlas.entries.values() if e.status == "witness"]
+        assert witnesses
+        assert sorted(map(str, located)) == sorted(map(str, witnesses))
+
     def test_shard_counts_agree(self):
         base = None
         for shards in (1, 2, 5):
@@ -179,6 +220,26 @@ class TestSearch:
         assert resumed.to_json_bytes() == fresh.to_json_bytes()
         # no duplicate records were appended on the resumed run
         assert len(files[0].read_text().strip().splitlines()) == 3
+
+    def test_checkpoint_from_another_sweep_is_not_reused(self, tmp_path):
+        config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,), shard_count=2)
+        fresh = build_atlas(config)
+        # records hashed as the full-grid sweep hashed this config (no
+        # sweep tag), each claiming its shard found nothing
+        payload = dict(config.document_echo(), shard_count=config.shard_count)
+        grid_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+        assert grid_hash != config.run_hash()
+        cells_hash = _cells_hash(frozenset(fresh.entries))
+        records = "".join(
+            json.dumps({"config_hash": grid_hash, "cells_hash": cells_hash, "shard_id": sid,
+                        "status": "done", "found": []}) + "\n"
+            for sid in range(config.shard_count)
+        )
+        (tmp_path / f"search-{grid_hash}.jsonl").write_text(records)
+        with open(_checkpoint_path(str(tmp_path), config), "a") as fh:
+            fh.write(records)
+        resumed = build_atlas(config, checkpoint_dir=str(tmp_path))
+        assert resumed.to_json_bytes() == fresh.to_json_bytes()
 
     def test_torn_trailing_checkpoint_record_is_dropped(self, tmp_path):
         config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,), shard_count=3)
