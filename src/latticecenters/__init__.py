@@ -27,7 +27,7 @@ from .centers import (
     orthic_m_values,
     orthocenter,
 )
-from .constructions import Witness, WitnessRequest, build_witness, scale, sheared
+from .constructions import Witness, WitnessRequest, build_witness, sheared
 from .feasibility import (
     ExclusionCertificate,
     ExclusionReport,
@@ -109,7 +109,6 @@ __all__ = [
     "prop1_witness",
     "prop2_witness",
     "render_table",
-    "scale",
     "sheared",
     "side_lengths",
     "solve_pi_triples",

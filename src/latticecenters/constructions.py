@@ -80,11 +80,6 @@ def _expect(point: RationalPoint, coords: tuple[int, int], what: str) -> None:
         raise ConstructionError(f"{what}: got {point}, expected {coords}")
 
 
-def scale(t: LatticeTriangle, n: int) -> LatticeTriangle:
-    """Multiply all vertices by n; perimeter scales by n, shape is kept."""
-    return t.scaled(n)
-
-
 def sheared(t: LatticeTriangle, k: int) -> LatticeTriangle:
     """Apply the unimodular map (x, y) -> (x - k*y, y) to all vertices."""
     return LatticeTriangle(*(LatticePoint(v.x - k * v.y, v.y) for v in t.vertices))
@@ -263,7 +258,7 @@ def acute_G(perimeter: int) -> Witness:
         return _verified(tri, request, "centroid/base-3")
     if ell % 3 == 0:
         base = acute_G(3).triangle
-        return _verified(scale(base, ell // 3), request, "centroid/scaled-base")
+        return _verified(base.scaled(ell // 3), request, "centroid/scaled-base")
     if ell % 6 == 1:
         return _grown_height_witness(ell - 2, 4, ell - 2, request, "centroid/1mod6")
     if ell % 6 == 4:
@@ -271,7 +266,7 @@ def acute_G(perimeter: int) -> Witness:
     if ell % 6 == 2:
         # Half the perimeter is 1 mod 3, so the halved witness exists; double it.
         inner = acute_G(ell // 2)
-        return _verified(scale(inner.triangle, 2), request, "centroid/doubled")
+        return _verified(inner.triangle.scaled(2), request, "centroid/doubled")
     # 5 mod 6: composites split off a prime factor that is 5 mod 6; the
     # cofactor is 1 mod 6 and handled above.  Primes get direct families
     # keyed by the residue mod 18.
@@ -280,7 +275,7 @@ def acute_G(perimeter: int) -> Witness:
         if p is None:
             raise ConstructionError(f"composite {ell} = 5 mod 6 must have a 5 mod 6 prime factor")
         inner = acute_G(ell // p)
-        return _verified(scale(inner.triangle, p), request, "centroid/factored")
+        return _verified(inner.triangle.scaled(p), request, "centroid/factored")
     r = ell % 18
     offset = {5: 8, 11: 14, 17: 2}[r]
     x = {5: 7, 11: 13, 17: 1}[r]
@@ -369,21 +364,21 @@ def acute_GH(perimeter: int) -> Witness:
     # Tripling any lattice-orthocenter triangle puts the centroid on the
     # lattice as well (vertex sums are what the centroid divides by 3).
     inner = acute_H(ell // 3)
-    return _verified(scale(inner.triangle, 3), request, "centroid+orthocenter/tripled")
+    return _verified(inner.triangle.scaled(3), request, "centroid+orthocenter/tripled")
 
 
 def obtuse_GH(perimeter: int) -> Witness:
     ell = perimeter
     _require_gh_domain(ell)
     request = WitnessRequest(CenterCondition.CENTROID_AND_ORTHOCENTER, ShapeClass.OBTUSE, ell)
-    return _verified(scale(obtuse_H(ell // 3).triangle, 3), request, "centroid+orthocenter/tripled")
+    return _verified(obtuse_H(ell // 3).triangle.scaled(3), request, "centroid+orthocenter/tripled")
 
 
 def right_GH(perimeter: int) -> Witness:
     ell = perimeter
     _require_gh_domain(ell)
     request = WitnessRequest(CenterCondition.CENTROID_AND_ORTHOCENTER, ShapeClass.RIGHT, ell)
-    return _verified(scale(right_H(ell // 3).triangle, 3), request, "centroid+orthocenter/tripled")
+    return _verified(right_H(ell // 3).triangle.scaled(3), request, "centroid+orthocenter/tripled")
 
 
 def acute_FGH(perimeter: int) -> Witness:
@@ -399,21 +394,21 @@ def acute_FGH(perimeter: int) -> Witness:
         _expect(orthocenter(tri), h, f"explicit all-centers case {ell}")
         return _verified(tri, request, "all-centers/explicit")
     inner = acute_F(ell // 3)
-    return _verified(scale(inner.triangle, 3), request, "all-centers/tripled")
+    return _verified(inner.triangle.scaled(3), request, "all-centers/tripled")
 
 
 def obtuse_FGH(perimeter: int) -> Witness:
     ell = perimeter
     _require_fgh_domain(ell)
     request = WitnessRequest(CenterCondition.ALL_THREE, ShapeClass.OBTUSE, ell)
-    return _verified(scale(obtuse_F(ell // 3).triangle, 3), request, "all-centers/tripled")
+    return _verified(obtuse_F(ell // 3).triangle.scaled(3), request, "all-centers/tripled")
 
 
 def right_FGH(perimeter: int) -> Witness:
     ell = perimeter
     _require_fgh_domain(ell)
     request = WitnessRequest(CenterCondition.ALL_THREE, ShapeClass.RIGHT, ell)
-    return _verified(scale(right_F(ell // 3).triangle, 3), request, "all-centers/tripled")
+    return _verified(right_F(ell // 3).triangle.scaled(3), request, "all-centers/tripled")
 
 
 _FACTORIES = {

@@ -9,16 +9,26 @@ lattice centroid forces the side lengths to be all or none divisible
 by 3; lattice centroid plus orthocenter (or right angle plus lattice
 centroid) force every side length divisible by 3.
 
-Each exclusion is recorded as a replayable certificate, and a report for
-a perimeter is "proven impossible" only when every side multiset is
-killed by some certificate.  Surviving multisets yield an honest
-"unknown": realizability beyond these filters is the business of the
-construction and search modules.
+Each exclusion is recorded as a certificate naming its rule and data,
+and a report for a perimeter is "proven impossible" only when every side
+multiset is killed by some certificate.  Surviving multisets yield an
+honest "unknown": realizability beyond these filters is the business of
+the construction and search modules.  The report is a deterministic
+function of its cell, so a stored certificate list is checked by
+re-deriving the report and comparing (see search.atlas_from_document);
+`replay` re-runs the rule of one certificate on its own data.
+
+A perimeter's side multisets and their pairwise-gcd verdicts do not
+depend on the center condition or the shape.  `PerimeterSides` holds
+them, so that a caller resolving many cells (an atlas build or load)
+computes them once per perimeter and passes the table to every report
+of that perimeter.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,29 +124,43 @@ def partitions(perimeter: int) -> list[SideMultiset]:
     return out
 
 
-def _fails_gcd(s: SideMultiset) -> bool:
-    total = math.gcd(s.a, s.b, s.c)
-    return any(
-        math.gcd(x, y) != total
-        for x, y in ((s.a, s.b), (s.a, s.c), (s.b, s.c))
-    )
+def gcd_violation(s: SideMultiset) -> str | None:
+    """Why s breaks the pairwise-gcd law (the first offending pair), or None.
+
+    The law holds exactly when the three pairwise gcds are equal: each
+    then divides all three sides, so it is the gcd of all three.
+    """
+    a, b, c = s.a, s.b, s.c
+    ab, ac, bc = math.gcd(a, b), math.gcd(a, c), math.gcd(b, c)
+    if ab == ac == bc:
+        return None
+    total = math.gcd(ab, c)
+    x, y, g = (a, b, ab) if ab != total else (a, c, ac) if ac != total else (b, c, bc)
+    return f"gcd{(x, y)}={g} differs from gcd of all three = {total}"
 
 
 def gcd_filter(s: SideMultiset, condition: CenterCondition, shape: ShapeClass | None = None) -> ExclusionCertificate | None:
     """Kill multisets whose pairwise gcds differ from the total gcd."""
-    if not _fails_gcd(s):
+    detail = gcd_violation(s)
+    if detail is None:
         return None
-    total = math.gcd(s.a, s.b, s.c)
-    pairs = {(x, y): math.gcd(x, y) for x, y in ((s.a, s.b), (s.a, s.c), (s.b, s.c))}
-    bad = next((p, g) for p, g in pairs.items() if g != total)
-    return ExclusionCertificate(
-        Rule.GCD_LEMMA,
-        f"gcd{bad[0]}={bad[1]} differs from gcd of all three = {total}",
-        condition,
-        None,
-        s.perimeter,
-        s,
-    )
+    return ExclusionCertificate(Rule.GCD_LEMMA, detail, condition, None, s.perimeter, s)
+
+
+class PerimeterSides:
+    """Every side multiset of one perimeter with its gcd_violation verdict.
+
+    Shared by all the cells of the perimeter and computed on first use,
+    so a cell settled by the perimeter alone costs nothing.
+    exclusion_report makes its own when it is not given one.
+    """
+
+    def __init__(self, perimeter: int) -> None:
+        self.perimeter = perimeter
+
+    @functools.cached_property
+    def sides(self) -> tuple[tuple[SideMultiset, str | None], ...]:
+        return tuple((s, gcd_violation(s)) for s in partitions(self.perimeter))
 
 
 def one_one_m_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.ORTHOCENTER) -> ExclusionCertificate | None:
@@ -277,7 +301,7 @@ def tangent_sum_filter(s: SideMultiset, condition: CenterCondition = CenterCondi
     kills = []
     for sol in solutions:
         subs = subtriangle_multisets(s, sol)
-        killed = next((sub for sub in subs if _fails_gcd(sub)), None)
+        killed = next((sub for sub in subs if gcd_violation(sub) is not None), None)
         if killed is None:
             return None  # a solution survives; the filter proves nothing
         kills.append(f"m={sol} -> sub-triangle {killed} violates the pairwise-gcd law")
@@ -299,7 +323,7 @@ def replay(cert: ExclusionCertificate) -> bool:
     if s is None:
         return False
     if cert.rule is Rule.GCD_LEMMA:
-        return _fails_gcd(s)
+        return gcd_violation(s) is not None
     if cert.rule is Rule.ONE_ONE_M:
         return s.a == 1 and s.b == 1
     if cert.rule is Rule.MID3:
@@ -337,6 +361,7 @@ class ExclusionReport:
 
 
 def _multiset_filters(condition: CenterCondition, shape: ShapeClass):
+    # the rules after the pairwise-gcd law, whose verdicts PerimeterSides holds
     needs_h = condition in (
         CenterCondition.ORTHOCENTER,
         CenterCondition.CIRCUMCENTER,
@@ -351,7 +376,7 @@ def _multiset_filters(condition: CenterCondition, shape: ShapeClass):
     )
     needs_gh = condition in (CenterCondition.CENTROID_AND_ORTHOCENTER, CenterCondition.ALL_THREE)
 
-    filters = [lambda s: gcd_filter(s, condition)]
+    filters = []
     if needs_h and shape is ShapeClass.ACUTE:
         filters.append(lambda s: one_one_m_filter(s, condition))
     if needs_f and shape is ShapeClass.ACUTE:
@@ -368,10 +393,21 @@ def _multiset_filters(condition: CenterCondition, shape: ShapeClass):
     return filters
 
 
-def exclusion_report(perimeter: int, condition: CenterCondition, shape: ShapeClass) -> ExclusionReport:
-    """Run all applicable filters on all side multisets of a perimeter."""
+def exclusion_report(
+    perimeter: int,
+    condition: CenterCondition,
+    shape: ShapeClass,
+    sides: PerimeterSides | None = None,
+) -> ExclusionReport:
+    """Run all applicable filters on all side multisets of a perimeter.
+
+    sides: the perimeter's PerimeterSides, when the caller shares one
+    across cells; the report is the same either way.
+    """
     if condition is CenterCondition.INCENTER:
         raise ValueError("no exclusion rules exist for the incenter; scans are empirical only")
+    if sides is not None and sides.perimeter != perimeter:
+        raise ValueError(f"sides of perimeter {sides.perimeter} given for perimeter {perimeter}")
     certificates: list[ExclusionCertificate] = []
 
     needs_f = condition in (CenterCondition.CIRCUMCENTER, CenterCondition.ALL_THREE)
@@ -380,9 +416,14 @@ def exclusion_report(perimeter: int, condition: CenterCondition, shape: ShapeCla
         if cert is not None:
             return ExclusionReport(perimeter, condition, shape, True, (cert,))
 
+    if sides is None:
+        sides = PerimeterSides(perimeter)
     survivors: list[SideMultiset] = []
     filters = _multiset_filters(condition, shape)
-    for s in partitions(perimeter):
+    for s, gcd_detail in sides.sides:
+        if gcd_detail is not None:
+            certificates.append(ExclusionCertificate(Rule.GCD_LEMMA, gcd_detail, condition, None, perimeter, s))
+            continue
         for f in filters:
             cert = f(s)
             if cert is not None:

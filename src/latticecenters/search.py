@@ -10,7 +10,7 @@ anchor, and growing B only ever adds orbits.
 The atlas maps (center condition, shape, perimeter) cells to one of:
 
     witness     a verified triangle (from a construction family or search)
-    impossible  replayable exclusion certificates from the filter module
+    impossible  exclusion certificates from the filter module
     open        nothing found within the box; never a claim of impossibility
 
 Each cell's witness is the anchored triangle with the smallest grid
@@ -42,13 +42,8 @@ import numpy as np
 from . import incenter as incenter_mod
 from .centers import CenterCondition, center_report
 from .constructions import UnachievableError, WitnessRequest, build_witness
-from .feasibility import (
-    ExclusionCertificate,
-    Rule,
-    SideMultiset,
-    exclusion_report,
-    replay,
-)
+from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
+from .feasibility import replay  # noqa: F401 (importable from here, as before)
 from .lattice import (
     LatticePoint,
     LatticeTriangle,
@@ -588,49 +583,86 @@ def _verify_witness_entry(entry: AtlasEntry, center: LatticePoint | None = None)
         raise ValueError(f"witness {t} does not verify for {entry.condition}/{entry.shape}/{entry.perimeter}")
 
 
+_CONFIG_KEYS = ("box_radius", "lmax", "conditions", "shapes")
+_ENTRY_KEYS = ("condition", "shape", "perimeter", "status")
+
+
+def _required(mapping, keys: tuple[str, ...], where: str) -> list:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} is not an object")
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise ValueError(f"{where} has no {missing[0]!r}")
+    return [mapping[k] for k in keys]
+
+
+def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
+    condition, shape, perimeter, status = _required(item, _ENTRY_KEYS, "atlas entry")
+    cell = (CenterCondition(condition), ShapeClass(shape), int(perimeter))
+    if cell[0] not in config.conditions or cell[1] not in config.shapes or not 3 <= cell[2] <= config.lmax:
+        raise ValueError(f"atlas entry {cell} lies outside the config")
+    if "certificates" in item and status != "impossible":
+        raise ValueError(f"{status} entry {cell} carries certificates")
+    if status != "witness":
+        if "witness_vertices" in item or "source" in item:
+            raise ValueError(f"{status} entry {cell} carries a witness")
+        return AtlasEntry(*cell, status)
+    verts, source = _required(item, ("witness_vertices", "source"), f"witness entry {cell}")
+    if source not in ("construction", "search"):
+        raise ValueError(f"witness entry {cell} has unknown source {source!r}")
+    witness = triangle(tuple(verts[0]), tuple(verts[1]), tuple(verts[2]))
+    entry = AtlasEntry(*cell, status, witness, source)
+    _verify_witness_entry(entry)
+    return entry
+
+
 def atlas_from_document(doc: dict) -> AchievabilityAtlas:
-    """Parse an atlas document, re-verifying witnesses and certificates."""
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc.get('schema_version')}")
-    try:
-        cfg, items = doc["config"], doc["entries"]
-    except KeyError as exc:
-        raise ValueError(f"atlas document has no {exc.args[0]!r}") from None
+    """Parse an atlas document, re-verifying every claim it makes.
+
+    The entries must be the cells of the document's config, each exactly
+    once.  Every witness is verified.  An impossible entry's certificates
+    must equal, dict for dict, those of a fresh exclusion_report for its
+    cell, which must prove the cell impossible; the entry keeps the fresh
+    certificates.  So a certificate edited, dropped or copied from
+    another cell is rejected, and so are certificates or a witness on an
+    entry of another status.  The reports of one perimeter share one
+    PerimeterSides.  Each of these failures, and a missing key in the
+    document, its config or an entry, raises ValueError.
+    """
+    version, cfg, items = _required(doc, ("schema_version", "config", "entries"), "atlas document")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {version}")
+    box_radius, lmax, conditions, shapes = _required(cfg, _CONFIG_KEYS, "atlas config")
     config = SearchConfig(
-        box_radius=cfg["box_radius"],
-        lmax=cfg["lmax"],
-        conditions=tuple(CenterCondition(c) for c in cfg["conditions"]),
-        shapes=tuple(ShapeClass(s) for s in cfg["shapes"]),
+        box_radius=box_radius,
+        lmax=lmax,
+        conditions=tuple(CenterCondition(c) for c in conditions),
+        shapes=tuple(ShapeClass(s) for s in shapes),
     )
+    if not isinstance(items, list):
+        raise ValueError("atlas entries are not a list")
     atlas = AchievabilityAtlas(config)
+    claims: dict[int, list[tuple[Cell, object]]] = {}  # impossible cells by perimeter
     for item in items:
-        condition = CenterCondition(item["condition"])
-        shape = ShapeClass(item["shape"])
-        perimeter = int(item["perimeter"])
-        witness = None
-        if "witness_vertices" in item:
-            verts = item["witness_vertices"]
-            witness = triangle(tuple(verts[0]), tuple(verts[1]), tuple(verts[2]))
-        certificates = tuple(
-            ExclusionCertificate(
-                rule=Rule(c["rule"]),
-                detail=c["detail"],
-                condition=CenterCondition(c["condition"]),
-                shape=None if c["shape"] == "any" else ShapeClass(c["shape"]),
-                perimeter=int(c["perimeter"]),
-                multiset=SideMultiset(*c["multiset"]) if c.get("multiset") else None,
-            )
-            for c in item.get("certificates", ())
-        )
-        entry = AtlasEntry(
-            condition, shape, perimeter, item["status"], witness, item.get("source"), certificates
-        )
-        if entry.status == "witness":
-            _verify_witness_entry(entry)
-        for cert in certificates:
-            if not replay(cert):
-                raise ValueError(f"certificate failed to replay: {cert.text()}")
-        atlas.entries[(condition, shape, perimeter)] = entry
+        entry = _parse_entry(item, config)
+        cell = (entry.condition, entry.shape, entry.perimeter)
+        if cell in atlas.entries:
+            raise ValueError(f"atlas cell {cell} appears twice")
+        atlas.entries[cell] = entry
+        if entry.status == "impossible":
+            claims.setdefault(entry.perimeter, []).append((cell, item.get("certificates")))
+    if len(atlas.entries) < len(config.conditions) * len(config.shapes) * (config.lmax - 2):
+        # every entry is a distinct cell of the config, so some cell has none
+        cells = ((c, s, ell) for c in config.conditions for s in config.shapes for ell in range(3, config.lmax + 1))
+        missing = next(cell for cell in cells if cell not in atlas.entries)
+        raise ValueError(f"atlas document has no entry for cell {missing}")
+    for perimeter, cells in claims.items():
+        sides = PerimeterSides(perimeter)
+        for cell, claimed in cells:
+            report = exclusion_report(perimeter, cell[0], cell[1], sides)
+            if not report.proven_impossible or [c.to_json() for c in report.certificates] != claimed:
+                raise ValueError(f"certificates of {cell} differ from its exclusion report")
+            atlas.entries[cell] = AtlasEntry(*cell, "impossible", certificates=report.certificates)
     return atlas
 
 
@@ -645,12 +677,15 @@ def build_atlas(
     impossible cells, and the box search fills whatever is left (which is
     every incenter cell, since no impossibility rules exist for it).
     Absence from the box is recorded as open, never as impossible.
+    Cells are walked perimeter by perimeter, so that the exclusion
+    reports of one perimeter share one PerimeterSides.
     """
     atlas = AchievabilityAtlas(config)
     unresolved: list[Cell] = []
-    for condition in config.conditions:
-        for shape in config.shapes:
-            for ell in range(3, config.lmax + 1):
+    for ell in range(3, config.lmax + 1):
+        sides = PerimeterSides(ell)
+        for condition in config.conditions:
+            for shape in config.shapes:
                 cell = (condition, shape, ell)
                 entry = None
                 if condition is not CenterCondition.INCENTER:
@@ -663,7 +698,7 @@ def build_atlas(
                         except UnachievableError:
                             entry = None
                     if entry is None:
-                        report = exclusion_report(ell, condition, shape)
+                        report = exclusion_report(ell, condition, shape, sides)
                         if report.proven_impossible:
                             entry = AtlasEntry(
                                 condition, shape, ell, "impossible",

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: boundary
 and interior lattice points are counted point by point, orbits are
 partitioned through explicit symmetry images, and angle sums are checked
 through high-precision floating point.  The previous incenter,
-incenter-report, pi-triple and full-grid search algorithms are kept here
-as the references their faster replacements are tested against.
+incenter-report, pi-triple, full-grid search and per-multiset exclusion
+algorithms are kept here as the references their faster replacements are
+tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +27,20 @@ from latticecenters.angles import (
     compare_to_pi,
 )
 from latticecenters.centers import CenterCondition, RationalPoint
+from latticecenters.feasibility import (
+    ExclusionCertificate,
+    ExclusionReport,
+    Rule,
+    SideMultiset,
+    centroid_mod3_filter,
+    even_perimeter_certificate,
+    gh_mod3_filter,
+    mid3_filter,
+    one_one_m_filter,
+    partitions,
+    right_centroid_mod3_filter,
+    tangent_sum_filter,
+)
 from latticecenters.incenter import IncenterReport, _is_lattice_incenter, _side_lines, lattice_incenter
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
 from latticecenters.search import SearchConfig, _grid_points, _incenter_screen
@@ -350,3 +365,52 @@ def search_shard_full_grid(config: SearchConfig, shard_id: int, cells_needed: fr
                 found[cell] = (p_idx, int(q_idx), px, py, qxx, qyy, center)
                 remaining.discard(cell)
     return found
+
+
+def gcd_filter_two_pass(s: SideMultiset, condition: CenterCondition) -> ExclusionCertificate | None:
+    """The pairwise-gcd rule computing every gcd twice: once for the verdict,
+    once for the detail text of the first offending pair."""
+    total = math.gcd(s.a, s.b, s.c)
+    if all(math.gcd(x, y) == total for x, y in ((s.a, s.b), (s.a, s.c), (s.b, s.c))):
+        return None
+    pairs = {(x, y): math.gcd(x, y) for x, y in ((s.a, s.b), (s.a, s.c), (s.b, s.c))}
+    bad = next((p, g) for p, g in pairs.items() if g != total)
+    return ExclusionCertificate(
+        Rule.GCD_LEMMA,
+        f"gcd{bad[0]}={bad[1]} differs from gcd of all three = {total}",
+        condition,
+        None,
+        s.perimeter,
+        s,
+    )
+
+
+def exclusion_report_per_multiset(perimeter: int, condition: CenterCondition, shape: ShapeClass) -> ExclusionReport:
+    """exclusion_report running the whole filter chain, the pairwise-gcd
+    rule included, on each side multiset of each cell in turn."""
+    H, F = CenterCondition.ORTHOCENTER, CenterCondition.CIRCUMCENTER
+    G, GH, FGH = CenterCondition.CENTROID, CenterCondition.CENTROID_AND_ORTHOCENTER, CenterCondition.ALL_THREE
+    needs_h, needs_f = condition in (H, F, GH, FGH), condition in (F, FGH)
+    needs_g, needs_gh = condition in (G, GH, FGH), condition in (GH, FGH)
+    acute, right = shape is ShapeClass.ACUTE, shape is ShapeClass.RIGHT
+    if needs_f:
+        cert = even_perimeter_certificate(perimeter, condition)
+        if cert is not None:
+            return ExclusionReport(perimeter, condition, shape, True, (cert,))
+    filters = [
+        gcd_filter_two_pass,
+        *([one_one_m_filter] if needs_h and acute else []),
+        *([mid3_filter] if needs_f and acute else []),
+        *([centroid_mod3_filter] if needs_g else []),
+        *([right_centroid_mod3_filter] if needs_g and right else []),
+        *([gh_mod3_filter] if needs_gh else []),
+        *([tangent_sum_filter] if needs_f and acute else []),
+    ]
+    certificates, survivors = [], []
+    for s in partitions(perimeter):
+        cert = next((c for c in (f(s, condition) for f in filters) if c is not None), None)
+        if cert is None:
+            survivors.append(s)
+        else:
+            certificates.append(cert)
+    return ExclusionReport(perimeter, condition, shape, not survivors, tuple(certificates), tuple(survivors))

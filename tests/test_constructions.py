@@ -10,7 +10,6 @@ from latticecenters.constructions import (
     WitnessRequest,
     build_witness,
     delta,
-    scale,
     sheared,
 )
 from latticecenters.lattice import ShapeClass, lattice_perimeter, side_lengths, triangle
@@ -175,12 +174,12 @@ class TestCombinedConditions:
 class TestScaleAndShear:
     def test_scale_examples(self):
         base = triangle((0, 0), (1, 2), (2, 1))
-        assert lattice_perimeter(scale(base, 2)) == 6
-        assert scale(base, 1) == base
+        assert lattice_perimeter(base.scaled(2)) == 6
+        assert base.scaled(1) == base
 
     def test_tripled_orthocenter_witness_gains_lattice_centroid(self):
         w = cons.acute_H(8)
-        tripled = scale(w.triangle, 3)
+        tripled = w.triangle.scaled(3)
         rep = center_report(tripled)
         assert rep.centroid_on_lattice and rep.orthocenter_on_lattice
         assert rep.perimeter == 24
@@ -190,8 +189,8 @@ class TestScaleAndShear:
         for _ in range(50):
             t = oracles.random_triangle(rng, 10)
             k = rng.randint(2, 5)
-            assert lattice_perimeter(scale(t, k)) == k * lattice_perimeter(t)
-            assert side_lengths(scale(t, k)) == tuple(k * s for s in side_lengths(t))
+            assert lattice_perimeter(t.scaled(k)) == k * lattice_perimeter(t)
+            assert side_lengths(t.scaled(k)) == tuple(k * s for s in side_lengths(t))
 
     def test_shear_preserves_lengths_and_centroid_flag(self):
         rng = random.Random(6)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.feasibility import (
     ExclusionCertificate,
+    PerimeterSides,
     Rule,
     SideMultiset,
     centroid_mod3_filter,
@@ -24,7 +26,9 @@ from latticecenters.feasibility import (
     tangent_sum_filter,
 )
 from latticecenters.lattice import ShapeClass, side_lengths
-from latticecenters.search import iter_canonical_triangles
+from latticecenters.search import SHAPE_ORDER, STANDARD_CONDITIONS, iter_canonical_triangles
+
+import oracles
 
 F = CenterCondition.CIRCUMCENTER
 G = CenterCondition.CENTROID
@@ -152,6 +156,34 @@ class TestExclusionReports:
     def test_incenter_has_no_exclusions(self):
         with pytest.raises(ValueError):
             exclusion_report(10, CenterCondition.INCENTER, ShapeClass.ACUTE)
+
+
+class TestSharedPerimeterSides:
+    def test_gcd_filter_matches_two_pass(self):
+        for ell in range(3, 61):
+            for s in partitions(ell):
+                assert gcd_filter(s, H) == oracles.gcd_filter_two_pass(s, H), s
+
+    def test_matches_per_multiset_chain(self):
+        # every standard cell, with and without a table shared across the perimeter
+        for ell in range(3, 61):
+            sides = PerimeterSides(ell)
+            for cond in STANDARD_CONDITIONS:
+                for shape in SHAPE_ORDER:
+                    want = oracles.exclusion_report_per_multiset(ell, cond, shape)
+                    for got in (exclusion_report(ell, cond, shape, sides), exclusion_report(ell, cond, shape)):
+                        assert got.text() == want.text(), (ell, cond, shape)
+                        assert got.survivors == want.survivors, (ell, cond, shape)
+
+    def test_sides_of_another_perimeter_rejected(self):
+        with pytest.raises(ValueError, match="perimeter"):
+            exclusion_report(12, H, ShapeClass.ACUTE, PerimeterSides(3))
+
+    def test_no_table_outlives_its_report(self):
+        for ell in range(3, 41):
+            exclusion_report(ell, G, ShapeClass.RIGHT)
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, PerimeterSides)]
 
 
 class TestCertificates:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticecenters import feasibility
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
 from latticecenters.incenter import lattice_incenter
 from latticecenters.search import (
     CONDITION_ORDER,
+    AtlasEntry,
     MAX_BOX_RADIUS,
     SHAPE_ORDER,
     SearchConfig,
@@ -359,3 +362,120 @@ class TestAtlas:
         cells = verify_results_table(lmax=14, box_radius=10)
         assert len(cells) == 15
         assert all(c.verdict == "match" for c in cells)
+
+
+def _small_document(lmax: int = 14) -> dict:
+    return json.loads(build_atlas(SearchConfig(box_radius=5, lmax=lmax, conditions=(G, H))).to_json_bytes())
+
+
+def _find(doc: dict, condition: CenterCondition, shape: ShapeClass, perimeter: int) -> dict:
+    return next(
+        e for e in doc["entries"]
+        if (e["condition"], e["shape"], e["perimeter"]) == (condition.value, shape.value, perimeter)
+    )
+
+
+def _forge_acute_h12(doc: dict) -> None:
+    # the perimeter-3 certificate replays on its own data, yet says nothing about 12
+    entry = _find(doc, H, ShapeClass.ACUTE, 12)
+    entry.clear()
+    entry.update(condition="H", shape="acute", perimeter=12, status="impossible",
+                 certificates=_find(doc, H, ShapeClass.ACUTE, 3)["certificates"])
+
+
+def _drop_g5(doc: dict) -> None:
+    doc["entries"] = [e for e in doc["entries"] if (e["condition"], e["perimeter"]) != ("G", 5)]
+
+
+def _duplicate_entry(doc: dict) -> None:
+    doc["entries"].append(dict(doc["entries"][7]))
+
+
+def _add_out_of_config_perimeter(doc: dict) -> None:
+    ell = doc["config"]["lmax"] + 2  # not a multiple of 3, so G/right is impossible
+    report = feasibility.exclusion_report(ell, G, ShapeClass.RIGHT)
+    assert report.proven_impossible
+    doc["entries"].append(AtlasEntry(G, ShapeClass.RIGHT, ell, "impossible",
+                                     certificates=report.certificates).to_json())
+
+
+def _certificates_on_witness(doc: dict) -> None:
+    _find(doc, H, ShapeClass.ACUTE, 12)["certificates"] = _find(doc, H, ShapeClass.ACUTE, 3)["certificates"]
+
+
+def _edit_certificate_detail(doc: dict) -> None:
+    _find(doc, G, ShapeClass.RIGHT, 10)["certificates"][0]["detail"] = "because I say so"
+
+
+class TestAtlasLoaderRejects:
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (_forge_acute_h12, "certificates"),
+            (_drop_g5, "no entry"),
+            (_duplicate_entry, "twice"),
+            (_add_out_of_config_perimeter, "outside"),
+            (_certificates_on_witness, "carries certificates"),
+            (_edit_certificate_detail, "certificates"),
+        ],
+    )
+    def test_forged_document(self, forge, message):
+        doc = _small_document()
+        atlas_from_document(doc)
+        forge(doc)
+        with pytest.raises(ValueError, match=message):
+            atlas_from_document(doc)
+
+    @pytest.mark.parametrize("key", ["box_radius", "lmax", "conditions", "shapes"])
+    def test_config_key_missing(self, key):
+        doc = _small_document()
+        del doc["config"][key]
+        with pytest.raises(ValueError, match=key):
+            atlas_from_document(doc)
+
+    @pytest.mark.parametrize("key", ["condition", "shape", "perimeter", "status"])
+    def test_entry_key_missing(self, key):
+        doc = _small_document()
+        del doc["entries"][3][key]
+        with pytest.raises(ValueError, match=key):
+            atlas_from_document(doc)
+
+    def test_witness_without_vertices(self):
+        doc = _small_document()
+        del _find(doc, H, ShapeClass.ACUTE, 12)["witness_vertices"]
+        with pytest.raises(ValueError, match="witness_vertices"):
+            atlas_from_document(doc)
+
+    def test_loaded_entries_hold_fresh_certificates(self):
+        doc = _small_document()
+        atlas = atlas_from_document(doc)
+        entry = atlas.entry(G, ShapeClass.RIGHT, 10)
+        assert entry.certificates == feasibility.exclusion_report(10, G, ShapeClass.RIGHT).certificates
+
+
+def test_atlas_shares_each_perimeters_sides(monkeypatch):
+    # one build and one load at lmax 30: each perimeter that needs its side
+    # multisets enumerates them once, and no multiset is gcd-tested per cell
+    calls = collections.Counter()
+    partitions = feasibility.partitions
+
+    def counting(perimeter):
+        calls[perimeter] += 1
+        return partitions(perimeter)
+
+    def per_cell(*args, **kwargs):
+        raise AssertionError("gcd_filter called per cell")
+
+    monkeypatch.setattr(feasibility, "partitions", counting)
+    monkeypatch.setattr(feasibility, "gcd_filter", per_cell)
+    atlas = build_atlas(SearchConfig(box_radius=5, lmax=30))
+    needed = {
+        cell[2] for cell, e in atlas.entries.items()
+        if e.status == "impossible" and e.certificates[0].multiset is not None
+    }
+    assert len(needed) >= 20
+    assert calls == {ell: 1 for ell in needed}
+    calls.clear()
+    doc = json.loads(atlas.to_json_bytes())
+    atlas_from_document(doc)
+    assert calls == {ell: 1 for ell in needed}
