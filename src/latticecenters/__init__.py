@@ -7,16 +7,7 @@ provides construction families, exclusion certificates, a bounded
 search, and a command-line interface.
 """
 
-from .angles import (
-    ExactAngle,
-    PiOrder,
-    angle_add,
-    angle_from_tan,
-    arctan_sum,
-    compare_to_pi,
-    render_table,
-    solve_pi_triples,
-)
+from .angles import render_table, solve_pi_triples
 from .centers import (
     CenterCondition,
     CenterReport,
@@ -57,8 +48,6 @@ from .search import (
     AchievabilityAtlas,
     SearchConfig,
     build_atlas,
-    canonical_key,
-    iter_canonical_triangles,
     verify_results_table,
 )
 
@@ -69,36 +58,28 @@ __all__ = [
     "CenterCondition",
     "CenterReport",
     "DegenerateTriangleError",
-    "ExactAngle",
     "ExclusionCertificate",
     "ExclusionReport",
     "IncenterReport",
     "LatticePoint",
     "LatticeTriangle",
     "Parity",
-    "PiOrder",
     "RationalPoint",
     "SearchConfig",
     "ShapeClass",
     "SideMultiset",
     "Witness",
     "WitnessRequest",
-    "angle_add",
-    "angle_from_tan",
-    "arctan_sum",
     "build_atlas",
     "build_witness",
-    "canonical_key",
     "center_report",
     "centroid",
     "circumcenter",
     "classify_shape",
-    "compare_to_pi",
     "exclusion_report",
     "genus",
     "incenter_report",
     "incenter_scan",
-    "iter_canonical_triangles",
     "lattice_incenter",
     "lattice_length",
     "lattice_perimeter",

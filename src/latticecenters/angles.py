@@ -2,10 +2,10 @@
 
 Three positive tangents n_i / M_i (integers) have arctangents summing
 to at least pi exactly when n0*M1*M2 + n1*M0*M2 + n2*M0*M1 <= n0*n1*n2,
-with equality exactly at pi: the TangentSum solver and the table
-frontier use that identity.  General angles k*pi + arctan(t) have a
-unique normal form (arctan part in (-pi/2, pi/2), or a half-pi marker)
-closed under addition with quadrant tracking.
+with equality exactly at pi.  `_pi_gap` evaluates that identity, and
+every comparison with pi goes through it: the TangentSum solver,
+`sums_to_pi`, the table frontier, and `pi_signs` (the status column of
+the angles command).
 
 A separate directed-rounding layer produces certified decimal digits of
 angle-sum / pi ratios; it never feeds back into the exact comparisons.
@@ -13,124 +13,14 @@ angle-sum / pi ratios; it never feeds back into the exact comparisons.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rational = Fraction | int
 
 _HALF = Fraction(1, 2)
-
-
-class PiOrder(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-@dataclass(frozen=True)
-class ExactAngle:
-    """k*pi + arctan(tail), or k*pi + pi/2 when half_pi is set."""
-
-    pi_multiples: int
-    tail: Fraction | None  # None together with half_pi=True
-    half_pi: bool = False
-
-    def __post_init__(self) -> None:
-        if self.half_pi:
-            if self.tail is not None:
-                raise ValueError("half-pi angles carry no tangent tail")
-        else:
-            object.__setattr__(self, "tail", Fraction(self.tail))
-
-    def _order_key(self) -> tuple:
-        # Within one k, every finite arctan lies below the half-pi mark.
-        if self.half_pi:
-            return (self.pi_multiples, 1, Fraction(0))
-        return (self.pi_multiples, 0, self.tail)
-
-    def __lt__(self, other: "ExactAngle") -> bool:
-        return self._order_key() < other._order_key()
-
-    def __float__(self) -> float:
-        if self.half_pi:
-            return self.pi_multiples * math.pi + math.pi / 2
-        return self.pi_multiples * math.pi + math.atan(self.tail)
-
-    def __str__(self) -> str:
-        head = f"{self.pi_multiples}*pi"
-        if self.half_pi:
-            return f"{head} + pi/2"
-        return f"{head} + arctan({self.tail})"
-
-
-ZERO_ANGLE = ExactAngle(0, Fraction(0))
-PI_ANGLE = ExactAngle(1, Fraction(0))
-
-
-def angle_from_tan(t: Rational) -> ExactAngle:
-    """Angle in (0, pi/2) with the given positive rational tangent."""
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError(f"tangent must be positive, got {t}")
-    return ExactAngle(0, t)
-
-
-def angle_add(a: ExactAngle, b: ExactAngle) -> ExactAngle:
-    """Exact sum; the result is again in normal form."""
-    k = a.pi_multiples + b.pi_multiples
-    if a.half_pi and b.half_pi:
-        return ExactAngle(k + 1, Fraction(0))
-    if a.half_pi or b.half_pi:
-        v = b.tail if a.half_pi else a.tail
-        assert v is not None
-        if v == 0:
-            return ExactAngle(k, None, half_pi=True)
-        # pi/2 + arctan(v) = (v>0: pi - arctan(1/v); v<0: arctan(-1/v))
-        return ExactAngle(k + 1 if v > 0 else k, -1 / v)
-    u, v = a.tail, b.tail
-    assert u is not None and v is not None
-    prod = u * v
-    if prod == 1:
-        # u and v share a sign; two negative arctans land at -pi/2.
-        return ExactAngle(k if u > 0 else k - 1, None, half_pi=True)
-    w = (u + v) / (1 - prod)
-    if prod > 1:
-        # Both tails share a sign; the sum crossed +-pi/2.
-        k += 1 if u > 0 else -1
-    return ExactAngle(k, w)
-
-
-def angle_neg(a: ExactAngle) -> ExactAngle:
-    if a.half_pi:
-        return ExactAngle(-a.pi_multiples - 1, None, half_pi=True)
-    assert a.tail is not None
-    return ExactAngle(-a.pi_multiples, -a.tail)
-
-
-def angle_sum(angles: Iterable[ExactAngle]) -> ExactAngle:
-    total = ZERO_ANGLE
-    for a in angles:
-        total = angle_add(total, a)
-    return total
-
-
-def arctan_sum(tangents: Iterable[Rational]) -> ExactAngle:
-    return angle_sum(angle_from_tan(t) for t in tangents)
-
-
-def compare_to_pi(a: ExactAngle) -> PiOrder:
-    """Exact trichotomy of the represented angle against pi."""
-    key = a._order_key()
-    pi_key = PI_ANGLE._order_key()
-    if key < pi_key:
-        return PiOrder.LESS
-    if key == pi_key:
-        return PiOrder.EQUAL
-    return PiOrder.GREATER
 
 
 def _integer_numerators(numerators: Sequence[Rational]) -> tuple[tuple[int, int, int], int]:
@@ -159,6 +49,13 @@ def sums_to_pi(tangents: Sequence[Rational]) -> bool:
     """Whether three positive tangents have arctangents summing to exactly pi."""
     n, scale = _integer_numerators(tangents)
     return _pi_gap(n, scale, (1, 1, 1)) == 0
+
+
+def pi_signs(numerators: Sequence[Rational], rows: Sequence[tuple[int, int, int]]) -> list[int]:
+    """For each denominator row m, the sign (-1, 0 or 1) of
+    (sum of arctan(p_i / m_i)) - pi, with p the numerators."""
+    n, scale = _integer_numerators(numerators)
+    return [(gap > 0) - (gap < 0) for gap in (_pi_gap(n, scale, m) for m in rows)]
 
 
 def solve_pi_triples(numerators: Sequence[Rational]) -> list[tuple[int, int, int]]:

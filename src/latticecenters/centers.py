@@ -61,10 +61,6 @@ class RationalPoint:
         return f"({self.x},{self.y})"
 
 
-def _rational(p: LatticePoint) -> RationalPoint:
-    return RationalPoint(Fraction(p.x), Fraction(p.y))
-
-
 class CenterCondition(enum.Enum):
     """Which centers are required to be lattice points.
 

@@ -15,8 +15,9 @@ import io
 import json
 import os
 import sys
+from typing import Sequence
 
-from .angles import PiOrder, arctan_sum, compare_to_pi, render_table, solve_pi_triples
+from .angles import pi_signs, render_table, solve_pi_triples
 from .centers import CenterCondition, RationalPoint, center_report
 from .constructions import UnachievableError, WitnessRequest, build_witness
 from .feasibility import SideMultiset, exclusion_report, halved_numerators, prop1_witness, prop2_witness
@@ -26,6 +27,7 @@ from .lattice import (
     DegenerateTriangleError,
     LatticePoint,
     LatticeTriangle,
+    ShapeClass,
     classify_shape,
     genus,
     lattice_length,
@@ -36,6 +38,7 @@ from .lattice import (
 from .search import (
     STANDARD_CONDITIONS,
     SearchConfig,
+    _cell_sort_key,
     build_atlas,
     verify_results_table,
 )
@@ -63,15 +66,18 @@ def _point_json(p: RationalPoint) -> dict:
     return {"x": str(p.x), "y": str(p.y), "lattice": p.is_lattice()}
 
 
-def _emit(args, payload: dict, human: str, rows: list[dict] | None = None) -> None:
+def _emit(args, payload: dict, human: str, rows: list[dict] | None = None, fields: Sequence[str] = ()) -> None:
+    """Print the payload as JSON, the human text, or CSV: the rows under the
+    given field names, or without rows the flattened payload as one row."""
     fmt = getattr(args, "format", "human")
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
         if rows is None:
             rows = [_flatten(payload)]
+            fields = list(rows[0])
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
         print(buf.getvalue(), end="")
@@ -215,11 +221,9 @@ def cmd_angles(args) -> int:
     numerators = halved_numerators(sides)
     solutions = solve_pi_triples(numerators)
     table = render_table(numerators)
-    status = {}
-    for row, _ in table:
-        tangents = [n / m for n, m in zip(numerators, row)]
-        order = compare_to_pi(arctan_sum(tangents))
-        status[row] = {PiOrder.LESS: "less", PiOrder.EQUAL: "equal", PiOrder.GREATER: "greater"}[order]
+    denominators = [row for row, _ in table]
+    signs = pi_signs(numerators, denominators)
+    status = {row: ("less", "equal", "greater")[sign + 1] for row, sign in zip(denominators, signs)}
     payload = {
         "side_lengths": list(sides.as_tuple()),
         "numerators": [str(n) for n in numerators],
@@ -240,7 +244,7 @@ def cmd_angles(args) -> int:
         {"m0": row[0], "m1": row[1], "m2": row[2], "ratio_to_pi": text, "status": status[row]}
         for row, text in table
     ]
-    _emit(args, payload, "\n".join(lines), rows)
+    _emit(args, payload, "\n".join(lines), rows, fields=("m0", "m1", "m2", "ratio_to_pi", "status"))
     return EXIT_OK
 
 
@@ -276,56 +280,46 @@ def cmd_table(args) -> int:
         {"condition": c.condition.value, "shape": c.shape.value, "verdict": c.verdict, "expected": c.expression}
         for c in cells
     ]
-    _emit(args, payload, "\n".join(lines), rows)
+    _emit(args, payload, "\n".join(lines), rows, fields=("condition", "shape", "verdict", "expected"))
     return EXIT_OK
 
 
 def cmd_atlas(args) -> int:
     conditions = tuple(CenterCondition(tok) for tok in args.conditions.split(","))
-    shapes = tuple(_shape(tok) for tok in args.shapes.split(","))
     config = SearchConfig(
         box_radius=args.box,
         lmax=args.lmax,
         conditions=conditions,
-        shapes=shapes,
+        shapes=args.shapes,
         shard_count=args.shards,
     )
     atlas = build_atlas(config, checkpoint_dir=_atlas_dir(args))
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        doc = atlas.to_document()
-        rows = [
+    if args.format == "json":
+        blob = atlas.to_json_bytes()
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(blob)
+            print(f"wrote {args.out} ({len(atlas.entries)} cells)", file=sys.stderr)
+        else:
+            sys.stdout.write(blob.decode())
+        return EXIT_OK
+    rows, lines = [], []
+    for cell in sorted(atlas.entries, key=_cell_sort_key):
+        entry = atlas.entries[cell]
+        vertices = [[v.x, v.y] for v in entry.witness.vertices] if entry.witness else None
+        rows.append(
             {
-                "condition": e["condition"],
-                "shape": e["shape"],
-                "perimeter": e["perimeter"],
-                "status": e["status"],
-                "witness": json.dumps(e.get("witness_vertices")) if "witness_vertices" in e else "",
+                "condition": entry.condition.value,
+                "shape": entry.shape.value,
+                "perimeter": entry.perimeter,
+                "status": entry.status,
+                "witness": json.dumps(vertices) if vertices else "",
             }
-            for e in doc["entries"]
-        ]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        print(buf.getvalue(), end="")
-        return EXIT_OK
-    if fmt == "human":
-        from .search import _cell_sort_key
-
-        for cell in sorted(atlas.entries, key=_cell_sort_key):
-            entry = atlas.entries[cell]
-            mark = {"witness": "+", "impossible": "x", "open": "?"}[entry.status]
-            extra = str(entry.witness) if entry.witness else entry.status
-            print(f"{mark} {cell[0].value:3} {cell[1].value:6} {cell[2]:3}  {extra}")
-        return EXIT_OK
-    blob = atlas.to_json_bytes()
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
-        print(f"wrote {args.out} ({len(atlas.entries)} cells)", file=sys.stderr)
-    else:
-        sys.stdout.write(blob.decode())
+        )
+        mark = {"witness": "+", "impossible": "x", "open": "?"}[entry.status]
+        extra = str(entry.witness) if entry.witness else entry.status
+        lines.append(f"{mark} {cell[0].value:3} {cell[1].value:6} {cell[2]:3}  {extra}")
+    _emit(args, {}, "\n".join(lines), rows, fields=("condition", "shape", "perimeter", "status", "witness"))
     return EXIT_OK
 
 
@@ -346,32 +340,20 @@ def cmd_incenter_scan(args) -> int:
         }
         for r in scan.rows
     ]
-    fmt = getattr(args, "format", "csv")
-    if fmt == "json":
-        payload = {
-            "box_radius": scan.box_radius,
-            "lmax": scan.lmax,
-            "empirical_only": True,
-            "rows": rows,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
-    if fmt == "human":
-        lines = [banner.lstrip("# ")]
-        for r in scan.rows:
-            lines.append(
-                f"  {r.shape.value:6} perimeter {r.perimeter:3}  {r.triangle}  inradius^2 = {r.inradius_squared}"
-            )
-        print("\n".join(lines))
-        return EXIT_OK
-    print(banner)
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["shape", "perimeter", "v0", "v1", "v2", "inradius_squared"]
-    )
-    writer.writeheader()
-    writer.writerows(rows)
-    print(buf.getvalue(), end="")
+    payload = {
+        "box_radius": scan.box_radius,
+        "lmax": scan.lmax,
+        "empirical_only": True,
+        "rows": rows,
+    }
+    lines = [banner.lstrip("# ")]
+    for r in scan.rows:
+        lines.append(
+            f"  {r.shape.value:6} perimeter {r.perimeter:3}  {r.triangle}  inradius^2 = {r.inradius_squared}"
+        )
+    if args.format == "csv":
+        print(banner)
+    _emit(args, payload, "\n".join(lines), rows, fields=("shape", "perimeter", "v0", "v1", "v2", "inradius_squared"))
     return EXIT_OK
 
 
@@ -399,7 +381,7 @@ def cmd_props(args) -> int:
     lines = ["n    distinct pairwise-coprime    pairwise-coprime, no multiple of 3"]
     for r in rows:
         lines.append(f"{r['n']:<4} {r['distinct_coprime'] or '-':27}  {r['coprime_no_3'] or '-'}")
-    _emit(args, payload, "\n".join(lines), rows)
+    _emit(args, payload, "\n".join(lines), rows, fields=("n", "distinct_coprime", "coprime_no_3"))
     return EXIT_OK
 
 
@@ -449,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=int, default=40)
     p.add_argument("--lmax", type=int, default=30)
     p.add_argument("--conditions", default="F,G,H,GH,FGH")
-    p.add_argument("--shapes", default="acute,obtuse,right")
+    p.add_argument("--shapes", type=_shapes, default="acute,obtuse,right")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--atlas-dir")
@@ -476,13 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _shape(text: str):
-    from .lattice import ShapeClass
-
+def _shape(text: str) -> ShapeClass:
     try:
         return ShapeClass(text.lower())
     except ValueError:
         raise argparse.ArgumentTypeError(f"shape must be acute, right or obtuse, got {text!r}")
+
+
+def _shapes(text: str) -> tuple[ShapeClass, ...]:
+    return tuple(_shape(tok) for tok in text.split(","))
 
 
 def main(argv: list[str] | None = None) -> int:

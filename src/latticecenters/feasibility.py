@@ -1,4 +1,4 @@
-"""Side-multiset filters that rule out perimeter/center-condition pairs.
+"""Exclusion rules for perimeter/center-condition pairs.
 
 A lattice triangle with side lattice lengths (l0, l1, l2) obeys
 gcd(li, lj) = gcd(l0, l1, l2) for every pair.  Further constraints follow
@@ -9,14 +9,19 @@ lattice centroid forces the side lengths to be all or none divisible
 by 3; lattice centroid plus orthocenter (or right angle plus lattice
 centroid) force every side length divisible by 3.
 
+Each rule is written once, as one row of the ordered table `RULES`: the
+center conditions it holds for, the one shape it needs (or any), and a
+test returning the detail text of a violation.  `exclusion_report` walks
+the rows that apply to a cell, and `replay` re-issues one certificate
+from the certificate's own data through the same row.
+
 Each exclusion is recorded as a certificate naming its rule and data,
 and a report for a perimeter is "proven impossible" only when every side
 multiset is killed by some certificate.  Surviving multisets yield an
-honest "unknown": realizability beyond these filters is the business of
+honest "unknown": realizability beyond these rules is the business of
 the construction and search modules.  The report is a deterministic
 function of its cell, so a stored certificate list is checked by
-re-deriving the report and comparing (see search.atlas_from_document);
-`replay` re-runs the rule of one certificate on its own data.
+re-deriving the report and comparing (see search.atlas_from_document).
 
 A perimeter's side multisets and their pairwise-gcd verdicts do not
 depend on the center condition or the shape.  `PerimeterSides` holds
@@ -32,6 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Callable
 
 from .angles import solve_pi_triples
 from .centers import CenterCondition
@@ -139,14 +145,6 @@ def gcd_violation(s: SideMultiset) -> str | None:
     return f"gcd{(x, y)}={g} differs from gcd of all three = {total}"
 
 
-def gcd_filter(s: SideMultiset, condition: CenterCondition, shape: ShapeClass | None = None) -> ExclusionCertificate | None:
-    """Kill multisets whose pairwise gcds differ from the total gcd."""
-    detail = gcd_violation(s)
-    if detail is None:
-        return None
-    return ExclusionCertificate(Rule.GCD_LEMMA, detail, condition, None, s.perimeter, s)
-
-
 class PerimeterSides:
     """Every side multiset of one perimeter with its gcd_violation verdict.
 
@@ -161,92 +159,6 @@ class PerimeterSides:
     @functools.cached_property
     def sides(self) -> tuple[tuple[SideMultiset, str | None], ...]:
         return tuple((s, gcd_violation(s)) for s in partitions(self.perimeter))
-
-
-def one_one_m_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.ORTHOCENTER) -> ExclusionCertificate | None:
-    """Acute triangles with sides (1,1,m) have no lattice orthocenter."""
-    if not (s.a == 1 and s.b == 1):
-        return None
-    return ExclusionCertificate(
-        Rule.ONE_ONE_M,
-        "two unit sides force two angles <= pi/4, so the third is >= pi/2",
-        condition,
-        ShapeClass.ACUTE,
-        s.perimeter,
-        s,
-    )
-
-
-def mid3_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CIRCUMCENTER) -> ExclusionCertificate | None:
-    """A lattice circumcenter of an acute triangle needs middle side >= 3."""
-    if s.b >= 3:
-        return None
-    return ExclusionCertificate(
-        Rule.MID3,
-        f"middle side length {s.b} < 3",
-        condition,
-        ShapeClass.ACUTE,
-        s.perimeter,
-        s,
-    )
-
-
-def centroid_mod3_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CENTROID) -> ExclusionCertificate | None:
-    """With a lattice centroid, side lengths divisible by 3 come all-or-none."""
-    count = sum(1 for x in s.as_tuple() if x % 3 == 0)
-    if count in (0, 3):
-        return None
-    return ExclusionCertificate(
-        Rule.CENTROID_MOD3,
-        f"{count} of 3 side lengths divisible by 3; must be 0 or 3",
-        condition,
-        None,
-        s.perimeter,
-        s,
-    )
-
-
-def _all_mod3_certificate(
-    s: SideMultiset, rule: Rule, condition: CenterCondition, shape: ShapeClass | None, why: str
-) -> ExclusionCertificate | None:
-    if all(x % 3 == 0 for x in s.as_tuple()):
-        return None
-    return ExclusionCertificate(rule, why, condition, shape, s.perimeter, s)
-
-
-def gh_mod3_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CENTROID_AND_ORTHOCENTER) -> ExclusionCertificate | None:
-    """Lattice centroid + lattice orthocenter force all sides divisible by 3."""
-    return _all_mod3_certificate(
-        s,
-        Rule.GH_MOD3,
-        condition,
-        None,
-        "lattice centroid and orthocenter force every side length divisible by 3",
-    )
-
-
-def right_centroid_mod3_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CENTROID) -> ExclusionCertificate | None:
-    """A right triangle with lattice centroid has all sides divisible by 3."""
-    return _all_mod3_certificate(
-        s,
-        Rule.RIGHT_CENTROID_MOD3,
-        condition,
-        ShapeClass.RIGHT,
-        "right angle plus lattice centroid force every side length divisible by 3",
-    )
-
-
-def even_perimeter_certificate(perimeter: int, condition: CenterCondition) -> ExclusionCertificate | None:
-    """A lattice circumcenter forces an even lattice perimeter."""
-    if perimeter % 2 == 0:
-        return None
-    return ExclusionCertificate(
-        Rule.EVEN_PERIMETER,
-        "lattice circumcenter forces even perimeter",
-        condition,
-        None,
-        perimeter,
-    )
 
 
 def halved_numerators(s: SideMultiset) -> tuple[Fraction, Fraction, Fraction]:
@@ -278,69 +190,106 @@ def subtriangle_multisets(
     return subs
 
 
-def tangent_sum_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CIRCUMCENTER) -> ExclusionCertificate | None:
+def tangent_sum_filter(s: SideMultiset) -> str | None:
     """Angle analysis for acute triangles with a lattice circumcenter.
 
     The three angles are arctan(n_i / m_i) with n_i the (halved-if-even)
     side lengths, and they must sum to exactly pi.  If no denominator
     triple works, or every solution produces a sub-triangle violating the
-    pairwise-gcd law, the multiset is impossible.
+    pairwise-gcd law, the multiset is impossible: the result is the
+    detail text saying why, and None when some solution survives.
     """
     numerators = halved_numerators(s)
     solutions = solve_pi_triples(numerators)
     nums = f"({numerators[0]},{numerators[1]},{numerators[2]})"
     if not solutions:
-        return ExclusionCertificate(
-            Rule.TANGENT_SUM,
-            f"no denominators make arctans of {nums} sum to pi",
-            condition,
-            ShapeClass.ACUTE,
-            s.perimeter,
-            s,
-        )
+        return f"no denominators make arctans of {nums} sum to pi"
     kills = []
     for sol in solutions:
         subs = subtriangle_multisets(s, sol)
         killed = next((sub for sub in subs if gcd_violation(sub) is not None), None)
         if killed is None:
-            return None  # a solution survives; the filter proves nothing
+            return None  # a solution survives; the rule proves nothing
         kills.append(f"m={sol} -> sub-triangle {killed} violates the pairwise-gcd law")
-    return ExclusionCertificate(
-        Rule.TANGENT_SUM,
-        f"solutions for {nums}: " + "; ".join(kills),
-        condition,
+    return f"solutions for {nums}: " + "; ".join(kills)
+
+
+def _all_mod3(detail: str) -> Callable[[SideMultiset], str | None]:
+    return lambda s: None if s.a % 3 == s.b % 3 == s.c % 3 == 0 else detail
+
+
+def _centroid_mod3(s: SideMultiset) -> str | None:
+    count = (s.a % 3 == 0) + (s.b % 3 == 0) + (s.c % 3 == 0)
+    return None if count in (0, 3) else f"{count} of 3 side lengths divisible by 3; must be 0 or 3"
+
+
+@dataclass(frozen=True)
+class RuleRow:
+    """Where one exclusion rule holds and what it tests.
+
+    test returns the detail text of a violation, or None.  EvenPerimeter
+    tests the perimeter; every other rule tests one side multiset.
+    """
+
+    conditions: frozenset[CenterCondition]
+    shape: ShapeClass | None  # the one shape the rule needs; None for any
+    test: Callable[[Any], str | None]
+
+
+_F = frozenset({CenterCondition.CIRCUMCENTER, CenterCondition.ALL_THREE})
+_G = frozenset({CenterCondition.CENTROID, CenterCondition.CENTROID_AND_ORTHOCENTER, CenterCondition.ALL_THREE})
+# a lattice circumcenter forces a lattice orthocenter
+_H = _F | {CenterCondition.ORTHOCENTER, CenterCondition.CENTROID_AND_ORTHOCENTER}
+_GH = _G & _H
+
+# In the order exclusion_report tries them.  The first rule tests the
+# perimeter alone; the pairwise-gcd verdicts come from PerimeterSides.
+RULES: dict[Rule, RuleRow] = {
+    Rule.EVEN_PERIMETER: RuleRow(
+        _F, None, lambda perimeter: "lattice circumcenter forces even perimeter" if perimeter % 2 else None
+    ),
+    Rule.GCD_LEMMA: RuleRow(_G | _H, None, gcd_violation),
+    Rule.ONE_ONE_M: RuleRow(
+        _H,
         ShapeClass.ACUTE,
-        s.perimeter,
-        s,
-    )
+        lambda s: "two unit sides force two angles <= pi/4, so the third is >= pi/2" if s.a == s.b == 1 else None,
+    ),
+    Rule.MID3: RuleRow(_F, ShapeClass.ACUTE, lambda s: f"middle side length {s.b} < 3" if s.b < 3 else None),
+    # with a lattice centroid, side lengths divisible by 3 come all-or-none
+    Rule.CENTROID_MOD3: RuleRow(_G, None, _centroid_mod3),
+    Rule.RIGHT_CENTROID_MOD3: RuleRow(
+        _G, ShapeClass.RIGHT, _all_mod3("right angle plus lattice centroid force every side length divisible by 3")
+    ),
+    Rule.GH_MOD3: RuleRow(
+        _GH, None, _all_mod3("lattice centroid and orthocenter force every side length divisible by 3")
+    ),
+    # the priciest test runs last; looked up by name so it can be rebound
+    Rule.TANGENT_SUM: RuleRow(_F, ShapeClass.ACUTE, lambda s: tangent_sum_filter(s)),
+}
 
 
 def replay(cert: ExclusionCertificate) -> bool:
-    """Re-run the named rule on the certificate's own data."""
+    """Whether the certificate's rule re-issues it from the certificate's own data.
+
+    The condition must be one the rule holds for, the shape the rule's
+    own, the multiset (absent for EvenPerimeter) of the stated perimeter,
+    and the detail the text the rule's test gives now.
+    """
+    row = RULES[cert.rule]
     s = cert.multiset
     if cert.rule is Rule.EVEN_PERIMETER:
-        return cert.perimeter % 2 == 1
-    if s is None:
+        subject = cert.perimeter if s is None else None
+    else:
+        subject = s if s is not None and s.perimeter == cert.perimeter else None
+    if subject is None or cert.condition not in row.conditions or cert.shape is not row.shape:
         return False
-    if cert.rule is Rule.GCD_LEMMA:
-        return gcd_violation(s) is not None
-    if cert.rule is Rule.ONE_ONE_M:
-        return s.a == 1 and s.b == 1
-    if cert.rule is Rule.MID3:
-        return s.b < 3
-    if cert.rule is Rule.CENTROID_MOD3:
-        return sum(1 for x in s.as_tuple() if x % 3 == 0) in (1, 2)
-    if cert.rule in (Rule.GH_MOD3, Rule.RIGHT_CENTROID_MOD3):
-        return not all(x % 3 == 0 for x in s.as_tuple())
-    if cert.rule is Rule.TANGENT_SUM:
-        fresh = tangent_sum_filter(s, cert.condition)
-        return fresh is not None
-    raise ValueError(f"unknown rule {cert.rule}")
+    detail = row.test(subject)
+    return detail is not None and detail == cert.detail
 
 
 @dataclass(frozen=True)
 class ExclusionReport:
-    """Outcome of running every applicable filter on every side multiset."""
+    """Outcome of running every applicable rule on every side multiset."""
 
     perimeter: int
     condition: CenterCondition
@@ -360,47 +309,15 @@ class ExclusionReport:
         return "\n".join(lines)
 
 
-def _multiset_filters(condition: CenterCondition, shape: ShapeClass):
-    # the rules after the pairwise-gcd law, whose verdicts PerimeterSides holds
-    needs_h = condition in (
-        CenterCondition.ORTHOCENTER,
-        CenterCondition.CIRCUMCENTER,
-        CenterCondition.CENTROID_AND_ORTHOCENTER,
-        CenterCondition.ALL_THREE,
-    )
-    needs_f = condition in (CenterCondition.CIRCUMCENTER, CenterCondition.ALL_THREE)
-    needs_g = condition in (
-        CenterCondition.CENTROID,
-        CenterCondition.CENTROID_AND_ORTHOCENTER,
-        CenterCondition.ALL_THREE,
-    )
-    needs_gh = condition in (CenterCondition.CENTROID_AND_ORTHOCENTER, CenterCondition.ALL_THREE)
-
-    filters = []
-    if needs_h and shape is ShapeClass.ACUTE:
-        filters.append(lambda s: one_one_m_filter(s, condition))
-    if needs_f and shape is ShapeClass.ACUTE:
-        filters.append(lambda s: mid3_filter(s, condition))
-    if needs_g:
-        filters.append(lambda s: centroid_mod3_filter(s, condition))
-    if needs_g and shape is ShapeClass.RIGHT:
-        filters.append(lambda s: right_centroid_mod3_filter(s, condition))
-    if needs_gh:
-        filters.append(lambda s: gh_mod3_filter(s, condition))
-    # The angle analysis is the priciest filter; run it last.
-    if needs_f and shape is ShapeClass.ACUTE:
-        filters.append(lambda s: tangent_sum_filter(s, condition))
-    return filters
-
-
 def exclusion_report(
     perimeter: int,
     condition: CenterCondition,
     shape: ShapeClass,
     sides: PerimeterSides | None = None,
 ) -> ExclusionReport:
-    """Run all applicable filters on all side multisets of a perimeter.
+    """Run the applicable rules of RULES, in order, on all side multisets of a perimeter.
 
+    Each multiset gets the certificate of the first rule it violates.
     sides: the perimeter's PerimeterSides, when the caller shares one
     across cells; the report is the same either way.
     """
@@ -408,29 +325,30 @@ def exclusion_report(
         raise ValueError("no exclusion rules exist for the incenter; scans are empirical only")
     if sides is not None and sides.perimeter != perimeter:
         raise ValueError(f"sides of perimeter {sides.perimeter} given for perimeter {perimeter}")
-    certificates: list[ExclusionCertificate] = []
+    rules = [r for r, row in RULES.items() if condition in row.conditions and row.shape in (None, shape)]
 
-    needs_f = condition in (CenterCondition.CIRCUMCENTER, CenterCondition.ALL_THREE)
-    if needs_f:
-        cert = even_perimeter_certificate(perimeter, condition)
-        if cert is not None:
+    if rules[0] is Rule.EVEN_PERIMETER:
+        detail = RULES[Rule.EVEN_PERIMETER].test(perimeter)
+        if detail is not None:
+            cert = ExclusionCertificate(Rule.EVEN_PERIMETER, detail, condition, None, perimeter)
             return ExclusionReport(perimeter, condition, shape, True, (cert,))
 
     if sides is None:
         sides = PerimeterSides(perimeter)
+    tests = [(r, RULES[r].test) for r in rules[rules.index(Rule.GCD_LEMMA) + 1 :]]
+    certificates: list[ExclusionCertificate] = []
     survivors: list[SideMultiset] = []
-    filters = _multiset_filters(condition, shape)
-    for s, gcd_detail in sides.sides:
-        if gcd_detail is not None:
-            certificates.append(ExclusionCertificate(Rule.GCD_LEMMA, gcd_detail, condition, None, perimeter, s))
-            continue
-        for f in filters:
-            cert = f(s)
-            if cert is not None:
-                certificates.append(cert)
-                break
-        else:
+    for s, detail in sides.sides:
+        rule = Rule.GCD_LEMMA
+        if detail is None:
+            for rule, test in tests:
+                detail = test(s)
+                if detail is not None:
+                    break
+        if detail is None:
             survivors.append(s)
+        else:
+            certificates.append(ExclusionCertificate(rule, detail, condition, RULES[rule].shape, perimeter, s))
     return ExclusionReport(
         perimeter,
         condition,

@@ -2,10 +2,10 @@
 
 Triangles are enumerated anchored at the origin: candidates are pairs
 (P, Q) of lattice points in the square [-B, B]^2, giving the triangle
-O, P, Q.  Orbits under translations, the eight lattice symmetries of the
-square, and vertex relabeling are identified by a canonical key; the
-anchored sweep covers every orbit that fits the box with a vertex at the
-anchor, and growing B only ever adds orbits.
+O, P, Q.  The anchored sweep covers every orbit under translations, the
+eight lattice symmetries of the square and vertex relabeling that fits
+the box with a vertex at the anchor, and growing B only ever adds
+orbits.
 
 The atlas maps (center condition, shape, perimeter) cells to one of:
 
@@ -35,7 +35,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,22 +79,6 @@ MAX_BOX_RADIUS = 10**6
 _SWEEP = "d4-orbit-minima"
 
 
-# --- canonical forms -------------------------------------------------------
-
-_D4 = (
-    (1, 0, 0, 1),
-    (0, -1, 1, 0),
-    (-1, 0, 0, -1),
-    (0, 1, -1, 0),
-    (1, 0, 0, -1),
-    (-1, 0, 0, 1),
-    (0, 1, 1, 0),
-    (0, -1, -1, 0),
-)
-
-CanonicalKey = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-
-
 def _grid_points(box_radius: int) -> list[tuple[int, int]]:
     # [-B, B]^2 in grid-index order: point (x, y) has index (x + B) * (2B + 1) + (y + B)
     span = range(-box_radius, box_radius + 1)
@@ -105,64 +89,6 @@ def _cone_points(width: int) -> list[tuple[int, int]]:
     # 0 <= y <= x <= width without the origin: each D4 orbit of a nonzero
     # point of [-width, width]^2 has exactly one member here, (max, min) of |x|, |y|
     return [(x, y) for x in range(1, width + 1) for y in range(0, x + 1)]
-
-
-def canonical_key(t: LatticeTriangle) -> CanonicalKey:
-    """Smallest coordinate tuple over translations, D4 images and relabelings.
-
-    Two triangles share a key exactly when a composition of integer
-    translations, the eight lattice symmetries of the square, and vertex
-    permutations maps one onto the other.  All of those preserve shape
-    class, side lattice lengths, and the lattice membership of every
-    center, so any such invariant may be computed once per key.
-    """
-    vs = [(v.x, v.y) for v in t.vertices]
-    best: CanonicalKey | None = None
-    for a, b, c, d in _D4:
-        img = [(a * x + b * y, c * x + d * y) for x, y in vs]
-        mnx = min(x for x, _ in img)
-        mny = min(y for _, y in img)
-        norm = tuple(sorted((x - mnx, y - mny) for x, y in img))
-        if best is None or norm < best:
-            best = norm  # type: ignore[assignment]
-    assert best is not None
-    return best
-
-
-def iter_canonical_triangles(width: int, lmax: int | None = None) -> Iterator[LatticeTriangle]:
-    """One representative per orbit of triangles fitting a width x width box.
-
-    The first edge vector is restricted to the cone 0 <= y <= x (every
-    orbit has a member there, see _cone_points), remaining duplicates are
-    removed by canonical key.  Optional perimeter cap lmax prunes early.
-    """
-    if width < 1:
-        raise ValueError("width must be positive")
-    grid = _grid_points(width)
-    seen: set[CanonicalKey] = set()
-    origin = LatticePoint(0, 0)
-    for px, py in _cone_points(width):
-        gp = math.gcd(px, py)
-        if lmax is not None and gp + 2 > lmax:
-            continue
-        p = LatticePoint(px, py)
-        for qx, qy in grid:
-            if px * qy - py * qx == 0:
-                continue
-            if max(px, qx, 0) - min(0, qx) > width:
-                continue
-            if max(py, qy, 0) - min(0, qy) > width:
-                continue
-            if lmax is not None:
-                perim = gp + math.gcd(qx, qy) + math.gcd(px - qx, py - qy)
-                if perim > lmax:
-                    continue
-            t = LatticeTriangle(origin, p, LatticePoint(qx, qy))
-            key = canonical_key(t)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield t
 
 
 # --- search configuration --------------------------------------------------

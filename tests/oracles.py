@@ -6,44 +6,36 @@ partitioned through explicit symmetry images, and angle sums are checked
 through high-precision floating point.  The previous incenter,
 incenter-report, pi-triple, full-grid search and per-multiset exclusion
 algorithms are kept here as the references their faster replacements are
-tested against.
+tested against, and so are the exact k*pi + arctan(t) angle algebra and
+the canonical-key orbit enumeration, which only tests use.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from latticecenters.angles import (
-    PI_ANGLE,
-    PiOrder,
-    angle_add,
-    angle_from_tan,
-    angle_neg,
-    angle_sum,
-    compare_to_pi,
-)
+from latticecenters.angles import Rational, solve_pi_triples
 from latticecenters.centers import CenterCondition, RationalPoint
 from latticecenters.feasibility import (
     ExclusionCertificate,
     ExclusionReport,
     Rule,
     SideMultiset,
-    centroid_mod3_filter,
-    even_perimeter_certificate,
-    gh_mod3_filter,
-    mid3_filter,
-    one_one_m_filter,
+    gcd_violation,
+    halved_numerators,
     partitions,
-    right_centroid_mod3_filter,
-    tangent_sum_filter,
+    subtriangle_multisets,
 )
 from latticecenters.incenter import IncenterReport, _is_lattice_incenter, _side_lines, lattice_incenter
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
-from latticecenters.search import SearchConfig, _grid_points, _incenter_screen
+from latticecenters.search import SearchConfig, _cone_points, _grid_points, _incenter_screen
 
 D4 = (
     (1, 0, 0, 1),
@@ -55,6 +47,67 @@ D4 = (
     (0, 1, 1, 0),
     (0, -1, -1, 0),
 )
+
+
+CanonicalKey = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+
+
+def canonical_key(t: LatticeTriangle) -> CanonicalKey:
+    """Smallest coordinate tuple over translations, D4 images and relabelings.
+
+    Two triangles share a key exactly when a composition of integer
+    translations, the eight lattice symmetries of the square, and vertex
+    permutations maps one onto the other.  All of those preserve shape
+    class, side lattice lengths, and the lattice membership of every
+    center, so any such invariant may be computed once per key.
+    """
+    vs = [(v.x, v.y) for v in t.vertices]
+    best: CanonicalKey | None = None
+    for a, b, c, d in D4:
+        img = [(a * x + b * y, c * x + d * y) for x, y in vs]
+        mnx = min(x for x, _ in img)
+        mny = min(y for _, y in img)
+        norm = tuple(sorted((x - mnx, y - mny) for x, y in img))
+        if best is None or norm < best:
+            best = norm  # type: ignore[assignment]
+    assert best is not None
+    return best
+
+
+def iter_canonical_triangles(width: int, lmax: int | None = None) -> Iterator[LatticeTriangle]:
+    """One representative per orbit of triangles fitting a width x width box.
+
+    The first edge vector is restricted to the cone 0 <= y <= x (every
+    orbit has a member there, see _cone_points), remaining duplicates are
+    removed by canonical key.  Optional perimeter cap lmax prunes early.
+    """
+    if width < 1:
+        raise ValueError("width must be positive")
+    grid = _grid_points(width)
+    seen: set[CanonicalKey] = set()
+    origin = LatticePoint(0, 0)
+    for px, py in _cone_points(width):
+        gp = math.gcd(px, py)
+        if lmax is not None and gp + 2 > lmax:
+            continue
+        p = LatticePoint(px, py)
+        for qx, qy in grid:
+            if px * qy - py * qx == 0:
+                continue
+            if max(px, qx, 0) - min(0, qx) > width:
+                continue
+            if max(py, qy, 0) - min(0, qy) > width:
+                continue
+            if lmax is not None:
+                perim = gp + math.gcd(qx, qy) + math.gcd(px - qx, py - qy)
+                if perim > lmax:
+                    continue
+            t = LatticeTriangle(origin, p, LatticePoint(qx, qy))
+            key = canonical_key(t)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield t
 
 
 def segment_point_count(p: LatticePoint, q: LatticePoint) -> int:
@@ -177,6 +230,123 @@ def pi_triple_solutions_bruteforce(numerators, bound: int) -> set:
                 if s1 == n0 * n1 * n2 and s2 != big0 * big1 * big2:
                     out.add((m0, m1, m2))
     return out
+
+
+# --- the k*pi + arctan(t) normal form ------------------------------------
+#
+# Exact sums of arctangents of rationals with quadrant tracking: general
+# angles k*pi + arctan(t) have a unique normal form (arctan part in
+# (-pi/2, pi/2), or a half-pi marker) closed under addition.  The
+# reference that every comparison with pi (angles._pi_gap) is tested
+# against.
+
+
+class PiOrder(enum.Enum):
+    LESS = -1
+    EQUAL = 0
+    GREATER = 1
+
+
+@dataclass(frozen=True)
+class ExactAngle:
+    """k*pi + arctan(tail), or k*pi + pi/2 when half_pi is set."""
+
+    pi_multiples: int
+    tail: Fraction | None  # None together with half_pi=True
+    half_pi: bool = False
+
+    def __post_init__(self) -> None:
+        if self.half_pi:
+            if self.tail is not None:
+                raise ValueError("half-pi angles carry no tangent tail")
+        else:
+            object.__setattr__(self, "tail", Fraction(self.tail))
+
+    def _order_key(self) -> tuple:
+        # Within one k, every finite arctan lies below the half-pi mark.
+        if self.half_pi:
+            return (self.pi_multiples, 1, Fraction(0))
+        return (self.pi_multiples, 0, self.tail)
+
+    def __lt__(self, other: "ExactAngle") -> bool:
+        return self._order_key() < other._order_key()
+
+    def __float__(self) -> float:
+        if self.half_pi:
+            return self.pi_multiples * math.pi + math.pi / 2
+        return self.pi_multiples * math.pi + math.atan(self.tail)
+
+    def __str__(self) -> str:
+        head = f"{self.pi_multiples}*pi"
+        if self.half_pi:
+            return f"{head} + pi/2"
+        return f"{head} + arctan({self.tail})"
+
+
+ZERO_ANGLE = ExactAngle(0, Fraction(0))
+PI_ANGLE = ExactAngle(1, Fraction(0))
+
+
+def angle_from_tan(t: Rational) -> ExactAngle:
+    """Angle in (0, pi/2) with the given positive rational tangent."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError(f"tangent must be positive, got {t}")
+    return ExactAngle(0, t)
+
+
+def angle_add(a: ExactAngle, b: ExactAngle) -> ExactAngle:
+    """Exact sum; the result is again in normal form."""
+    k = a.pi_multiples + b.pi_multiples
+    if a.half_pi and b.half_pi:
+        return ExactAngle(k + 1, Fraction(0))
+    if a.half_pi or b.half_pi:
+        v = b.tail if a.half_pi else a.tail
+        assert v is not None
+        if v == 0:
+            return ExactAngle(k, None, half_pi=True)
+        # pi/2 + arctan(v) = (v>0: pi - arctan(1/v); v<0: arctan(-1/v))
+        return ExactAngle(k + 1 if v > 0 else k, -1 / v)
+    u, v = a.tail, b.tail
+    assert u is not None and v is not None
+    prod = u * v
+    if prod == 1:
+        # u and v share a sign; two negative arctans land at -pi/2.
+        return ExactAngle(k if u > 0 else k - 1, None, half_pi=True)
+    w = (u + v) / (1 - prod)
+    if prod > 1:
+        # Both tails share a sign; the sum crossed +-pi/2.
+        k += 1 if u > 0 else -1
+    return ExactAngle(k, w)
+
+
+def angle_neg(a: ExactAngle) -> ExactAngle:
+    if a.half_pi:
+        return ExactAngle(-a.pi_multiples - 1, None, half_pi=True)
+    assert a.tail is not None
+    return ExactAngle(-a.pi_multiples, -a.tail)
+
+
+def angle_sum(angles: Iterable[ExactAngle]) -> ExactAngle:
+    total = ZERO_ANGLE
+    for a in angles:
+        total = angle_add(total, a)
+    return total
+
+
+def arctan_sum(tangents: Iterable[Rational]) -> ExactAngle:
+    return angle_sum(angle_from_tan(t) for t in tangents)
+
+
+def compare_to_pi(a: ExactAngle) -> PiOrder:
+    """Exact trichotomy of the represented angle against pi."""
+    key = a._order_key()
+    pi_key = PI_ANGLE._order_key()
+    if key < pi_key:
+        return PiOrder.LESS
+    if key == pi_key:
+        return PiOrder.EQUAL
+    return PiOrder.GREATER
 
 
 def pi_triples_angle_scan(numerators) -> list:
@@ -365,6 +535,135 @@ def search_shard_full_grid(config: SearchConfig, shard_id: int, cells_needed: fr
                 found[cell] = (p_idx, int(q_idx), px, py, qxx, qyy, center)
                 remaining.discard(cell)
     return found
+
+
+# --- the per-multiset filter chain ----------------------------------------
+#
+# One function per exclusion rule, each issuing its own certificate: the
+# reference that the rule table behind exclusion_report is tested against.
+
+
+def one_one_m_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.ORTHOCENTER) -> ExclusionCertificate | None:
+    """Acute triangles with sides (1,1,m) have no lattice orthocenter."""
+    if not (s.a == 1 and s.b == 1):
+        return None
+    return ExclusionCertificate(
+        Rule.ONE_ONE_M,
+        "two unit sides force two angles <= pi/4, so the third is >= pi/2",
+        condition,
+        ShapeClass.ACUTE,
+        s.perimeter,
+        s,
+    )
+
+
+def mid3_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CIRCUMCENTER) -> ExclusionCertificate | None:
+    """A lattice circumcenter of an acute triangle needs middle side >= 3."""
+    if s.b >= 3:
+        return None
+    return ExclusionCertificate(
+        Rule.MID3,
+        f"middle side length {s.b} < 3",
+        condition,
+        ShapeClass.ACUTE,
+        s.perimeter,
+        s,
+    )
+
+
+def centroid_mod3_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CENTROID) -> ExclusionCertificate | None:
+    """With a lattice centroid, side lengths divisible by 3 come all-or-none."""
+    count = sum(1 for x in s.as_tuple() if x % 3 == 0)
+    if count in (0, 3):
+        return None
+    return ExclusionCertificate(
+        Rule.CENTROID_MOD3,
+        f"{count} of 3 side lengths divisible by 3; must be 0 or 3",
+        condition,
+        None,
+        s.perimeter,
+        s,
+    )
+
+
+def _all_mod3_certificate(
+    s: SideMultiset, rule: Rule, condition: CenterCondition, shape: ShapeClass | None, why: str
+) -> ExclusionCertificate | None:
+    if all(x % 3 == 0 for x in s.as_tuple()):
+        return None
+    return ExclusionCertificate(rule, why, condition, shape, s.perimeter, s)
+
+
+def gh_mod3_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CENTROID_AND_ORTHOCENTER) -> ExclusionCertificate | None:
+    """Lattice centroid + lattice orthocenter force all sides divisible by 3."""
+    return _all_mod3_certificate(
+        s,
+        Rule.GH_MOD3,
+        condition,
+        None,
+        "lattice centroid and orthocenter force every side length divisible by 3",
+    )
+
+
+def right_centroid_mod3_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CENTROID) -> ExclusionCertificate | None:
+    """A right triangle with lattice centroid has all sides divisible by 3."""
+    return _all_mod3_certificate(
+        s,
+        Rule.RIGHT_CENTROID_MOD3,
+        condition,
+        ShapeClass.RIGHT,
+        "right angle plus lattice centroid force every side length divisible by 3",
+    )
+
+
+def even_perimeter_certificate(perimeter: int, condition: CenterCondition) -> ExclusionCertificate | None:
+    """A lattice circumcenter forces an even lattice perimeter."""
+    if perimeter % 2 == 0:
+        return None
+    return ExclusionCertificate(
+        Rule.EVEN_PERIMETER,
+        "lattice circumcenter forces even perimeter",
+        condition,
+        None,
+        perimeter,
+    )
+
+
+def tangent_sum_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CIRCUMCENTER) -> ExclusionCertificate | None:
+    """Angle analysis for acute triangles with a lattice circumcenter.
+
+    The three angles are arctan(n_i / m_i) with n_i the (halved-if-even)
+    side lengths, and they must sum to exactly pi.  If no denominator
+    triple works, or every solution produces a sub-triangle violating the
+    pairwise-gcd law, the multiset is impossible.
+    """
+    numerators = halved_numerators(s)
+    solutions = solve_pi_triples(numerators)
+    nums = f"({numerators[0]},{numerators[1]},{numerators[2]})"
+    if not solutions:
+        return ExclusionCertificate(
+            Rule.TANGENT_SUM,
+            f"no denominators make arctans of {nums} sum to pi",
+            condition,
+            ShapeClass.ACUTE,
+            s.perimeter,
+            s,
+        )
+    kills = []
+    for sol in solutions:
+        subs = subtriangle_multisets(s, sol)
+        killed = next((sub for sub in subs if gcd_violation(sub) is not None), None)
+        if killed is None:
+            return None  # a solution survives; the filter proves nothing
+        kills.append(f"m={sol} -> sub-triangle {killed} violates the pairwise-gcd law")
+    return ExclusionCertificate(
+        Rule.TANGENT_SUM,
+        f"solutions for {nums}: " + "; ".join(kills),
+        condition,
+        ShapeClass.ACUTE,
+        s.perimeter,
+        s,
+    )
 
 
 def gcd_filter_two_pass(s: SideMultiset, condition: CenterCondition) -> ExclusionCertificate | None:

@@ -10,14 +10,14 @@ import random
 from fractions import Fraction
 
 from latticecenters import constructions as cons
-from latticecenters.angles import PiOrder, arctan_sum, compare_to_pi, render_table, solve_pi_triples
+from latticecenters.angles import pi_signs, render_table, solve_pi_triples
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.cli import main
 from latticecenters.feasibility import (
     Rule,
     SideMultiset,
     exclusion_report,
-    gcd_filter,
+    gcd_violation,
     prop1_witness,
     prop2_witness,
     replay,
@@ -34,9 +34,10 @@ from latticecenters.lattice import (
     triangle,
     twice_area,
 )
-from latticecenters.search import iter_canonical_triangles, verify_results_table
+from latticecenters.search import verify_results_table
 
 import oracles
+from oracles import iter_canonical_triangles
 
 F = CenterCondition.CIRCUMCENTER
 G = CenterCondition.CENTROID
@@ -83,7 +84,7 @@ def test_criterion_3_circumcenter_theorem():
     assert solve_pi_triples((1, 2, 5)) == []
     assert solve_pi_triples((1, 3, 5)) == [(1, 2, 1)]
     subs = subtriangle_multisets(SideMultiset(2, 3, 5), (1, 2, 1))
-    killed = [s.as_tuple() for s in subs if gcd_filter(s, F) is not None]
+    killed = [s.as_tuple() for s in subs if gcd_violation(s) is not None]
     assert killed == [(2, 2, 5), (1, 2, 2)]
     rep10 = exclusion_report(10, F, ShapeClass.ACUTE)
     tangent_certs = [c for c in rep10.certificates if c.rule is Rule.TANGENT_SUM]
@@ -114,8 +115,7 @@ def test_criterion_4_tables_digit_for_digit():
     assert render_table((1, 2, 5)) == expected_145
     assert render_table((1, 3, 5)) == expected_235
     # the equality verdict comes from exact arithmetic, not from decimals
-    equal_row = arctan_sum([Fraction(1, 1), Fraction(3, 2), Fraction(5, 1)])
-    assert compare_to_pi(equal_row) is PiOrder.EQUAL
+    assert pi_signs((1, Fraction(3, 2), 5), [(1, 1, 1)]) == [0]
     report("criterion 4: all 14 table rows render digit-for-digit; equality decided exactly")
 
 

@@ -7,17 +7,10 @@ from hypothesis import strategies as st
 
 from latticecenters.angles import (
     FRONTIER_ROW_LIMIT,
-    PI_ANGLE,
-    ExactAngle,
-    PiOrder,
-    angle_add,
-    angle_from_tan,
-    angle_neg,
     angle_over_pi_bounds,
-    arctan_sum,
     certified_ratio_string,
-    compare_to_pi,
     frontier_rows,
+    pi_signs,
     render_table,
     solve_pi_triples,
     sums_to_pi,
@@ -25,6 +18,16 @@ from latticecenters.angles import (
 from latticecenters.feasibility import SideMultiset, halved_numerators
 
 import oracles
+from oracles import (
+    PI_ANGLE,
+    ExactAngle,
+    PiOrder,
+    angle_add,
+    angle_from_tan,
+    angle_neg,
+    arctan_sum,
+    compare_to_pi,
+)
 
 TABLE_145 = [
     ((1, 1, 1), "1.03958"),
@@ -140,6 +143,20 @@ class TestCompareToPi:
         # and on the known equality cases
         assert sums_to_pi([1, 2, 3])
         assert sums_to_pi([1, Fraction(3, 2), 5])
+
+
+class TestPiSigns:
+    def test_table_examples(self):
+        assert pi_signs((1, 2, 5), [(1, 1, 1), (1, 1, 2)]) == [1, -1]
+        assert pi_signs((1, Fraction(3, 2), 5), [(1, 1, 1)]) == [0]
+
+    def test_matches_exact_angle_reference(self):
+        rng = random.Random(303)
+        for _ in range(3000):
+            nums = [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(3)]
+            row = tuple(rng.randint(1, 6) for _ in range(3))
+            angle = arctan_sum([n / m for n, m in zip(nums, row)])
+            assert pi_signs(nums, [row]) == [compare_to_pi(angle).value], (nums, row)
 
 
 class TestMonotonicity:

@@ -21,8 +21,6 @@ from latticecenters.lattice import (
     triangle,
     twice_area,
 )
-from latticecenters.search import iter_canonical_triangles
-
 import oracles
 
 
@@ -142,7 +140,7 @@ class TestOrthicMValues:
 
 
 def _sweep_reports(width, lmax=None):
-    for t in iter_canonical_triangles(width, lmax):
+    for t in oracles.iter_canonical_triangles(width, lmax):
         yield t, center_report(t)
 
 

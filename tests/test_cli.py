@@ -1,14 +1,23 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from latticecenters.cli import main
+from latticecenters.feasibility import partitions
+
+import oracles
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestBasicCommands:
@@ -114,6 +123,25 @@ class TestAngles:
         code, out, _ = run(capsys, "angles", "1", "1", "1", "--format", "json")
         assert json.loads(out)["solutions"] == []
 
+    def test_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "angles", "2", "3", "5", "--format", "csv")
+        assert (code, digest(out)) == (0, "0cf8239723ed2167")
+
+    def test_status_column_matches_exact_angle_reference(self, capsys):
+        # every frontier row of every side multiset up to perimeter 16
+        rows = 0
+        for perimeter in range(3, 17):
+            for s in partitions(perimeter):
+                code, out, _ = run(capsys, "angles", *map(str, s.as_tuple()), "--format", "json")
+                data = json.loads(out)
+                nums = [Fraction(n) for n in data["numerators"]]
+                for row in data["table"]:
+                    angle = oracles.arctan_sum([n / m for n, m in zip(nums, row["m"])])
+                    order = oracles.compare_to_pi(angle)
+                    assert row["status"] == {-1: "less", 0: "equal", 1: "greater"}[order.value], (s, row)
+                    rows += 1
+        assert rows == 4724
+
     def test_oversized_table_exits_with_message(self, capsys):
         code, out, err = run(capsys, "angles", "40", "41", "43")
         assert code == 1 and out == ""
@@ -155,6 +183,18 @@ class TestTableAndAtlas:
         assert doc["config"]["shapes"] == ["right"]
         assert all(e["shape"] == "right" for e in doc["entries"])
 
+    def test_atlas_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "atlas", "--box", "6", "--lmax", "10", "--format", "csv")
+        assert (code, digest(out)) == (0, "4d32a48ada73ffbc")
+
+    def test_atlas_unknown_shape_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["atlas", "--shapes", "acute,foo"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "shape must be acute, right or obtuse, got 'foo'" in err
+        assert "Traceback" not in err
+
     def test_atlas_dir_env_var_receives_checkpoints(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LC_ATLAS_DIR", str(tmp_path))
         out_file = tmp_path / "atlas.json"
@@ -189,6 +229,10 @@ class TestScanFigureProps:
         assert lines[1] == "shape,perimeter,v0,v1,v2,inradius_squared"
         assert len(lines) >= 3  # at least one witness row
 
+    def test_incenter_scan_csv_bytes(self, capsys):
+        code, out, _ = run(capsys, "incenter-scan", "--box", "8", "--lmax", "12")
+        assert (code, digest(out)) == (0, "95d914d02774ae3d")
+
     def test_scan_box_beyond_int64_range_rejected(self, capsys):
         code, out, err = run(capsys, "incenter-scan", "--box", "1000001")
         assert code == 1 and "box_radius" in err and out == ""
@@ -210,3 +254,7 @@ class TestScanFigureProps:
         assert rows[5]["coprime_no_3"] == ""
         assert rows[11]["coprime_no_3"] == ""
         assert rows[12]["coprime_no_3"] != ""
+
+    def test_props_csv_without_rows_is_a_header(self, capsys):
+        code, out, _ = run(capsys, "props", "--max-n", "0", "--format", "csv")
+        assert (code, out) == (0, "n,distinct_coprime,coprime_no_3\r\n")

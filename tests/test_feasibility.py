@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -6,17 +7,14 @@ import pytest
 
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.feasibility import (
+    RULES,
     ExclusionCertificate,
     PerimeterSides,
     Rule,
     SideMultiset,
-    centroid_mod3_filter,
     exclusion_report,
-    gcd_filter,
-    gh_mod3_filter,
+    gcd_violation,
     halved_numerators,
-    mid3_filter,
-    one_one_m_filter,
     partitions,
     prop1_witness,
     prop2_witness,
@@ -26,7 +24,7 @@ from latticecenters.feasibility import (
     tangent_sum_filter,
 )
 from latticecenters.lattice import ShapeClass, side_lengths
-from latticecenters.search import SHAPE_ORDER, STANDARD_CONDITIONS, iter_canonical_triangles
+from latticecenters.search import SHAPE_ORDER, STANDARD_CONDITIONS
 
 import oracles
 
@@ -34,6 +32,10 @@ F = CenterCondition.CIRCUMCENTER
 G = CenterCondition.CENTROID
 H = CenterCondition.ORTHOCENTER
 GH = CenterCondition.CENTROID_AND_ORTHOCENTER
+
+
+def fires(rule, s):
+    return RULES[rule].test(s) is not None
 
 
 class TestPartitions:
@@ -57,25 +59,25 @@ class TestPartitions:
 
 class TestFilters:
     def test_gcd_filter(self):
-        assert gcd_filter(SideMultiset(1, 2, 2), H) is not None
-        assert gcd_filter(SideMultiset(1, 4, 5), F) is None
-        assert gcd_filter(SideMultiset(2, 4, 6), G) is None  # common gcd 2
+        assert fires(Rule.GCD_LEMMA, SideMultiset(1, 2, 2))
+        assert not fires(Rule.GCD_LEMMA, SideMultiset(1, 4, 5))
+        assert not fires(Rule.GCD_LEMMA, SideMultiset(2, 4, 6))  # common gcd 2
 
     def test_one_one_m(self):
-        assert one_one_m_filter(SideMultiset(1, 1, 4)) is not None
-        assert one_one_m_filter(SideMultiset(1, 2, 3)) is None
-        assert one_one_m_filter(SideMultiset(1, 1, 9)) is not None
+        assert fires(Rule.ONE_ONE_M, SideMultiset(1, 1, 4))
+        assert not fires(Rule.ONE_ONE_M, SideMultiset(1, 2, 3))
+        assert fires(Rule.ONE_ONE_M, SideMultiset(1, 1, 9))
 
     def test_mid3(self):
-        assert mid3_filter(SideMultiset(1, 2, 3)) is not None
-        assert mid3_filter(SideMultiset(1, 3, 6)) is None
-        assert mid3_filter(SideMultiset(3, 3, 4)) is None
+        assert fires(Rule.MID3, SideMultiset(1, 2, 3))
+        assert not fires(Rule.MID3, SideMultiset(1, 3, 6))
+        assert not fires(Rule.MID3, SideMultiset(3, 3, 4))
 
     def test_centroid_mod3(self):
-        assert centroid_mod3_filter(SideMultiset(1, 1, 3)) is not None
-        assert centroid_mod3_filter(SideMultiset(3, 3, 3)) is None
-        assert centroid_mod3_filter(SideMultiset(1, 3, 7)) is not None
-        assert centroid_mod3_filter(SideMultiset(1, 2, 4)) is None  # none divisible
+        assert fires(Rule.CENTROID_MOD3, SideMultiset(1, 1, 3))
+        assert not fires(Rule.CENTROID_MOD3, SideMultiset(3, 3, 3))
+        assert fires(Rule.CENTROID_MOD3, SideMultiset(1, 3, 7))
+        assert not fires(Rule.CENTROID_MOD3, SideMultiset(1, 2, 4))  # none divisible
 
     def test_tangent_sum_halving(self):
         assert halved_numerators(SideMultiset(1, 4, 5)) == (1, 2, 5)
@@ -85,8 +87,8 @@ class TestFilters:
         subs = subtriangle_multisets(SideMultiset(2, 3, 5), (1, 2, 1))
         assert [s.as_tuple() for s in subs] == [(2, 2, 5), (1, 2, 2), (1, 2, 3)]
         # the first two violate the pairwise-gcd law, which kills the case
-        assert gcd_filter(subs[0], F) is not None
-        assert gcd_filter(subs[1], F) is not None
+        assert gcd_violation(subs[0]) is not None
+        assert gcd_violation(subs[1]) is not None
 
     def test_tangent_sum_filter_kills_both_ten_cases(self):
         assert tangent_sum_filter(SideMultiset(1, 4, 5)) is not None
@@ -162,7 +164,8 @@ class TestSharedPerimeterSides:
     def test_gcd_filter_matches_two_pass(self):
         for ell in range(3, 61):
             for s in partitions(ell):
-                assert gcd_filter(s, H) == oracles.gcd_filter_two_pass(s, H), s
+                want = oracles.gcd_filter_two_pass(s, H)
+                assert gcd_violation(s) == (None if want is None else want.detail), s
 
     def test_matches_per_multiset_chain(self):
         # every standard cell, with and without a table shared across the perimeter
@@ -211,6 +214,31 @@ class TestCertificates:
         )
         assert not replay(bogus)
 
+    def test_replay_rejects_forged_certificates(self):
+        # each forgery changes one field of a genuine certificate
+        one_one_m = exclusion_report(6, H, ShapeClass.ACUTE).certificates[0]
+        even = exclusion_report(9, F, ShapeClass.OBTUSE).certificates[0]
+        mid3 = next(c for c in exclusion_report(6, F, ShapeClass.ACUTE).certificates if c.rule is Rule.MID3)
+        assert (one_one_m.rule, one_one_m.multiset) == (Rule.ONE_ONE_M, SideMultiset(1, 1, 4))
+        assert even.rule is Rule.EVEN_PERIMETER
+        assert all(replay(c) for c in (one_one_m, even, mid3))
+        forged = [
+            dataclasses.replace(one_one_m, condition=G),
+            dataclasses.replace(one_one_m, shape=ShapeClass.RIGHT),
+            dataclasses.replace(one_one_m, perimeter=99),
+            dataclasses.replace(even, condition=G),
+            dataclasses.replace(mid3, detail="made up"),
+        ]
+        for cert in forged:
+            assert not replay(cert), cert.text()
+
+    def test_replay_accepts_every_reported_certificate(self):
+        for ell in range(3, 41):
+            for cond in STANDARD_CONDITIONS:
+                for shape in SHAPE_ORDER:
+                    for cert in exclusion_report(ell, cond, shape).certificates:
+                        assert replay(cert), cert.text()
+
     def test_stable_text_form(self):
         rep = exclusion_report(5, G, ShapeClass.ACUTE)
         texts = [c.text() for c in rep.certificates]
@@ -226,10 +254,10 @@ class TestCertificates:
 
 class TestFilterSoundness:
     def test_no_filtered_multiset_is_ever_realized(self):
-        """Filters only kill (condition, shape, multiset) combos that no
+        """Rules only kill (condition, shape, multiset) combos that no
         actual triangle attains; sweep every small orbit to confirm."""
         realized = set()
-        for t in iter_canonical_triangles(9, lmax=14):
+        for t in oracles.iter_canonical_triangles(9, lmax=14):
             rep = center_report(t)
             sides = side_lengths(t)
             for cond in (F, G, H, GH, CenterCondition.ALL_THREE):
@@ -238,20 +266,10 @@ class TestFilterSoundness:
         checked = 0
         for cond, shape, sides in realized:
             s = SideMultiset(*sides)
-            assert gcd_filter(s, cond) is None
-            if cond in (H, F, GH, CenterCondition.ALL_THREE) and shape is ShapeClass.ACUTE:
-                assert one_one_m_filter(s) is None
-            if cond in (F, CenterCondition.ALL_THREE):
-                assert s.perimeter % 2 == 0
-                if shape is ShapeClass.ACUTE:
-                    assert mid3_filter(s) is None
-                    assert tangent_sum_filter(s) is None
-            if cond in (G, GH, CenterCondition.ALL_THREE):
-                assert centroid_mod3_filter(s) is None
-                if shape is ShapeClass.RIGHT:
-                    assert all(x % 3 == 0 for x in sides)
-            if cond in (GH, CenterCondition.ALL_THREE):
-                assert gh_mod3_filter(s) is None
+            for rule, row in RULES.items():
+                if cond in row.conditions and row.shape in (None, shape):
+                    subject = s.perimeter if rule is Rule.EVEN_PERIMETER else s
+                    assert row.test(subject) is None, (rule, cond, shape, s)
             checked += 1
         assert checked > 50
 

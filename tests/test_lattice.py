@@ -99,9 +99,7 @@ class TestAreaAndGenus:
 
     def test_pick_consistency_small_box(self):
         # every orbit with bounding box inside an 9x9 point grid
-        from latticecenters.search import iter_canonical_triangles
-
-        for t in iter_canonical_triangles(8):
+        for t in oracles.iter_canonical_triangles(8):
             assert genus(t) == oracles.interior_count(t)
 
 

@@ -27,13 +27,12 @@ from latticecenters.search import (
     _search_shard,
     atlas_from_document,
     build_atlas,
-    canonical_key,
-    iter_canonical_triangles,
     search_witnesses,
     verify_results_table,
 )
 
 import oracles
+from oracles import canonical_key, iter_canonical_triangles
 
 F = CenterCondition.CIRCUMCENTER
 G = CenterCondition.CENTROID
@@ -455,27 +454,50 @@ class TestAtlasLoaderRejects:
 
 def test_atlas_shares_each_perimeters_sides(monkeypatch):
     # one build and one load at lmax 30: each perimeter that needs its side
-    # multisets enumerates them once, and no multiset is gcd-tested per cell
+    # multisets enumerates them once, and gcd-tests each multiset once, not
+    # once per cell (the TangentSum rule's own sub-triangle tests aside)
     calls = collections.Counter()
-    partitions = feasibility.partitions
+    gcd_tests = collections.Counter()
+    partitions, gcd_violation = feasibility.partitions, feasibility.gcd_violation
+    tangent_sum_filter = feasibility.tangent_sum_filter
+    in_tangent_sum = []
 
     def counting(perimeter):
         calls[perimeter] += 1
         return partitions(perimeter)
 
-    def per_cell(*args, **kwargs):
-        raise AssertionError("gcd_filter called per cell")
+    def counting_gcd(s):
+        if not in_tangent_sum:
+            gcd_tests[s.perimeter] += 1
+        return gcd_violation(s)
+
+    def tangent_sum(s):
+        in_tangent_sum.append(s)
+        try:
+            return tangent_sum_filter(s)
+        finally:
+            in_tangent_sum.pop()
 
     monkeypatch.setattr(feasibility, "partitions", counting)
-    monkeypatch.setattr(feasibility, "gcd_filter", per_cell)
+    monkeypatch.setattr(feasibility, "gcd_violation", counting_gcd)
+    def per_cell(s):
+        raise AssertionError("pairwise-gcd rule tested per cell")
+
+    monkeypatch.setattr(feasibility, "tangent_sum_filter", tangent_sum)
+    gcd_row = feasibility.RULES[feasibility.Rule.GCD_LEMMA]
+    monkeypatch.setitem(feasibility.RULES, feasibility.Rule.GCD_LEMMA, dataclasses.replace(gcd_row, test=per_cell))
     atlas = build_atlas(SearchConfig(box_radius=5, lmax=30))
     needed = {
         cell[2] for cell, e in atlas.entries.items()
         if e.status == "impossible" and e.certificates[0].multiset is not None
     }
     assert len(needed) >= 20
+    once_each = {ell: len(partitions(ell)) for ell in needed}
     assert calls == {ell: 1 for ell in needed}
+    assert gcd_tests == once_each
     calls.clear()
+    gcd_tests.clear()
     doc = json.loads(atlas.to_json_bytes())
     atlas_from_document(doc)
     assert calls == {ell: 1 for ell in needed}
+    assert gcd_tests == once_each
