@@ -15,6 +15,7 @@ from .centers import (
     center_report,
     centroid,
     circumcenter,
+    lattice_centers,
     orthic_m_values,
     orthocenter,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "genus",
     "incenter_report",
     "incenter_scan",
+    "lattice_centers",
     "lattice_incenter",
     "lattice_length",
     "lattice_perimeter",

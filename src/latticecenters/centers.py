@@ -9,6 +9,10 @@ and the circumcenter follows from the Euler relation 2F + H = 3G.  Both
 are computed after translating v0 to the origin and are cross-checked
 against their defining properties (altitude perpendicularity for H,
 equidistance from the vertices for F).
+
+center_report gives the centers as Fractions; lattice_centers decides
+only their lattice membership, by integer divisibility tests, with the
+same cross-checks scaled to integers.
 """
 
 from __future__ import annotations
@@ -80,24 +84,16 @@ class CenterCondition(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    def satisfied_by(self, report: "CenterReport") -> bool:
+    def met_by(self, flags: tuple[bool, bool, bool]) -> bool:
+        """Whether the (F, G, H) lattice-membership flags meet this condition."""
         if self is CenterCondition.INCENTER:
-            raise ValueError("incenter membership is not part of a CenterReport")
-        need = {
-            CenterCondition.CIRCUMCENTER: ("circumcenter_on_lattice",),
-            CenterCondition.CENTROID: ("centroid_on_lattice",),
-            CenterCondition.ORTHOCENTER: ("orthocenter_on_lattice",),
-            CenterCondition.CENTROID_AND_ORTHOCENTER: (
-                "centroid_on_lattice",
-                "orthocenter_on_lattice",
-            ),
-            CenterCondition.ALL_THREE: (
-                "circumcenter_on_lattice",
-                "centroid_on_lattice",
-                "orthocenter_on_lattice",
-            ),
-        }[self]
-        return all(getattr(report, flag) for flag in need)
+            raise ValueError("incenter membership is not one of the F, G, H flags")
+        need = {"F": (0,), "G": (1,), "H": (2,), "GH": (1, 2), "FGH": (0, 1, 2)}[self._value_]
+        return all(flags[i] for i in need)
+
+    def satisfied_by(self, report: "CenterReport") -> bool:
+        flags = (report.circumcenter_on_lattice, report.centroid_on_lattice, report.orthocenter_on_lattice)
+        return self.met_by(flags)
 
 
 @dataclass(frozen=True)
@@ -170,6 +166,36 @@ def center_report(t: LatticeTriangle) -> CenterReport:
         shape=classify_shape(t),
         perimeter=lattice_perimeter(t),
     )
+
+
+def lattice_centers(t: LatticeTriangle) -> tuple[bool, bool, bool]:
+    """Whether F, G and H (in that order) are lattice points, decided in integers.
+
+    Relative to v0: cross*(H - v0) = dot*(y2 - y1, x1 - x2), 3*(G - v0) =
+    (x1 + x2, y1 + y2) and, by the Euler relation, 2*cross*(F - v0) =
+    cross*3*(G - v0) - cross*(H - v0).  Each center is a lattice point
+    exactly when its scale factor divides both coordinates.
+    """
+    x1, y1 = t.v1.x - t.v0.x, t.v1.y - t.v0.y
+    x2, y2 = t.v2.x - t.v0.x, t.v2.y - t.v0.y
+    cross = x1 * y2 - x2 * y1
+    if cross == 0:
+        raise DegenerateTriangleError(f"collinear vertices: {t}")
+    dot = x1 * x2 + y1 * y2
+    hx, hy = dot * (y2 - y1), dot * (x1 - x2)
+    gx, gy = x1 + x2, y1 + y2
+    fx, fy = cross * gx - hx, cross * gy - hy
+    o, a, b = (0, 0), (x1, y1), (x2, y2)
+    # cross*(H - vi) must be perpendicular to the opposite side, for each vertex
+    for (vx, vy), (px, py), (qx, qy) in ((o, a, b), (a, b, o), (b, o, a)):
+        if (hx - cross * vx) * (px - qx) + (hy - cross * vy) * (py - qy) != 0:
+            raise ArithmeticError(f"orthocenter check failed for {t}")
+    # 2*cross*F must be equidistant from the vertices scaled by 2*cross
+    c2 = 2 * cross
+    d2 = [(fx - c2 * vx) ** 2 + (fy - c2 * vy) ** 2 for vx, vy in (o, a, b)]
+    if not d2[0] == d2[1] == d2[2]:
+        raise ArithmeticError(f"circumcenter check failed for {t}")
+    return (fx % c2 == 0 and fy % c2 == 0, gx % 3 == 0 and gy % 3 == 0, hx % cross == 0 and hy % cross == 0)
 
 
 def exact_tangent(t: LatticeTriangle, vertex: int) -> Fraction:

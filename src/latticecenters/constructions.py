@@ -3,9 +3,11 @@
 Each factory produces a lattice triangle of the requested shape and
 perimeter whose required centers land on the lattice, and re-verifies
 everything (shape, perimeter, center flags, and any closed-form center
-the family predicts) before returning.  Requests outside a family's
-domain raise UnachievableError; the feasibility module can then explain
-why with certificates.
+the family predicts) before returning, the center flags by the integer
+tests of centers.lattice_centers.  A witness computes its Fraction
+center report only when it is read.  Requests outside a family's domain
+raise UnachievableError; the feasibility module can then explain why
+with certificates.
 
 The achievable sets, by shape, are:
 
@@ -19,6 +21,7 @@ The achievable sets, by shape, are:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .centers import (
@@ -28,9 +31,10 @@ from .centers import (
     center_report,
     centroid,
     circumcenter,
+    lattice_centers,
     orthocenter,
 )
-from .lattice import LatticePoint, LatticeTriangle, ShapeClass, classify_shape, triangle
+from .lattice import LatticePoint, LatticeTriangle, ShapeClass, classify_shape, lattice_perimeter, triangle
 
 _SHEAR_CAP = 64
 _POWER_CAP = 64
@@ -58,21 +62,24 @@ class WitnessRequest:
 @dataclass(frozen=True)
 class Witness:
     triangle: LatticeTriangle
-    report: CenterReport
     family_tag: str
+
+    @functools.cached_property
+    def report(self) -> CenterReport:
+        """The triangle's exact centers, computed on first read."""
+        return center_report(self.triangle)
 
 
 def _verified(tri: LatticeTriangle, request: WitnessRequest, tag: str) -> Witness:
-    report = center_report(tri)
-    if report.shape is not request.shape:
-        raise ConstructionError(f"{tag}: {tri} is {report.shape}, wanted {request.shape}")
-    if report.perimeter != request.perimeter:
-        raise ConstructionError(
-            f"{tag}: {tri} has perimeter {report.perimeter}, wanted {request.perimeter}"
-        )
-    if not request.condition.satisfied_by(report):
+    shape = classify_shape(tri)
+    if shape is not request.shape:
+        raise ConstructionError(f"{tag}: {tri} is {shape}, wanted {request.shape}")
+    perimeter = lattice_perimeter(tri)
+    if perimeter != request.perimeter:
+        raise ConstructionError(f"{tag}: {tri} has perimeter {perimeter}, wanted {request.perimeter}")
+    if not request.condition.met_by(lattice_centers(tri)):
         raise ConstructionError(f"{tag}: {tri} misses lattice condition {request.condition}")
-    return Witness(tri, report, tag)
+    return Witness(tri, tag)
 
 
 def _expect(point: RationalPoint, coords: tuple[int, int], what: str) -> None:

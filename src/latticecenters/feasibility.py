@@ -109,12 +109,14 @@ class ExclusionCertificate:
         return f"{self.rule}[{where} scope={self.scope}]: {self.detail}"
 
     def to_json(self) -> dict:
+        # _value_ is the plain attribute behind the Enum.value descriptor
+        m = self.multiset
         return {
-            "rule": self.rule.value,
-            "condition": self.condition.value,
-            "shape": self.shape.value if self.shape is not None else "any",
+            "rule": self.rule._value_,
+            "condition": self.condition._value_,
+            "shape": self.shape._value_ if self.shape is not None else "any",
             "perimeter": self.perimeter,
-            "multiset": list(self.multiset.as_tuple()) if self.multiset else None,
+            "multiset": [m.a, m.b, m.c] if m is not None else None,
             "detail": self.detail,
         }
 
@@ -149,12 +151,17 @@ class PerimeterSides:
     """Every side multiset of one perimeter with its gcd_violation verdict.
 
     Shared by all the cells of the perimeter and computed on first use,
-    so a cell settled by the perimeter alone costs nothing.
+    so a cell settled by the perimeter alone costs nothing.  It also
+    holds the certificates issued so far: a certificate names no cell
+    shape, so each (condition, rule, multiset) certificate is issued
+    once and shared by every cell of the perimeter that needs it.
     exclusion_report makes its own when it is not given one.
     """
 
     def __init__(self, perimeter: int) -> None:
         self.perimeter = perimeter
+        # (condition, rule) -> {index of the multiset in sides, or None for the perimeter: certificate}
+        self.issued: dict[tuple[CenterCondition, Rule], dict[int | None, ExclusionCertificate]] = {}
 
     @functools.cached_property
     def sides(self) -> tuple[tuple[SideMultiset, str | None], ...]:
@@ -319,36 +326,43 @@ def exclusion_report(
 
     Each multiset gets the certificate of the first rule it violates.
     sides: the perimeter's PerimeterSides, when the caller shares one
-    across cells; the report is the same either way.
+    across cells; the report is the same either way, but its
+    certificates are then the ones the table already issued.
     """
     if condition is CenterCondition.INCENTER:
         raise ValueError("no exclusion rules exist for the incenter; scans are empirical only")
     if sides is not None and sides.perimeter != perimeter:
         raise ValueError(f"sides of perimeter {sides.perimeter} given for perimeter {perimeter}")
-    rules = [r for r, row in RULES.items() if condition in row.conditions and row.shape in (None, shape)]
-
-    if rules[0] is Rule.EVEN_PERIMETER:
-        detail = RULES[Rule.EVEN_PERIMETER].test(perimeter)
-        if detail is not None:
-            cert = ExclusionCertificate(Rule.EVEN_PERIMETER, detail, condition, None, perimeter)
-            return ExclusionReport(perimeter, condition, shape, True, (cert,))
-
     if sides is None:
         sides = PerimeterSides(perimeter)
-    tests = [(r, RULES[r].test) for r in rules[rules.index(Rule.GCD_LEMMA) + 1 :]]
+    rules = [  # (rule, its test, its shape, the certificates of it issued so far)
+        (r, row.test, row.shape, sides.issued.setdefault((condition, r), {}))
+        for r, row in RULES.items() if condition in row.conditions and row.shape in (None, shape)
+    ]
+    if rules[0][0] is Rule.EVEN_PERIMETER:
+        rule, test, rule_shape, issued = rules.pop(0)
+        detail = test(perimeter)
+        if detail is not None:
+            cert = issued.setdefault(None, ExclusionCertificate(rule, detail, condition, rule_shape, perimeter))
+            return ExclusionReport(perimeter, condition, shape, True, (cert,))
+
+    gcd_rule, *tests = rules
     certificates: list[ExclusionCertificate] = []
     survivors: list[SideMultiset] = []
-    for s, detail in sides.sides:
-        rule = Rule.GCD_LEMMA
+    for i, (s, detail) in enumerate(sides.sides):
+        rule, test, rule_shape, issued = gcd_rule
         if detail is None:
-            for rule, test in tests:
+            for rule, test, rule_shape, issued in tests:
                 detail = test(s)
                 if detail is not None:
                     break
         if detail is None:
             survivors.append(s)
-        else:
-            certificates.append(ExclusionCertificate(rule, detail, condition, RULES[rule].shape, perimeter, s))
+            continue
+        cert = issued.get(i)
+        if cert is None:
+            cert = issued[i] = ExclusionCertificate(rule, detail, condition, rule_shape, perimeter, s)
+        certificates.append(cert)
     return ExclusionReport(
         perimeter,
         condition,

@@ -40,7 +40,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import incenter as incenter_mod
-from .centers import CenterCondition, center_report
+from .centers import CenterCondition, lattice_centers
+from .centers import center_report  # noqa: F401 (importable from here, as before)
 from .constructions import UnachievableError, WitnessRequest, build_witness
 from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
 from .feasibility import replay  # noqa: F401 (importable from here, as before)
@@ -397,10 +398,12 @@ def search_witnesses(
         checkpoint = _checkpoint_path(checkpoint_dir, config)
         cached = _load_checkpoint(checkpoint, config, cells_hash)
 
-    shard_ids = [s for s in range(config.shard_count) if s not in cached]
+    # shards past the number of swept first vertices would be empty
+    shard_count = min(config.shard_count, len(_cone_points(config.box_radius)))
+    shard_ids = [s for s in range(shard_count) if s not in cached]
     results: dict[int, dict[Cell, Candidate]] = dict(cached)
     if shard_ids:
-        if config.shard_count == 1 or len(shard_ids) == 1:
+        if len(shard_ids) == 1:
             for sid in shard_ids:
                 results[sid] = _search_shard(config, sid, cells_needed)
         else:
@@ -488,24 +491,13 @@ def _verify_witness_entry(entry: AtlasEntry, center: LatticePoint | None = None)
     # directly instead of being located again
     t = entry.witness
     assert t is not None
-    if entry.condition is CenterCondition.INCENTER:
-        if center is None:
-            located = incenter_mod.lattice_incenter(t) is not None
-        else:
-            located = incenter_mod._is_lattice_incenter(t, center)
-        if not located:
-            raise ValueError(f"witness {t} has no lattice incenter")
-        shape = classify_shape(t)
-        perim = lattice_perimeter(t)
-        if shape is not entry.shape or perim != entry.perimeter:
-            raise ValueError(f"witness {t} does not match cell {entry.shape}/{entry.perimeter}")
-        return
-    report = center_report(t)
-    if (
-        report.shape is not entry.shape
-        or report.perimeter != entry.perimeter
-        or not entry.condition.satisfied_by(report)
-    ):
+    if entry.condition is not CenterCondition.INCENTER:
+        meets = entry.condition.met_by(lattice_centers(t))
+    elif center is None:
+        meets = incenter_mod.lattice_incenter(t) is not None
+    else:
+        meets = incenter_mod._is_lattice_incenter(t, center)
+    if not meets or classify_shape(t) is not entry.shape or lattice_perimeter(t) != entry.perimeter:
         raise ValueError(f"witness {t} does not verify for {entry.condition}/{entry.shape}/{entry.perimeter}")
 
 

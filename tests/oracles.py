@@ -713,3 +713,15 @@ def exclusion_report_per_multiset(perimeter: int, condition: CenterCondition, sh
         else:
             certificates.append(cert)
     return ExclusionReport(perimeter, condition, shape, not survivors, tuple(certificates), tuple(survivors))
+
+
+def certificate_to_json(cert: ExclusionCertificate) -> dict:
+    """ExclusionCertificate.to_json as it read through Enum.value."""
+    return {
+        "rule": cert.rule.value,
+        "condition": cert.condition.value,
+        "shape": cert.shape.value if cert.shape is not None else "any",
+        "perimeter": cert.perimeter,
+        "multiset": list(cert.multiset.as_tuple()) if cert.multiset else None,
+        "detail": cert.detail,
+    }

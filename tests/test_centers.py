@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,10 +11,12 @@ from latticecenters.centers import (
     centroid,
     circumcenter,
     exact_tangent,
+    lattice_centers,
     orthic_m_values,
     orthocenter,
 )
 from latticecenters.lattice import (
+    DegenerateTriangleError,
     LatticePoint,
     Parity,
     ShapeClass,
@@ -112,6 +116,53 @@ class TestCenterReport:
         rep = center_report(triangle((0, 0), (6, 3), (3, 6)))
         assert CenterCondition.CENTROID_AND_ORTHOCENTER.satisfied_by(rep)
         assert not CenterCondition.ALL_THREE.satisfied_by(rep)
+
+
+def _report_flags(t):
+    rep = center_report(t)
+    return (rep.circumcenter_on_lattice, rep.centroid_on_lattice, rep.orthocenter_on_lattice)
+
+
+class TestLatticeCenters:
+    """lattice_centers against the Fraction flags of center_report."""
+
+    def test_every_small_anchored_triangle(self):
+        span = range(-6, 7)
+        seen = collections.Counter()
+        for p in ((x, y) for x in span for y in span):
+            for q in ((x, y) for x in span for y in span):
+                try:
+                    t = triangle((0, 0), p, q)
+                except DegenerateTriangleError:
+                    continue
+                flags = lattice_centers(t)
+                assert flags == _report_flags(t), t
+                seen[flags] += 1
+        # F on the lattice forces H, so six of the eight flag patterns occur
+        assert len(seen) == 6 and not any(f and not h for f, _, h in seen)
+
+    def test_scaled_and_translated_random_triangles(self):
+        rng = random.Random(8)
+        hits = 0
+        for _ in range(2000):
+            k = rng.choice([1, 2, 3, 6, rng.randint(1, 10**30)])
+            d = LatticePoint(rng.randint(-(10**30), 10**30), rng.randint(-(10**30), 10**30))
+            t = oracles.random_triangle(rng, 12).scaled(k).translated(d)
+            flags = lattice_centers(t)
+            assert flags == _report_flags(t), t
+            hits += all(flags)
+        assert hits > 100
+
+    def test_conditions_read_one_table(self):
+        for flags in itertools.product((False, True), repeat=3):
+            f, g, h = flags
+            want = {"F": f, "G": g, "H": h, "GH": g and h, "FGH": f and g and h}
+            for cond in CenterCondition:
+                if cond is CenterCondition.INCENTER:
+                    with pytest.raises(ValueError):
+                        cond.met_by(flags)
+                else:
+                    assert cond.met_by(flags) is want[cond.value], (cond, flags)
 
 
 class TestOrthicMValues:

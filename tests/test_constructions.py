@@ -6,6 +6,7 @@ import pytest
 from latticecenters import constructions as cons
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.constructions import (
+    ConstructionError,
     UnachievableError,
     WitnessRequest,
     build_witness,
@@ -266,3 +267,34 @@ class TestDispatch:
     def test_incenter_not_constructible(self):
         with pytest.raises(ValueError):
             build_witness(WitnessRequest(CenterCondition.INCENTER, ShapeClass.ACUTE, 12))
+
+
+class TestVerification:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # obtuse, perimeter 7, centroid (2, 1/3)
+            (((0, 0), (5, 0), (1, 1)), "misses lattice condition G"),
+            # obtuse, centroid (0, 1), but perimeter 3
+            (((0, 0), (1, 0), (-1, 3)), "has perimeter 3, wanted 7"),
+        ],
+    )
+    def test_family_triangle_that_fails_is_refused(self, monkeypatch, bad, message):
+        # the obtuse centroid family shears its acute base until it turns obtuse
+        monkeypatch.setattr(cons, "sheared", lambda t, k: triangle(*bad))
+        with pytest.raises(ConstructionError, match=message):
+            build_witness(WitnessRequest(CenterCondition.CENTROID, ShapeClass.OBTUSE, 7))
+
+    def test_report_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return center_report(t)
+
+        monkeypatch.setattr(cons, "center_report", counting)
+        w = build_witness(WitnessRequest(CenterCondition.ALL_THREE, ShapeClass.ACUTE, 30))
+        assert calls == []
+        assert w.report is w.report
+        assert calls == [w.triangle]
+        assert w.report == center_report(w.triangle)

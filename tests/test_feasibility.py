@@ -182,6 +182,29 @@ class TestSharedPerimeterSides:
         with pytest.raises(ValueError, match="perimeter"):
             exclusion_report(12, H, ShapeClass.ACUTE, PerimeterSides(3))
 
+    def test_certificate_json_matches_enum_value_form(self):
+        seen = 0
+        for ell in range(3, 91):
+            sides = PerimeterSides(ell)
+            for cond in STANDARD_CONDITIONS:
+                for shape in SHAPE_ORDER:
+                    for cert in exclusion_report(ell, cond, shape, sides).certificates:
+                        assert cert.to_json() == oracles.certificate_to_json(cert), cert.text()
+                        seen += 1
+        assert seen == 200_991
+
+    def test_cells_of_a_perimeter_share_certificates(self):
+        # G has no shape-specific rule but RightCentroidMod3: the acute and
+        # obtuse reports hold the very same objects, and right adds its own
+        sides = PerimeterSides(20)
+        acute, obtuse, right = (exclusion_report(20, G, shape, sides) for shape in SHAPE_ORDER)
+        assert acute.certificates and all(a is b for a, b in zip(acute.certificates, obtuse.certificates))
+        shared = {id(c) for c in acute.certificates}
+        assert any(id(c) in shared for c in right.certificates)
+        assert any(c.rule is Rule.RIGHT_CENTROID_MOD3 for c in right.certificates)
+        # another table issues its own
+        assert exclusion_report(20, G, ShapeClass.ACUTE).certificates[0] is not acute.certificates[0]
+
     def test_no_table_outlives_its_report(self):
         for ell in range(3, 41):
             exclusion_report(ell, G, ShapeClass.RIGHT)

@@ -21,6 +21,7 @@ from latticecenters.search import (
     SearchConfig,
     _cells_hash,
     _checkpoint_path,
+    _cone_points,
     _grid_points,
     _incenter_screen,
     _merge_candidates,
@@ -255,6 +256,16 @@ class TestSearch:
         # the torn half is gone and the re-run shard's record is whole
         assert sorted(log.read_bytes().splitlines(keepends=True)) == sorted(records)
 
+    def test_shard_count_capped_at_swept_points(self, tmp_path):
+        # box 3 sweeps 9 first vertices, so shards 9..49 would all be empty
+        assert len(_cone_points(3)) == 9
+        one = build_atlas(SearchConfig(box_radius=3, lmax=12, conditions=(INC,)))
+        config = SearchConfig(box_radius=3, lmax=12, conditions=(INC,), shard_count=50)
+        many = build_atlas(config, checkpoint_dir=str(tmp_path))
+        (log,) = tmp_path.iterdir()
+        assert len(log.read_text().splitlines()) == 9
+        assert many.to_json_bytes() == one.to_json_bytes()
+
     def test_corrupt_checkpoint_record_is_reported(self, tmp_path):
         config = SearchConfig(box_radius=6, lmax=8, conditions=(INC,))
         build_atlas(config, checkpoint_dir=str(tmp_path))
@@ -406,6 +417,27 @@ def _edit_certificate_detail(doc: dict) -> None:
     _find(doc, G, ShapeClass.RIGHT, 10)["certificates"][0]["detail"] = "because I say so"
 
 
+def _move_witness(doc: dict, to: tuple[CenterCondition, ShapeClass]) -> None:
+    # a G/acute witness moved to a cell of the same perimeter that it misses
+    for ell in range(3, doc["config"]["lmax"] + 1):
+        source, target = _find(doc, G, ShapeClass.ACUTE, ell), _find(doc, *to, ell)
+        if source["status"] == target["status"] == "witness":
+            t = triangle(*map(tuple, source["witness_vertices"]))
+            rep = center_report(t)
+            if rep.shape is not to[1] or not to[0].satisfied_by(rep):
+                target["witness_vertices"] = source["witness_vertices"]
+                return
+    raise AssertionError("no witness to move")
+
+
+def _move_witness_to_other_condition(doc: dict) -> None:
+    _move_witness(doc, (H, ShapeClass.ACUTE))
+
+
+def _move_witness_to_other_shape(doc: dict) -> None:
+    _move_witness(doc, (G, ShapeClass.OBTUSE))
+
+
 class TestAtlasLoaderRejects:
     @pytest.mark.parametrize(
         "forge, message",
@@ -416,6 +448,8 @@ class TestAtlasLoaderRejects:
             (_add_out_of_config_perimeter, "outside"),
             (_certificates_on_witness, "carries certificates"),
             (_edit_certificate_detail, "certificates"),
+            (_move_witness_to_other_condition, "does not verify for H/acute"),
+            (_move_witness_to_other_shape, "does not verify for G/obtuse"),
         ],
     )
     def test_forged_document(self, forge, message):
@@ -501,3 +535,16 @@ def test_atlas_shares_each_perimeters_sides(monkeypatch):
     atlas_from_document(doc)
     assert calls == {ell: 1 for ell in needed}
     assert gcd_tests == once_each
+
+
+def test_each_certificate_is_issued_once_per_perimeter():
+    # a build and the load of its document: one object per
+    # (perimeter, condition, rule, multiset), however many cells hold it
+    atlas = build_atlas(SearchConfig(box_radius=5, lmax=30))
+    for loaded in (atlas, atlas_from_document(json.loads(atlas.to_json_bytes()))):
+        held = [c for e in loaded.entries.values() for c in e.certificates]
+        objects = collections.defaultdict(set)
+        for c in held:
+            objects[(c.perimeter, c.condition, c.rule, c.multiset)].add(id(c))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert len(objects) < len(held)  # cells do share
