@@ -297,8 +297,17 @@ def cmd_atlas(args) -> int:
     if args.format == "json":
         blob = atlas.to_json_bytes()
         if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(blob)
+            # written beside the real file, then renamed onto it: a crash leaves the old file or the new
+            target = os.path.realpath(args.out)
+            tmp = f"{target}.{os.getpid()}.tmp"
+            fh = open(tmp, "xb")
+            try:
+                with fh:
+                    fh.write(blob)
+                os.replace(tmp, target)
+            except BaseException:
+                os.remove(tmp)
+                raise
             print(f"wrote {args.out} ({len(atlas.entries)} cells)", file=sys.stderr)
         else:
             sys.stdout.write(blob.decode())

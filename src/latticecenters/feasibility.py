@@ -37,6 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable
 
 from .angles import solve_pi_triples
@@ -119,6 +120,15 @@ class ExclusionCertificate:
             "multiset": [m.a, m.b, m.c] if m is not None else None,
             "detail": self.detail,
         }
+
+    def json_text(self) -> str:
+        """json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")), built directly."""
+        m, shape = self.multiset, self.shape._value_ if self.shape is not None else "any"
+        return '{"condition":%s,"detail":%s,"multiset":%s,"perimeter":%d,"rule":%s,"shape":%s}' % (
+            _json_str(self.condition._value_), _json_str(self.detail),
+            "[%d,%d,%d]" % (m.a, m.b, m.c) if m is not None else "null",
+            self.perimeter, _json_str(self.rule._value_), _json_str(shape),
+        )
 
 
 def partitions(perimeter: int) -> list[SideMultiset]:

@@ -440,7 +440,7 @@ class AtlasEntry:
         if self.status not in ("witness", "impossible", "open"):
             raise ValueError(f"unknown atlas entry status {self.status!r}")
 
-    def to_json(self) -> dict:
+    def fields(self) -> dict:  # to_json() without the certificates
         out: dict = {
             "condition": self.condition.value,
             "shape": self.shape.value,
@@ -450,6 +450,10 @@ class AtlasEntry:
         if self.witness is not None:
             out["witness_vertices"] = [[v.x, v.y] for v in self.witness.vertices]
             out["source"] = self.source
+        return out
+
+    def to_json(self) -> dict:
+        out = self.fields()
         if self.certificates:
             out["certificates"] = [c.to_json() for c in self.certificates]
         return out
@@ -474,16 +478,26 @@ class AchievabilityAtlas:
             if cell[0] is condition and cell[1] is shape and e.status == "witness"
         }
 
-    def to_document(self) -> dict:
-        ordered = sorted(self.entries, key=_cell_sort_key)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config": self.config.document_echo(),
-            "entries": [self.entries[cell].to_json() for cell in ordered],
-        }
-
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_document(), sort_keys=True, separators=(",", ":")) + "\n").encode()
+        """The document as json.dumps(sort_keys=True, separators=(",", ":")) writes it, plus a newline.
+        Each shared certificate is encoded once (json_text) and its text put first in every entry
+        holding it ("certificates" sorts first); the small pieces are joined once, at the end."""
+        compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        texts: dict[int, str] = {}  # id(certificate) -> its text
+        parts, sep = ['{"config":%s,"entries":[' % compact(self.config.document_echo())], ""
+        for cell in sorted(self.entries, key=_cell_sort_key):
+            entry = self.entries[cell]
+            fields = compact(entry.fields())
+            parts.append(sep)
+            if entry.certificates:
+                parts.append('{"certificates":[')
+                for c in entry.certificates:
+                    parts += (texts.get(id(c)) or texts.setdefault(id(c), c.json_text()), ",")
+                parts[-1], fields = "],", fields[1:]
+            parts.append(fields)
+            sep = ","
+        parts.append('],"schema_version":%d}\n' % SCHEMA_VERSION)
+        return "".join(parts).encode()
 
 
 def _verify_witness_entry(entry: AtlasEntry, center: LatticePoint | None = None) -> None:
@@ -505,18 +519,22 @@ _CONFIG_KEYS = ("box_radius", "lmax", "conditions", "shapes")
 _ENTRY_KEYS = ("condition", "shape", "perimeter", "status")
 
 
-def _required(mapping, keys: tuple[str, ...], where: str) -> list:
+def _required(mapping, keys: tuple[str, ...], where: str, kinds: tuple = ()) -> list:
+    # kinds: the exact type of each value, as json.loads makes it (a bool is no int), or None for any
     if not isinstance(mapping, dict):
         raise ValueError(f"{where} is not an object")
     missing = [k for k in keys if k not in mapping]
     if missing:
         raise ValueError(f"{where} has no {missing[0]!r}")
+    for k, kind in zip(keys, kinds):
+        if kind is not None and type(mapping[k]) is not kind:
+            raise ValueError(f"{where} {k} is not {kind.__name__}: {mapping[k]!r}")
     return [mapping[k] for k in keys]
 
 
 def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
-    condition, shape, perimeter, status = _required(item, _ENTRY_KEYS, "atlas entry")
-    cell = (CenterCondition(condition), ShapeClass(shape), int(perimeter))
+    condition, shape, perimeter, status = _required(item, _ENTRY_KEYS, "atlas entry", (None, None, int))
+    cell = (CenterCondition(condition), ShapeClass(shape), perimeter)
     if cell[0] not in config.conditions or cell[1] not in config.shapes or not 3 <= cell[2] <= config.lmax:
         raise ValueError(f"atlas entry {cell} lies outside the config")
     if "certificates" in item and status != "impossible":
@@ -528,7 +546,9 @@ def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
     verts, source = _required(item, ("witness_vertices", "source"), f"witness entry {cell}")
     if source not in ("construction", "search"):
         raise ValueError(f"witness entry {cell} has unknown source {source!r}")
-    witness = triangle(tuple(verts[0]), tuple(verts[1]), tuple(verts[2]))
+    if type(verts) is not list or [type(v) is list and list(map(type, v)) for v in verts] != [[int, int]] * 3:
+        raise ValueError(f"witness entry {cell} needs three [int, int] vertices, not {verts!r}")
+    witness = triangle(*map(tuple, verts))
     entry = AtlasEntry(*cell, status, witness, source)
     _verify_witness_entry(entry)
     return entry
@@ -544,21 +564,20 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     certificates.  So a certificate edited, dropped or copied from
     another cell is rejected, and so are certificates or a witness on an
     entry of another status.  The reports of one perimeter share one
-    PerimeterSides.  Each of these failures, and a missing key in the
-    document, its config or an entry, raises ValueError.
+    PerimeterSides, and each certificate object becomes one to_json()
+    dict for every claim it is compared with.  Each of these failures,
+    and a missing or wrongly typed value anywhere, raises ValueError.
     """
-    version, cfg, items = _required(doc, ("schema_version", "config", "entries"), "atlas document")
+    version, cfg, items = _required(doc, ("schema_version", "config", "entries"), "atlas document", (int, None, list))
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version}")
-    box_radius, lmax, conditions, shapes = _required(cfg, _CONFIG_KEYS, "atlas config")
+    box_radius, lmax, conditions, shapes = _required(cfg, _CONFIG_KEYS, "atlas config", (int, int, list, list))
     config = SearchConfig(
         box_radius=box_radius,
         lmax=lmax,
         conditions=tuple(CenterCondition(c) for c in conditions),
         shapes=tuple(ShapeClass(s) for s in shapes),
     )
-    if not isinstance(items, list):
-        raise ValueError("atlas entries are not a list")
     atlas = AchievabilityAtlas(config)
     claims: dict[int, list[tuple[Cell, object]]] = {}  # impossible cells by perimeter
     for item in items:
@@ -576,9 +595,11 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
         raise ValueError(f"atlas document has no entry for cell {missing}")
     for perimeter, cells in claims.items():
         sides = PerimeterSides(perimeter)
+        fresh: dict[int, dict] = {}  # id(certificate) -> its to_json(), made once per object
         for cell, claimed in cells:
             report = exclusion_report(perimeter, cell[0], cell[1], sides)
-            if not report.proven_impossible or [c.to_json() for c in report.certificates] != claimed:
+            expected = [fresh.get(id(c)) or fresh.setdefault(id(c), c.to_json()) for c in report.certificates]
+            if not report.proven_impossible or expected != claimed:
                 raise ValueError(f"certificates of {cell} differ from its exclusion report")
             atlas.entries[cell] = AtlasEntry(*cell, "impossible", certificates=report.certificates)
     return atlas

@@ -7,12 +7,14 @@ through high-precision floating point.  The previous incenter,
 incenter-report, pi-triple, full-grid search and per-multiset exclusion
 algorithms are kept here as the references their faster replacements are
 tested against, and so are the exact k*pi + arctan(t) angle algebra and
-the canonical-key orbit enumeration, which only tests use.
+the canonical-key orbit enumeration, which only tests use, and the
+atlas writer that ran json.dumps over the whole document.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -35,7 +37,15 @@ from latticecenters.feasibility import (
 )
 from latticecenters.incenter import IncenterReport, _is_lattice_incenter, _side_lines, lattice_incenter
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
-from latticecenters.search import SearchConfig, _cone_points, _grid_points, _incenter_screen
+from latticecenters.search import (
+    SCHEMA_VERSION,
+    AchievabilityAtlas,
+    SearchConfig,
+    _cell_sort_key,
+    _cone_points,
+    _grid_points,
+    _incenter_screen,
+)
 
 D4 = (
     (1, 0, 0, 1),
@@ -725,3 +735,14 @@ def certificate_to_json(cert: ExclusionCertificate) -> dict:
         "multiset": list(cert.multiset.as_tuple()) if cert.multiset else None,
         "detail": cert.detail,
     }
+
+
+def atlas_json_bytes(atlas: AchievabilityAtlas) -> bytes:
+    """The atlas document as json.dumps wrote it: every entry's to_json(), whole."""
+    ordered = sorted(atlas.entries, key=_cell_sort_key)
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "config": atlas.config.document_echo(),
+        "entries": [atlas.entries[cell].to_json() for cell in ordered],
+    }
+    return (json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n").encode()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,34 @@ class TestTableAndAtlas:
             "--conditions", "F,G,H,GH,FGH,I", "--shards", "4", "--out", str(out2),
         )[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_atlas_out_is_replaced_whole_or_not_at_all(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "atlas.json"
+        out.write_bytes(b"the previous atlas\n")
+        argv = ("atlas", "--box", "5", "--lmax", "8", "--conditions", "G", "--out", str(out))
+
+        def crash(src, dst):
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash)
+            code, _, err = run(capsys, *argv)
+        assert code == 1 and "no space left" in err
+        assert out.read_bytes() == b"the previous atlas\n"
+        assert list(tmp_path.iterdir()) == [out]
+        assert run(capsys, *argv)[0] == 0
+        assert out.read_bytes() == run(capsys, *argv[:-2])[1].encode()
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_atlas_out_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_bytes(b"the previous atlas\n")
+        link.symlink_to(real)
+        argv = ("atlas", "--box", "5", "--lmax", "8", "--conditions", "G")
+        assert run(capsys, *argv, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert real.read_bytes() == run(capsys, *argv)[1].encode()
+        assert sorted(tmp_path.iterdir()) == [link, real]
 
     def test_atlas_stdout_is_valid_json(self, capsys):
         code, out, _ = run(capsys, "atlas", "--box", "5", "--lmax", "8", "--conditions", "G")

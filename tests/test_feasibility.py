@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import random
 
@@ -27,6 +28,11 @@ from latticecenters.lattice import ShapeClass, side_lengths
 from latticecenters.search import SHAPE_ORDER, STANDARD_CONDITIONS
 
 import oracles
+
+
+def _dumps(cert: ExclusionCertificate) -> str:
+    return json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":"))
+
 
 F = CenterCondition.CIRCUMCENTER
 G = CenterCondition.CENTROID
@@ -192,6 +198,32 @@ class TestSharedPerimeterSides:
                         assert cert.to_json() == oracles.certificate_to_json(cert), cert.text()
                         seen += 1
         assert seen == 200_991
+
+    def test_json_text_matches_json_dumps(self):
+        seen = 0
+        for ell in range(3, 91):
+            sides = PerimeterSides(ell)
+            for cond in STANDARD_CONDITIONS:
+                for shape in SHAPE_ORDER:
+                    exclusion_report(ell, cond, shape, sides)
+            for cert in (c for issued in sides.issued.values() for c in issued.values()):
+                assert cert.json_text() == _dumps(cert), cert.text()
+                seen += 1
+        assert seen == 74_951  # distinct objects behind the 200,991 certificates above
+
+    @pytest.mark.parametrize(
+        "detail", ['a "quoted" word', "back\\slash", "new\nline", "tab\there", "caf\u00e9", "\u2264 pi/2", "\U0001f600",
+                   "\x00\x1f\x7f", ""],
+    )
+    def test_json_text_escapes_as_json_dumps(self, detail):
+        cert = ExclusionCertificate(Rule.MID3, detail, F, ShapeClass.ACUTE, 10**20 + 2, SideMultiset(1, 1, 10**20))
+        assert cert.json_text() == _dumps(cert)
+
+    def test_json_text_of_a_perimeter_certificate(self):
+        (cert,) = exclusion_report(7, F, ShapeClass.ACUTE).certificates
+        assert (cert.rule, cert.multiset, cert.shape) == (Rule.EVEN_PERIMETER, None, None)
+        assert cert.json_text() == _dumps(cert)
+        assert '"multiset":null' in cert.json_text() and '"shape":"any"' in cert.json_text()
 
     def test_cells_of_a_perimeter_share_certificates(self):
         # G has no shape-specific rule but RightCentroidMod3: the acute and

@@ -438,6 +438,39 @@ def _move_witness_to_other_shape(doc: dict) -> None:
     _move_witness(doc, (G, ShapeClass.OBTUSE))
 
 
+def _two_vertices(doc: dict) -> None:
+    _find(doc, H, ShapeClass.ACUTE, 12)["witness_vertices"].pop()
+
+
+def _null_vertex(doc: dict) -> None:
+    _find(doc, H, ShapeClass.ACUTE, 12)["witness_vertices"][1] = None
+
+
+def _float_coordinate(doc: dict) -> None:
+    _find(doc, H, ShapeClass.ACUTE, 12)["witness_vertices"][1][0] += 0.5
+
+
+def _float_perimeter(doc: dict) -> None:
+    _find(doc, G, ShapeClass.RIGHT, 5)["perimeter"] = 5.5  # int() would read it as cell 5
+
+
+def _string_perimeter(doc: dict) -> None:
+    _find(doc, G, ShapeClass.RIGHT, 5)["perimeter"] = "5"
+
+
+def _string_lmax(doc: dict) -> None:
+    doc["config"]["lmax"] = str(doc["config"]["lmax"])
+
+
+def _bool_schema_version(doc: dict) -> None:
+    doc["schema_version"] = True  # equal to 1, yet no version number
+
+
+def _string_conditions(doc: dict) -> None:
+    assert doc["config"]["conditions"] == ["G", "H"]
+    doc["config"]["conditions"] = "GH"  # the name of one condition, not a list of two
+
+
 class TestAtlasLoaderRejects:
     @pytest.mark.parametrize(
         "forge, message",
@@ -477,6 +510,25 @@ class TestAtlasLoaderRejects:
         doc = _small_document()
         del _find(doc, H, ShapeClass.ACUTE, 12)["witness_vertices"]
         with pytest.raises(ValueError, match="witness_vertices"):
+            atlas_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (_two_vertices, "three"),
+            (_null_vertex, "three"),
+            (_float_coordinate, "three"),
+            (_float_perimeter, "perimeter is not int"),
+            (_string_perimeter, "perimeter is not int"),
+            (_string_lmax, "lmax is not int"),
+            (_string_conditions, "conditions is not list"),
+            (_bool_schema_version, "schema_version is not int"),
+        ],
+    )
+    def test_malformed_value(self, forge, message):
+        doc = _small_document()
+        forge(doc)
+        with pytest.raises(ValueError, match=message):
             atlas_from_document(doc)
 
     def test_loaded_entries_hold_fresh_certificates(self):
@@ -548,3 +600,50 @@ def test_each_certificate_is_issued_once_per_perimeter():
             objects[(c.perimeter, c.condition, c.rule, c.multiset)].add(id(c))
         assert all(len(ids) == 1 for ids in objects.values())
         assert len(objects) < len(held)  # cells do share
+
+
+# (config, seed_constructions, the statuses and witness sources it must show)
+_WRITER_CASES = {
+    "standard": (SearchConfig(box_radius=40, lmax=30), True, {"witness", "impossible", "construction"}),
+    "search-only": (SearchConfig(box_radius=8, lmax=14), False, {"witness", "impossible", "open", "search"}),
+    "incenter": (
+        SearchConfig(box_radius=6, lmax=14, conditions=CONDITION_ORDER),
+        True,
+        {"witness", "impossible", "open", "construction", "search"},
+    ),
+    "one-condition-one-shape": (
+        SearchConfig(box_radius=5, lmax=12, conditions=(H,), shapes=(ShapeClass.ACUTE,)),
+        True,
+        {"witness", "impossible", "construction"},
+    ),
+    "no-impossible-cell": (SearchConfig(box_radius=5, lmax=12, conditions=(INC,)), True, {"witness", "open", "search"}),
+}
+
+
+class TestAtlasWriter:
+    @pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+    def test_bytes_match_whole_document_dumps(self, case):
+        config, seed_constructions, shows = _WRITER_CASES[case]
+        atlas = build_atlas(config, seed_constructions=seed_constructions)
+        assert {x for e in atlas.entries.values() for x in (e.status, e.source) if x} == shows
+        assert atlas.to_json_bytes() == oracles.atlas_json_bytes(atlas)
+
+    def test_certificates_become_dicts_once_per_object_on_load(self, monkeypatch):
+        # writing uses json_text only; loading compares the claims of every
+        # cell against one to_json() dict per shared certificate object
+        atlas = build_atlas(SearchConfig(box_radius=5, lmax=30))
+        calls = collections.Counter()
+        to_json = feasibility.ExclusionCertificate.to_json
+
+        def counting(cert):
+            calls[id(cert)] += 1
+            return to_json(cert)
+
+        monkeypatch.setattr(feasibility.ExclusionCertificate, "to_json", counting)
+        blob = atlas.to_json_bytes()
+        assert not calls
+        loaded = atlas_from_document(json.loads(blob))
+        held = [c for e in loaded.entries.values() for c in e.certificates]
+        assert set(calls) == {id(c) for c in held}
+        assert set(calls.values()) == {1}
+        assert len(calls) < len(held)
