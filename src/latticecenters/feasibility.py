@@ -193,7 +193,7 @@ def subtriangle_multisets(
 ) -> list[SideMultiset]:
     """Side multisets of the three orthocenter-vertex-vertex sub-triangles.
 
-    For a hypothetical acute triangle realizing multiset s with a lattice
+    For an acute triangle that realizes multiset s with a lattice
     circumcenter, a solution (m0, m1, m2) of the angle equation fixes the
     lattice length from the orthocenter to vertex i as 2*mi when the
     opposite side is even and mi otherwise.  Each pair of vertices then

@@ -1,18 +1,13 @@
 """Exact detection of lattice incenters, touch points, and empirical scans.
 
-The incenter is the unique interior point equidistant from the three
-side lines.  Distances to those lines are irrational in general, but for
-a lattice point P and side lines in integer normal form n.X + c = 0 the
-equidistance d(P, side_i) = d(P, side_j) is equivalent to
-
-    (n_i.P + c_i)^2 * |n_j|^2 == (n_j.P + c_j)^2 * |n_i|^2
-
-which is a pure integer comparison.  The weighted-vertex formula
-I = (aA + bB + cC)/(a + b + c) locates the incenter; its irrational side
-lengths are bracketed by integer square roots, so the formula yields
-rational bounds that pin down the one lattice point that could be the
-incenter, and the equidistance test then decides.  No float is involved,
-whatever the size of the coordinates.
+The incenter is I = (aA + bB + cC)/(a + b + c) for the side lengths
+a, b, c opposite A, B, C.  It is rational exactly when those square
+roots of integers are pairwise commensurable, i.e. the triangle is a
+scaled Heronian triangle (lattice_incenter proves it); the weights then
+reduce to integers, and one divisibility decides.  A given point P is
+checked in integers too: for side lines n.X + c = 0, the equidistance
+d(P, side_i) = d(P, side_j) is (n_i.P + c_i)^2 |n_j|^2 == (n_j.P + c_j)^2 |n_i|^2.
+No float is involved, whatever the size of the coordinates.
 
 Whether some perimeter admits a triangle with lattice incenter is an
 open question; scans therefore report witnesses and absences-in-a-box,
@@ -33,11 +28,6 @@ from .lattice import (
     classify_shape,
     lattice_perimeter,
 )
-
-# Side lengths are bracketed at scale 2**_SQRT_BITS; 4 bits keep each
-# axis of the incenter's bounding range narrower than one unit.
-_SQRT_BITS = 4
-
 
 @dataclass(frozen=True)
 class IncenterReport:
@@ -72,42 +62,33 @@ def _is_lattice_incenter(t: LatticeTriangle, p: LatticePoint) -> bool:
     )
 
 
-def _scaled_sqrt_bracket(n: int) -> tuple[int, int]:
-    # floor and ceil of sqrt(n) * 2**_SQRT_BITS
-    lo = isqrt(n << (2 * _SQRT_BITS))
-    return lo, lo + (lo * lo != n << (2 * _SQRT_BITS))
-
-
-def _axis_candidates(coords: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, ...]) -> range:
-    # Integers within [N_lo/D_hi, N_hi/D_lo], the bounds of
-    # sum(w_i x_i)/sum(w_i) over lo_i <= w_i <= hi_i.  Shifting by the
-    # minimum makes every coordinate non-negative, so the bounds are
-    # monotone in each weight.
-    base = min(coords)
-    shifted = [x - base for x in coords]
-    n_lo = sum(w * x for w, x in zip(lo, shifted))
-    n_hi = sum(w * x for w, x in zip(hi, shifted))
-    return range(base - (-n_lo // sum(hi)), base + n_hi // sum(lo) + 1)
-
-
 def lattice_incenter(t: LatticeTriangle) -> LatticePoint | None:
     """The incenter, if it is a lattice point; decided exactly.
 
-    Each side length is bracketed as floor/ceil of its square root at
-    scale 2**_SQRT_BITS, which encloses the weighted-vertex incenter in
-    an integer-bounded box.  Each axis of the box is shorter than one
-    unit (its width is at most 5W / (2**(_SQRT_BITS+1) W - 3) for a
-    triangle of width W), so at most one lattice point can lie in it;
-    that candidate faces the exact integer equidistance test, and the
-    incenter is the only interior point that can pass it.
+    Let n_i be the squared length of side i, the side opposite v_i.  The
+    incenter is rational exactly when n0*n2 and n1*n2 are perfect squares:
+
+    - If they are, put r_i = isqrt(n_i*n2).  Multiplying the weights
+      sqrt(n_i) of the weighted-vertex formula by sqrt(n2) makes them
+      integers, I = (r0*v0 + r1*v1 + n2*v2) / (r0 + r1 + n2).
+    - If I is rational, its distance to side i is |m_i.I + c_i| / |m_i|,
+      where m_i.X + c_i = 0 is the side's line with integer normal m_i
+      and |m_i|^2 = n_i.  The three distances are equal, so every
+      |m_i| / |m_j| = sqrt(n_i / n_j) is rational, and an integer n_i*n_j
+      with a rational square root is a perfect square.
+
+    So the incenter is a lattice point exactly when both products are
+    squares and both coordinates of the weighted sum divide by the
+    total weight.
     """
-    # side i is opposite vertex i, and |n_i|^2 is its squared length
-    lo, hi = zip(*(_scaled_sqrt_bracket(nx * nx + ny * ny) for nx, ny, _, _, _ in _side_lines(t)))
-    for x in _axis_candidates((t.v0.x, t.v1.x, t.v2.x), lo, hi):
-        for y in _axis_candidates((t.v0.y, t.v1.y, t.v2.y), lo, hi):
-            if _is_lattice_incenter(t, LatticePoint(x, y)):
-                return LatticePoint(x, y)
-    return None
+    n0, n1, n2 = (nx * nx + ny * ny for nx, ny, _, _, _ in _side_lines(t))
+    r0, r1 = isqrt(n0 * n2), isqrt(n1 * n2)
+    if r0 * r0 != n0 * n2 or r1 * r1 != n1 * n2:
+        return None
+    total = r0 + r1 + n2
+    x, rx = divmod(r0 * t.v0.x + r1 * t.v1.x + n2 * t.v2.x, total)
+    y, ry = divmod(r0 * t.v0.y + r1 * t.v1.y + n2 * t.v2.y, total)
+    return None if rx or ry else LatticePoint(x, y)
 
 
 def incenter_report(t: LatticeTriangle, center: LatticePoint | None = None) -> IncenterReport:
@@ -192,8 +173,8 @@ def incenter_scan(box_radius: int, lmax: int, shard_count: int = 1) -> IncenterS
     )
     hits = search_witnesses(config, cells)
     rows = []
-    for (cond, shape, ell), (tri, center) in sorted(hits.items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
-        report = incenter_report(tri, center)
+    for (cond, shape, ell), tri in sorted(hits.items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
+        report = incenter_report(tri)
         if classify_shape(tri) is not shape or lattice_perimeter(tri) != ell:
             raise ArithmeticError(f"scan witness {tri} fails its cell {shape}/{ell}")
         rows.append(IncenterScanRow(shape, ell, tri, report.inradius_squared))

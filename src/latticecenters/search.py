@@ -18,13 +18,12 @@ indices (P index, Q index).  The box is mapped to itself by the eight
 symmetries of the square (D4), and so is every cell, so that P is the
 smallest-index point of its D4 orbit: the sweep takes P only from those
 points, one per orbit, which are the points with x <= y <= 0.  Searching is
-vectorized over Q for each P.  The lattice tests for the circumcenter,
-centroid and orthocenter are exact integer arithmetic even in vectorized
-form.  The incenter is screened in floating point with a tolerance
-derived from the rounding error, so no true hit is dropped, and pairs
-that pass are confirmed by the exact decision procedure.  Sharding
-splits the swept points round-robin; per-cell results merge by minimal
-(P index, Q index), so output is independent of the shard count.
+vectorized over Q for each P, and every lattice test is exact integer
+arithmetic: divisibility for the circumcenter, centroid and orthocenter,
+and for the incenter a squarefree-part match of the squared sides and
+one divisibility, tried only on the Q whose |Q|^2 has the squarefree
+part of |P|^2.  Sharding splits the swept points round-robin; per-cell
+results merge by minimal (P index, Q index), so output is independent of the shard count.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .constructions import UnachievableError, WitnessRequest, build_witness
 from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
 from .feasibility import replay  # noqa: F401 (importable from here, as before)
 from .lattice import (
-    LatticePoint,
     LatticeTriangle,
     ShapeClass,
     classify_shape,
@@ -69,10 +67,8 @@ SHAPE_ORDER = (ShapeClass.ACUTE, ShapeClass.OBTUSE, ShapeClass.RIGHT)
 
 STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 
-# Largest accepted box radius.  Beyond it the int64 circumcenter
-# numerators (up to 8 B^3) wrap around, and the squared side lengths
-# (up to 8 B^2) are no longer exact in float64, which the incenter
-# screen's error bound assumes.
+# Largest accepted box radius: beyond it the int64 circumcenter
+# numerators (up to 8 B^3) wrap around.
 MAX_BOX_RADIUS = 10**6
 
 # Checkpoint tag of the first-vertex sweep: one point per D4 orbit,
@@ -142,35 +138,42 @@ class SearchConfig:
 
 
 Cell = tuple[CenterCondition, ShapeClass, int]
-# (p_idx, q_idx, px, py, qx, qy, incenter): indices give the deterministic
-# merge order; incenter is the lattice incenter an INCENTER hit was
-# confirmed with, else None.
-Candidate = tuple[int, int, int, int, int, int, LatticePoint | None]
+# (p_idx, q_idx, px, py, qx, qy): indices give the deterministic merge order
+Candidate = tuple[int, int, int, int, int, int]
 
 
-class SearchHit(NamedTuple):
-    triangle: LatticeTriangle
-    incenter: LatticePoint | None  # confirmed incenter of an INCENTER hit found in this run
+def _incenter_kernels(qx: np.ndarray, qy: np.ndarray, box_radius: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    # sq_root[n] is the largest d with d^2 | n for 0 <= n <= 8 B^2, so n's
+    # squarefree part is n // sq_root[n]^2; the grid's indices grouped by
+    # the squarefree part of |Q|^2, in index order within each group
+    top = 8 * box_radius * box_radius
+    sq_root = np.ones(top + 1, dtype=np.int64)
+    for d in range(2, math.isqrt(top) + 1):
+        sq_root[:: d * d] = d
+    norm = qx * qx + qy * qy
+    kernel = norm // sq_root[norm] ** 2
+    order = np.argsort(kernel, kind="stable")
+    keys, starts = np.unique(kernel[order], return_index=True)
+    return sq_root, dict(zip(keys.tolist(), np.split(order, starts[1:])))
 
 
-def _incenter_screen(px: int, py: int, qx: np.ndarray, qy: np.ndarray, box_radius: int) -> np.ndarray:
-    # Pairs whose float incenter is within rounding error of a lattice
-    # point.  With eps = 2**-52 and coordinates at most B: squared sides
-    # (< 8 B^2 <= 2^53) are exact, sqrt is correctly rounded and hypot
-    # within an ulp, so each side carries relative error eps and the sum
-    # about 2 eps.  The worst case is cancellation in b*px + c*qx, off by
-    # about 2 eps (b + c) B, which is 2 eps B after division by the
-    # perimeter; its error adds 2 eps |I| <= 2 eps B.  So a lattice
-    # incenter is computed within 5 eps B (x - rint(x) is exact), and
-    # the tolerance 64 eps B keeps a margin of more than ten.
-    tol = 64 * box_radius * np.finfo(np.float64).eps
-    fa = np.sqrt(((px - qx) ** 2 + (py - qy) ** 2).astype(np.float64))
-    fb = np.hypot(qx.astype(np.float64), qy.astype(np.float64))
-    fc = math.hypot(px, py)
-    total = fa + fb + fc
-    ix = (fb * px + fc * qx) / total
-    iy = (fb * py + fc * qy) / total
-    return (np.abs(ix - np.rint(ix)) <= tol) & (np.abs(iy - np.rint(iy)) <= tol)
+def _incenter_mask(
+    px: int, py: int, qx: np.ndarray, qy: np.ndarray, sq_root: np.ndarray, groups: dict[int, np.ndarray]
+) -> np.ndarray:
+    # O, P, Q has a lattice incenter exactly when its squared sides share
+    # one squarefree part k, so that the sides are a, b, c times sqrt(k),
+    # and (b P + c Q) / (a + b + c) is a lattice point (see
+    # incenter.lattice_incenter); every intermediate stays within 8 B^2
+    mask = np.zeros(len(qx), dtype=bool)
+    c = int(sq_root[px * px + py * py])
+    kernel = (px * px + py * py) // (c * c)
+    idx = groups[kernel]  # P is a grid point, so its group exists
+    gx, gy = qx[idx], qy[idx]
+    n_pq = (px - gx) ** 2 + (py - gy) ** 2
+    a, b = sq_root[n_pq], sq_root[gx * gx + gy * gy]
+    total = a + b + c
+    mask[idx] = (n_pq // (a * a) == kernel) & ((b * px + c * gx) % total == 0) & ((b * py + c * gy) % total == 0)
+    return mask
 
 
 def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[Cell]) -> dict[Cell, Candidate]:
@@ -199,6 +202,8 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
     shape_by_code = (ShapeClass.ACUTE, ShapeClass.RIGHT, ShapeClass.OBTUSE)
     shape_allowed = np.array([s in config.shapes for s in shape_by_code])
     conditions = [c for c in config.conditions if any(c == cell[0] for cell in cells_needed)]
+    if CenterCondition.INCENTER in conditions:
+        sq_root, groups = _incenter_kernels(qx, qy, box)
 
     found: dict[Cell, Candidate] = {}
     remaining = set(cells_needed)
@@ -265,7 +270,7 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         if CenterCondition.ALL_THREE in need:
             masks[CenterCondition.ALL_THREE] = f_mask & g_mask & h_mask
         if CenterCondition.INCENTER in need:
-            masks[CenterCondition.INCENTER] = _incenter_screen(px, py, qx, qy, box)
+            masks[CenterCondition.INCENTER] = _incenter_mask(px, py, qx, qy, sq_root, groups)
 
         for cond, cond_mask in masks.items():
             combined = base & cond_mask
@@ -273,31 +278,15 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
                 continue
             survivors = np.flatnonzero(combined)
             cell_ids = shape_code[survivors] * (lmax + 1) + perim[survivors]
-            exact = cond is not CenterCondition.INCENTER
-            if exact:
-                _, first = np.unique(cell_ids, return_index=True)
-                picks = survivors[np.sort(first)]
-            else:
-                picks = survivors  # float screen may have false positives
-            for q_idx in picks:
+            _, first = np.unique(cell_ids, return_index=True)
+            for q_idx in survivors[np.sort(first)]:
                 code = int(shape_code[q_idx])
                 cell = (cond, shape_by_code[code], int(perim[q_idx]))
                 if cell not in remaining:
                     continue
-                qxx, qyy = int(qx[q_idx]), int(qy[q_idx])
-                center = None
-                if not exact:
-                    center = incenter_mod.lattice_incenter(triangle((0, 0), (px, py), (qxx, qyy)))
-                    if center is None:
-                        continue  # a false positive of the float screen
-                found[cell] = (p_idx, int(q_idx), px, py, qxx, qyy, center)
+                found[cell] = (p_idx, int(q_idx), px, py, int(qx[q_idx]), int(qy[q_idx]))
                 remaining.discard(cell)
     return found
-
-
-def _candidate_hit(cand: Candidate) -> SearchHit:
-    _, _, px, py, qx, qy, center = cand
-    return SearchHit(triangle((0, 0), (px, py), (qx, qy)), center)
 
 
 def _merge_candidates(results: Sequence[dict[Cell, Candidate]]) -> dict[Cell, Candidate]:
@@ -346,7 +335,7 @@ def _load_checkpoint(path: str, config: SearchConfig, cells_hash: str) -> dict[i
             shape = ShapeClass(item["shape"])
             cell = (cond, shape, int(item["perimeter"]))
             p, q = item["vertices"][1], item["vertices"][2]
-            partial[cell] = (int(item["p_idx"]), int(item["q_idx"]), p[0], p[1], q[0], q[1], None)
+            partial[cell] = (int(item["p_idx"]), int(item["q_idx"]), p[0], p[1], q[0], q[1])
         done[int(record["shard_id"])] = partial
     return done
 
@@ -381,12 +370,11 @@ def search_witnesses(
     config: SearchConfig,
     cells_needed: frozenset[Cell],
     checkpoint_dir: str | None = None,
-) -> dict[Cell, SearchHit]:
+) -> dict[Cell, LatticeTriangle]:
     """Find one triangle per requested cell within the box, if any exists.
 
     Deterministic for a fixed (box_radius, lmax, conditions, shapes):
     the triangles do not depend on shard_count or on checkpoint reuse.
-    A hit reloaded from a checkpoint carries no incenter.
     """
     if not cells_needed:
         return {}
@@ -420,7 +408,7 @@ def search_witnesses(
                 _append_checkpoint(checkpoint, config, cells_hash, sid, results[sid])
 
     merged = _merge_candidates([results[sid] for sid in sorted(results)])
-    return {cell: _candidate_hit(cand) for cell, cand in merged.items()}
+    return {cell: triangle((0, 0), (px, py), (qx, qy)) for cell, (_, _, px, py, qx, qy) in merged.items()}
 
 
 # --- the atlas ---------------------------------------------------------------
@@ -440,7 +428,7 @@ class AtlasEntry:
         if self.status not in ("witness", "impossible", "open"):
             raise ValueError(f"unknown atlas entry status {self.status!r}")
 
-    def fields(self) -> dict:  # to_json() without the certificates
+    def fields(self) -> dict:  # the entry's JSON object without its certificates
         out: dict = {
             "condition": self.condition.value,
             "shape": self.shape.value,
@@ -450,12 +438,6 @@ class AtlasEntry:
         if self.witness is not None:
             out["witness_vertices"] = [[v.x, v.y] for v in self.witness.vertices]
             out["source"] = self.source
-        return out
-
-    def to_json(self) -> dict:
-        out = self.fields()
-        if self.certificates:
-            out["certificates"] = [c.to_json() for c in self.certificates]
         return out
 
 
@@ -500,17 +482,13 @@ class AchievabilityAtlas:
         return "".join(parts).encode()
 
 
-def _verify_witness_entry(entry: AtlasEntry, center: LatticePoint | None = None) -> None:
-    # center: the lattice incenter a search hit was confirmed with, checked
-    # directly instead of being located again
+def _verify_witness_entry(entry: AtlasEntry) -> None:
     t = entry.witness
     assert t is not None
     if entry.condition is not CenterCondition.INCENTER:
         meets = entry.condition.met_by(lattice_centers(t))
-    elif center is None:
-        meets = incenter_mod.lattice_incenter(t) is not None
     else:
-        meets = incenter_mod._is_lattice_incenter(t, center)
+        meets = incenter_mod.lattice_incenter(t) is not None
     if not meets or classify_shape(t) is not entry.shape or lattice_perimeter(t) != entry.perimeter:
         raise ValueError(f"witness {t} does not verify for {entry.condition}/{entry.shape}/{entry.perimeter}")
 
@@ -654,8 +632,8 @@ def build_atlas(
         if hit is None:
             atlas.entries[cell] = AtlasEntry(*cell, status="open")
         else:
-            entry = AtlasEntry(*cell, status="witness", witness=hit.triangle, source="search")
-            _verify_witness_entry(entry, hit.incenter)
+            entry = AtlasEntry(*cell, status="witness", witness=hit, source="search")
+            _verify_witness_entry(entry)
             atlas.entries[cell] = entry
     return atlas
 

@@ -7,8 +7,9 @@ through high-precision floating point.  The previous incenter,
 incenter-report, pi-triple, full-grid search and per-multiset exclusion
 algorithms are kept here as the references their faster replacements are
 tested against, and so are the exact k*pi + arctan(t) angle algebra and
-the canonical-key orbit enumeration, which only tests use, and the
-atlas writer that ran json.dumps over the whole document.
+the canonical-key orbit enumeration, which only tests use, the atlas
+writer that ran json.dumps over the whole document, and the search's
+floating-point incenter screen.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, tr
 from latticecenters.search import (
     SCHEMA_VERSION,
     AchievabilityAtlas,
+    AtlasEntry,
     SearchConfig,
     _cell_sort_key,
     _cone_points,
     _grid_points,
-    _incenter_screen,
 )
 
 D4 = (
@@ -393,6 +394,49 @@ def pi_triples_angle_scan(numerators) -> list:
     return solutions
 
 
+# Side lengths are bracketed at scale 2**_SQRT_BITS; 4 bits keep each
+# axis of the incenter's bounding range narrower than one unit.
+_SQRT_BITS = 4
+
+
+def _scaled_sqrt_bracket(n: int) -> tuple[int, int]:
+    # floor and ceil of sqrt(n) * 2**_SQRT_BITS
+    lo = math.isqrt(n << (2 * _SQRT_BITS))
+    return lo, lo + (lo * lo != n << (2 * _SQRT_BITS))
+
+
+def _axis_candidates(coords: tuple[int, ...], lo: tuple[int, ...], hi: tuple[int, ...]) -> range:
+    # Integers within [N_lo/D_hi, N_hi/D_lo], the bounds of
+    # sum(w_i x_i)/sum(w_i) over lo_i <= w_i <= hi_i.  Shifting by the
+    # minimum makes every coordinate non-negative, so the bounds are
+    # monotone in each weight.
+    base = min(coords)
+    shifted = [x - base for x in coords]
+    n_lo = sum(w * x for w, x in zip(lo, shifted))
+    n_hi = sum(w * x for w, x in zip(hi, shifted))
+    return range(base - (-n_lo // sum(hi)), base + n_hi // sum(lo) + 1)
+
+
+def lattice_incenter_brackets(t: LatticeTriangle) -> LatticePoint | None:
+    """The lattice incenter, located by bracketing the side lengths.
+
+    Each side length is bracketed as floor/ceil of its square root at
+    scale 2**_SQRT_BITS, which encloses the weighted-vertex incenter in
+    an integer-bounded box.  Each axis of the box is shorter than one
+    unit (its width is at most 5W / (2**(_SQRT_BITS+1) W - 3) for a
+    triangle of width W), so at most one lattice point can lie in it;
+    that candidate faces the exact integer equidistance test, and the
+    incenter is the only interior point that can pass it.
+    """
+    # side i is opposite vertex i, and |n_i|^2 is its squared length
+    lo, hi = zip(*(_scaled_sqrt_bracket(nx * nx + ny * ny) for nx, ny, _, _, _ in _side_lines(t)))
+    for x in _axis_candidates((t.v0.x, t.v1.x, t.v2.x), lo, hi):
+        for y in _axis_candidates((t.v0.y, t.v1.y, t.v2.y), lo, hi):
+            if _is_lattice_incenter(t, LatticePoint(x, y)):
+                return LatticePoint(x, y)
+    return None
+
+
 def incenter_report_fractions(t: LatticeTriangle, center: LatticePoint | None = None) -> IncenterReport:
     """The incenter report with every check done in Fractions.
 
@@ -432,13 +476,37 @@ def incenter_report_fractions(t: LatticeTriangle, center: LatticePoint | None = 
     return IncenterReport(center, r2, tuple(touches), tuple(flags))
 
 
+def incenter_screen(px: int, py: int, qx: np.ndarray, qy: np.ndarray, box_radius: int) -> np.ndarray:
+    """Pairs whose float incenter is within rounding error of a lattice point.
+
+    With eps = 2**-52 and coordinates at most B: squared sides
+    (< 8 B^2 <= 2^53) are exact, sqrt is correctly rounded and hypot
+    within an ulp, so each side carries relative error eps and the sum
+    about 2 eps.  The worst case is cancellation in b*px + c*qx, off by
+    about 2 eps (b + c) B, which is 2 eps B after division by the
+    perimeter; its error adds 2 eps |I| <= 2 eps B.  So a lattice
+    incenter is computed within 5 eps B (x - rint(x) is exact), and the
+    tolerance 64 eps B keeps a margin of more than ten.
+    """
+    tol = 64 * box_radius * np.finfo(np.float64).eps
+    fa = np.sqrt(((px - qx) ** 2 + (py - qy) ** 2).astype(np.float64))
+    fb = np.hypot(qx.astype(np.float64), qy.astype(np.float64))
+    fc = math.hypot(px, py)
+    total = fa + fb + fc
+    ix = (fb * px + fc * qx) / total
+    iy = (fb * py + fc * qy) / total
+    return (np.abs(ix - np.rint(ix)) <= tol) & (np.abs(iy - np.rint(iy)) <= tol)
+
+
 def search_shard_full_grid(config: SearchConfig, shard_id: int, cells_needed: frozenset) -> dict:
     """The search shard sweeping every nonzero grid point as first vertex.
 
     First vertices P run over [-B, B]^2 in grid-index order, round-robin
     over shards; for each P the first surviving Q per cell wins, so a
-    cell ends with its smallest (p_idx, q_idx).  The D4 cone sweep of
-    search._search_shard must give the same merged candidates.
+    cell ends with its smallest (p_idx, q_idx).  Incenter pairs pass the
+    float screen and are then confirmed by lattice_incenter_brackets.
+    The D4 cone sweep of search._search_shard must give the same merged
+    candidates.
     """
     pts = _grid_points(config.box_radius)
     qx = np.array([p[0] for p in pts], dtype=np.int64)
@@ -517,7 +585,7 @@ def search_shard_full_grid(config: SearchConfig, shard_id: int, cells_needed: fr
         if CenterCondition.ALL_THREE in need:
             masks[CenterCondition.ALL_THREE] = f_mask & g_mask & h_mask
         if CenterCondition.INCENTER in need:
-            masks[CenterCondition.INCENTER] = _incenter_screen(px, py, qx, qy, config.box_radius)
+            masks[CenterCondition.INCENTER] = incenter_screen(px, py, qx, qy, config.box_radius)
 
         for cond, cond_mask in masks.items():
             combined = base & cond_mask
@@ -537,12 +605,9 @@ def search_shard_full_grid(config: SearchConfig, shard_id: int, cells_needed: fr
                 if cell not in remaining:
                     continue
                 qxx, qyy = int(qx[q_idx]), int(qy[q_idx])
-                center = None
-                if not exact:
-                    center = lattice_incenter(triangle((0, 0), (px, py), (qxx, qyy)))
-                    if center is None:
-                        continue  # a false positive of the float screen
-                found[cell] = (p_idx, int(q_idx), px, py, qxx, qyy, center)
+                if not exact and lattice_incenter_brackets(triangle((0, 0), (px, py), (qxx, qyy))) is None:
+                    continue  # a false positive of the float screen
+                found[cell] = (p_idx, int(q_idx), px, py, qxx, qyy)
                 remaining.discard(cell)
     return found
 
@@ -737,12 +802,20 @@ def certificate_to_json(cert: ExclusionCertificate) -> dict:
     }
 
 
+def entry_to_json(entry: AtlasEntry) -> dict:
+    """An atlas entry's JSON object, certificates included."""
+    out = entry.fields()
+    if entry.certificates:
+        out["certificates"] = [c.to_json() for c in entry.certificates]
+    return out
+
+
 def atlas_json_bytes(atlas: AchievabilityAtlas) -> bytes:
-    """The atlas document as json.dumps wrote it: every entry's to_json(), whole."""
+    """The atlas document as json.dumps wrote it: every entry's JSON object, whole."""
     ordered = sorted(atlas.entries, key=_cell_sort_key)
     document = {
         "schema_version": SCHEMA_VERSION,
         "config": atlas.config.document_echo(),
-        "entries": [atlas.entries[cell].to_json() for cell in ordered],
+        "entries": [entry_to_json(atlas.entries[cell]) for cell in ordered],
     }
     return (json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n").encode()

@@ -88,6 +88,60 @@ class TestLatticeIncenter:
             found += hit is not None
         assert found >= 3
 
+    @pytest.mark.parametrize("k", [1, 3, 10**17 + 1])
+    def test_agrees_with_brackets_on_anchored_grid(self, k):
+        span = range(-7, 8)
+        checked = found = 0
+        for px in span:
+            for py in span:
+                for qx in span:
+                    for qy in span:
+                        if px * qy - py * qx == 0:
+                            continue
+                        t = triangle((0, 0), (k * px, k * py), (k * qx, k * qy))
+                        hit = lattice_incenter(t)
+                        assert hit == oracles.lattice_incenter_brackets(t), t
+                        checked += 1
+                        found += hit is not None
+        assert checked == 48896 and found >= 96
+
+    def test_agrees_with_brackets_on_random_and_planted_triangles(self):
+        # random triangles up to 10^200, and lattice-incenter triangles
+        # scaled and translated to the same sizes, each also with one
+        # coordinate moved by one
+        rng = random.Random(16)
+        span = range(-6, 7)
+        anchored = (triangle((0, 0), (px, py), (qx, qy)) for px in span for py in span for qx in span for qy in span
+                    if px * qy - py * qx)
+        small = [t for t in anchored if oracles.lattice_incenter_brackets(t)]
+        assert len(small) >= 20
+        found = 0
+        for e in (1, 5, 15, 16, 17, 30, 60, 100, 200):
+            r = 10**e
+            for _ in range(60):
+                t = oracles.random_triangle(rng, r)
+                assert lattice_incenter(t) == oracles.lattice_incenter_brackets(t), t
+                planted = rng.choice(small).scaled(rng.randint(1, r)).translated(
+                    LatticePoint(rng.randint(-r, r), rng.randint(-r, r))
+                )
+                v0 = planted.v0
+                nudged = LatticeTriangle(LatticePoint(v0.x + 1, v0.y), planted.v1, planted.v2)
+                for t in (planted, nudged):
+                    hit = lattice_incenter(t)
+                    assert hit == oracles.lattice_incenter_brackets(t), t
+                    found += hit is not None
+        assert found >= 9 * 60
+
+    def test_agrees_with_brackets_on_scaled_heronian_bases(self):
+        bases = (((0, 0), (14, 2), (8, 8)), ((0, 0), (14, 2), (21, 51)), ((0, 0), (4, 0), (4, 3)))
+        for base in bases:
+            for k in (1, 7, 10**5, 10**15, 3 * 10**17 + 1, 10**30, 10**100 + 7):
+                big = triangle(*base).scaled(k)
+                for d in (LatticePoint(0, 0), LatticePoint(-(10**29), 3), LatticePoint(5, 10**99)):
+                    t = big.translated(d)
+                    hit = lattice_incenter(t)
+                    assert hit is not None and hit == oracles.lattice_incenter_brackets(t), t
+
     def test_scaling(self):
         rng = random.Random(13)
         base = triangle((0, 0), (14, 2), (8, 8))

@@ -23,7 +23,6 @@ from latticecenters.search import (
     _checkpoint_path,
     _cone_points,
     _grid_points,
-    _incenter_screen,
     _merge_candidates,
     _search_shard,
     atlas_from_document,
@@ -153,24 +152,23 @@ class TestSearch:
         cells = frozenset((G, ShapeClass.OBTUSE, ell) for ell in range(3, 11))
         hits = search_witnesses(config, cells)
         assert hits  # obtuse lattice-centroid triangles exist in range
-        for (cond, shape, ell), (t, center) in hits.items():
+        for (cond, shape, ell), t in hits.items():
             rep = center_report(t)
             assert rep.shape is shape
             assert rep.perimeter == ell
             assert cond.satisfied_by(rep)
-            assert center is None
 
-    def test_incenter_hits_carry_their_confirmed_incenter(self):
+    def test_incenter_hits_have_a_lattice_incenter(self):
         config = SearchConfig(box_radius=8, lmax=12, conditions=(INC,))
         cells = frozenset((INC, s, ell) for s in ShapeClass for ell in range(3, 13))
         hits = search_witnesses(config, cells)
         assert hits
-        for t, center in hits.values():
-            assert center is not None and center == lattice_incenter(t)
+        for t in hits.values():
+            assert lattice_incenter(t) is not None
 
     @pytest.mark.parametrize(
         "box, conditions",
-        [(box, CONDITION_ORDER) for box in range(2, 11)] + [(16, (INC,))],
+        [(box, CONDITION_ORDER) for box in range(2, 11)] + [(16, (INC,)), (24, (INC,))],
     )
     def test_cone_sweep_matches_full_grid(self, box, conditions):
         # every shape and reachable perimeter of the box
@@ -283,7 +281,7 @@ class TestSearch:
         for px, py in pts:
             if (px, py) == (0, 0):
                 continue
-            mask = _incenter_screen(px, py, qx, qy, box)
+            mask = oracles.incenter_screen(px, py, qx, qy, box)
             for i, (x, y) in enumerate(pts):
                 if px * y - py * x == 0:
                     continue
@@ -307,7 +305,7 @@ class TestSearch:
                 for ox, oy in verts:
                     (px, py), (qx, qy) = [(x - ox, y - oy) for x, y in verts if (x, y) != (ox, oy)]
                     assert lattice_incenter(triangle((0, 0), (px, py), (qx, qy))) is not None
-                    mask = _incenter_screen(px, py, np.array([qx]), np.array([qy]), MAX_BOX_RADIUS)
+                    mask = oracles.incenter_screen(px, py, np.array([qx]), np.array([qy]), MAX_BOX_RADIUS)
                     assert mask[0], ((px, py), (qx, qy))
                     checked += 1
         assert checked == 3 * 8 * 3
@@ -405,8 +403,8 @@ def _add_out_of_config_perimeter(doc: dict) -> None:
     ell = doc["config"]["lmax"] + 2  # not a multiple of 3, so G/right is impossible
     report = feasibility.exclusion_report(ell, G, ShapeClass.RIGHT)
     assert report.proven_impossible
-    doc["entries"].append(AtlasEntry(G, ShapeClass.RIGHT, ell, "impossible",
-                                     certificates=report.certificates).to_json())
+    doc["entries"].append(oracles.entry_to_json(AtlasEntry(G, ShapeClass.RIGHT, ell, "impossible",
+                                                           certificates=report.certificates)))
 
 
 def _certificates_on_witness(doc: dict) -> None:
