@@ -17,6 +17,12 @@ The achievable sets, by shape, are:
     H          6 or >= 8             >= 3             >= 3
     G and H    multiples of 3 >= 9 (all shapes)
     F, G, H    multiples of 6 >= 12 (all shapes)
+
+Only F, G and H have families of their own.  Tripling a triangle keeps
+F and H on the lattice and puts G there too, so a G-and-H (F, G, H)
+witness of perimeter l is 3 times the H (F) witness of perimeter l/3,
+of the same shape.  The exceptions are seven acute cells whose l/3 has
+no acute witness, built from one table of explicit triangles.
 """
 
 from __future__ import annotations
@@ -329,93 +335,57 @@ def right_G(perimeter: int) -> Witness:
 
 # --- combined conditions --------------------------------------------------
 
-_ACUTE_GH_EXPLICIT = {
-    9: (((6, 3), (3, 6)), (3, 3), (4, 4)),
-    12: (((6, 0), (3, 9)), (3, 3), (3, 1)),
-    15: (((9, 0), (3, 9)), (4, 3), (3, 2)),
-    21: (((15, 0), (3, 9)), (6, 3), (3, 4)),
+# Tripling a triangle triples its perimeter, keeps F and H on the lattice
+# and puts G there too (the vertex sums become multiples of 3).  So a GH
+# (FGH) witness of perimeter ell is the tripled H (F) witness of ell / 3:
+# combined condition -> (inner condition, tag prefix, domain).
+_TRIPLED = {
+    CenterCondition.CENTROID_AND_ORTHOCENTER: (
+        CenterCondition.ORTHOCENTER,
+        "centroid+orthocenter",
+        "lattice centroid and orthocenter force a perimeter in 3N, >= 9",
+    ),
+    CenterCondition.ALL_THREE: (
+        CenterCondition.CIRCUMCENTER,
+        "all-centers",
+        "all three lattice centers force a perimeter in 6N, >= 12",
+    ),
 }
 
-_ACUTE_FGH_EXPLICIT = {
-    12: (((6, 0), (3, 9)), (3, 4), (3, 3), (3, 1)),
-    18: (((12, 6), (6, 12)), (5, 5), (6, 6), (8, 8)),
-    30: (((18, 0), (6, 18)), (9, 7), (8, 6), (6, 4)),
+# The acute cells tripling cannot reach, as ell / 3 has no acute H (F) witness:
+# (condition, perimeter) -> ((P, Q), the lattice centers the condition's letters name)
+_ACUTE_EXPLICIT = {
+    (CenterCondition.CENTROID_AND_ORTHOCENTER, 9): (((6, 3), (3, 6)), ((3, 3), (4, 4))),
+    (CenterCondition.CENTROID_AND_ORTHOCENTER, 12): (((6, 0), (3, 9)), ((3, 3), (3, 1))),
+    (CenterCondition.CENTROID_AND_ORTHOCENTER, 15): (((9, 0), (3, 9)), ((4, 3), (3, 2))),
+    (CenterCondition.CENTROID_AND_ORTHOCENTER, 21): (((15, 0), (3, 9)), ((6, 3), (3, 4))),
+    (CenterCondition.ALL_THREE, 12): (((6, 0), (3, 9)), ((3, 4), (3, 3), (3, 1))),
+    (CenterCondition.ALL_THREE, 18): (((12, 6), (6, 12)), ((5, 5), (6, 6), (8, 8))),
+    (CenterCondition.ALL_THREE, 30): (((18, 0), (6, 18)), ((9, 7), (8, 6), (6, 4))),
 }
 
-
-def _require_gh_domain(ell: int) -> None:
-    if ell % 3 != 0 or ell < 9:
-        raise UnachievableError(
-            f"lattice centroid and orthocenter force a perimeter in 3N, >= 9; got {ell}"
-        )
+_CENTER = {"F": circumcenter, "G": centroid, "H": orthocenter}
 
 
-def _require_fgh_domain(ell: int) -> None:
-    if ell % 6 != 0 or ell < 12:
-        raise UnachievableError(
-            f"all three lattice centers force a perimeter in 6N, >= 12; got {ell}"
-        )
-
-
-def acute_GH(perimeter: int) -> Witness:
-    """Acute triangle with lattice centroid and orthocenter (3N, >= 9)."""
-    ell = perimeter
-    _require_gh_domain(ell)
-    request = WitnessRequest(CenterCondition.CENTROID_AND_ORTHOCENTER, ShapeClass.ACUTE, ell)
-    if ell in _ACUTE_GH_EXPLICIT:
-        (a, b), g, h = _ACUTE_GH_EXPLICIT[ell]
+def _tripled(request: WitnessRequest) -> Witness:
+    inner_condition, tag, domain = _TRIPLED[request.condition]
+    ell = request.perimeter
+    explicit = _ACUTE_EXPLICIT.get((request.condition, ell)) if request.shape is ShapeClass.ACUTE else None
+    if explicit is not None:
+        (a, b), centers = explicit
         tri = triangle((0, 0), a, b)
-        _expect(centroid(tri), g, f"explicit centroid+orthocenter case {ell}")
-        _expect(orthocenter(tri), h, f"explicit centroid+orthocenter case {ell}")
-        return _verified(tri, request, "centroid+orthocenter/explicit")
-    # Tripling any lattice-orthocenter triangle puts the centroid on the
-    # lattice as well (vertex sums are what the centroid divides by 3).
-    inner = acute_H(ell // 3)
-    return _verified(inner.triangle.scaled(3), request, "centroid+orthocenter/tripled")
-
-
-def obtuse_GH(perimeter: int) -> Witness:
-    ell = perimeter
-    _require_gh_domain(ell)
-    request = WitnessRequest(CenterCondition.CENTROID_AND_ORTHOCENTER, ShapeClass.OBTUSE, ell)
-    return _verified(obtuse_H(ell // 3).triangle.scaled(3), request, "centroid+orthocenter/tripled")
-
-
-def right_GH(perimeter: int) -> Witness:
-    ell = perimeter
-    _require_gh_domain(ell)
-    request = WitnessRequest(CenterCondition.CENTROID_AND_ORTHOCENTER, ShapeClass.RIGHT, ell)
-    return _verified(right_H(ell // 3).triangle.scaled(3), request, "centroid+orthocenter/tripled")
-
-
-def acute_FGH(perimeter: int) -> Witness:
-    """Acute triangle with all of F, G, H on the lattice (6N, >= 12)."""
-    ell = perimeter
-    _require_fgh_domain(ell)
-    request = WitnessRequest(CenterCondition.ALL_THREE, ShapeClass.ACUTE, ell)
-    if ell in _ACUTE_FGH_EXPLICIT:
-        (a, b), f, g, h = _ACUTE_FGH_EXPLICIT[ell]
-        tri = triangle((0, 0), a, b)
-        _expect(circumcenter(tri), f, f"explicit all-centers case {ell}")
-        _expect(centroid(tri), g, f"explicit all-centers case {ell}")
-        _expect(orthocenter(tri), h, f"explicit all-centers case {ell}")
-        return _verified(tri, request, "all-centers/explicit")
-    inner = acute_F(ell // 3)
-    return _verified(inner.triangle.scaled(3), request, "all-centers/tripled")
-
-
-def obtuse_FGH(perimeter: int) -> Witness:
-    ell = perimeter
-    _require_fgh_domain(ell)
-    request = WitnessRequest(CenterCondition.ALL_THREE, ShapeClass.OBTUSE, ell)
-    return _verified(obtuse_F(ell // 3).triangle.scaled(3), request, "all-centers/tripled")
-
-
-def right_FGH(perimeter: int) -> Witness:
-    ell = perimeter
-    _require_fgh_domain(ell)
-    request = WitnessRequest(CenterCondition.ALL_THREE, ShapeClass.RIGHT, ell)
-    return _verified(right_F(ell // 3).triangle.scaled(3), request, "all-centers/tripled")
+        for letter, coords in zip(request.condition.value, centers):
+            _expect(_CENTER[letter](tri), coords, f"explicit {tag} case {ell}")
+        return _verified(tri, request, f"{tag}/explicit")
+    inner = None
+    if ell % 3 == 0 and ell >= 9:  # ell / 3 is a perimeter
+        try:
+            inner = _FACTORIES[(inner_condition, request.shape)](ell // 3)
+        except UnachievableError:
+            pass
+    if inner is None:
+        raise UnachievableError(f"{domain}; got {ell}")
+    return _verified(inner.triangle.scaled(3), request, f"{tag}/tripled")
 
 
 _FACTORIES = {
@@ -428,18 +398,14 @@ _FACTORIES = {
     (CenterCondition.CENTROID, ShapeClass.ACUTE): acute_G,
     (CenterCondition.CENTROID, ShapeClass.OBTUSE): obtuse_G,
     (CenterCondition.CENTROID, ShapeClass.RIGHT): right_G,
-    (CenterCondition.CENTROID_AND_ORTHOCENTER, ShapeClass.ACUTE): acute_GH,
-    (CenterCondition.CENTROID_AND_ORTHOCENTER, ShapeClass.OBTUSE): obtuse_GH,
-    (CenterCondition.CENTROID_AND_ORTHOCENTER, ShapeClass.RIGHT): right_GH,
-    (CenterCondition.ALL_THREE, ShapeClass.ACUTE): acute_FGH,
-    (CenterCondition.ALL_THREE, ShapeClass.OBTUSE): obtuse_FGH,
-    (CenterCondition.ALL_THREE, ShapeClass.RIGHT): right_FGH,
 }
 
 
 def build_witness(request: WitnessRequest) -> Witness:
     """Dispatch to the family covering the request, verifying the result."""
     factory = _FACTORIES.get((request.condition, request.shape))
-    if factory is None:
-        raise ValueError(f"no construction family for {request.condition}/{request.shape}")
-    return factory(request.perimeter)
+    if factory is not None:
+        return factory(request.perimeter)
+    if request.condition in _TRIPLED:
+        return _tripled(request)
+    raise ValueError(f"no construction family for {request.condition}/{request.shape}")

@@ -253,10 +253,9 @@ class RuleRow:
     test: Callable[[Any], str | None]
 
 
-_F = frozenset({CenterCondition.CIRCUMCENTER, CenterCondition.ALL_THREE})
-_G = frozenset({CenterCondition.CENTROID, CenterCondition.CENTROID_AND_ORTHOCENTER, CenterCondition.ALL_THREE})
-# a lattice circumcenter forces a lattice orthocenter
-_H = _F | {CenterCondition.ORTHOCENTER, CenterCondition.CENTROID_AND_ORTHOCENTER}
+# the conditions needing each center, read from their letters
+_F, _G, _H = (frozenset(c for c in CenterCondition if letter in c.value) for letter in "FGH")
+_H |= _F  # a lattice circumcenter forces a lattice orthocenter
 _GH = _G & _H
 
 # In the order exclusion_report tries them.  The first rule tests the
@@ -412,13 +411,3 @@ def prop2_witness(n: int) -> tuple[int, int, int] | None:
                 return (x, y, z)
     return None
 
-
-def right_centroid_possible(perimeter: int) -> tuple[bool, str]:
-    """Whether a right triangle with lattice centroid can have this perimeter."""
-    if perimeter < 3:
-        raise ValueError("a lattice triangle has perimeter >= 3")
-    if perimeter % 3 != 0:
-        return (False, "all side lengths are multiples of 3, so the perimeter must be too")
-    if perimeter < 9:
-        return (False, "all side lengths are multiples of 3, so the perimeter is at least 9")
-    return (True, "realized by right triangles with legs on the axes of lengths 3n and 3")

@@ -19,9 +19,12 @@ symmetries of the square (D4), and so is every cell, so that P is the
 smallest-index point of its D4 orbit: the sweep takes P only from those
 points, one per orbit, which are the points with x <= y <= 0.  Searching is
 vectorized over Q for each P, and every lattice test is exact integer
-arithmetic: divisibility for the circumcenter, centroid and orthocenter,
-and for the incenter a squarefree-part match of the squared sides and
-one divisibility, tried only on the Q whose |Q|^2 has the squarefree
+arithmetic.  The circumcenter, centroid and orthocenter flags are the
+divisibility tests of centers.lattice_centers run on int64 arrays
+(center_numerators, center_flags), and each condition's mask is
+CenterCondition.met_by of them; an incenter-only sweep computes none of
+them.  The incenter needs a squarefree-part match of the squared sides
+and one divisibility, tried only on the Q whose |Q|^2 has the squarefree
 part of |P|^2.  Sharding splits the swept points round-robin; per-cell
 results merge by minimal (P index, Q index), so output is independent of the shard count.
 """
@@ -39,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import incenter as incenter_mod
-from .centers import CenterCondition, lattice_centers
+from .centers import CenterCondition, center_flags, center_numerators, lattice_centers
 from .centers import center_report  # noqa: F401 (importable from here, as before)
 from .constructions import UnachievableError, WitnessRequest, build_witness
 from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
@@ -54,22 +57,17 @@ from .lattice import (
 
 SCHEMA_VERSION = 1
 
-CONDITION_ORDER = (
-    CenterCondition.CIRCUMCENTER,
-    CenterCondition.CENTROID,
-    CenterCondition.ORTHOCENTER,
-    CenterCondition.CENTROID_AND_ORTHOCENTER,
-    CenterCondition.ALL_THREE,
-    CenterCondition.INCENTER,
-)
+CONDITION_ORDER = tuple(CenterCondition)
 
 SHAPE_ORDER = (ShapeClass.ACUTE, ShapeClass.OBTUSE, ShapeClass.RIGHT)
 
 STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 
-# Largest accepted box radius: beyond it the int64 circumcenter
-# numerators (up to 8 B^3) wrap around.
-MAX_BOX_RADIUS = 10**6
+# Largest accepted box radius, for memory first: a shard's per-P arrays
+# span the (2B + 1)^2 grid, so its peak grows as about 1.15 KB * B^2, some
+# 1.2 GB at B = 1000.  The int64 circumcenter numerators (up to 8 B^3)
+# would wrap around beyond B = 10^6.
+MAX_BOX_RADIUS = 1000
 
 # Checkpoint tag of the first-vertex sweep: one point per D4 orbit,
 # round-robin over shards (see _search_shard).
@@ -234,46 +232,18 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         if not base.any():
             continue
 
-        safe_cross = np.where(valid, cross, 1)
-        hx_num = d0 * (qy - py)
-        hy_num = d0 * (px - qx)
-        masks: dict[CenterCondition, np.ndarray] = {}
-        need = {c for c in conditions if any(cell[0] == c for cell in remaining)}
-        need_h = {
-            CenterCondition.ORTHOCENTER,
-            CenterCondition.CENTROID_AND_ORTHOCENTER,
-            CenterCondition.ALL_THREE,
-        } & need
-        need_g = {
-            CenterCondition.CENTROID,
-            CenterCondition.CENTROID_AND_ORTHOCENTER,
-            CenterCondition.ALL_THREE,
-        } & need
-        need_f = {CenterCondition.CIRCUMCENTER, CenterCondition.ALL_THREE} & need
-        h_mask = g_mask = f_mask = None
-        if need_h or need_f:
-            h_mask = (hx_num % safe_cross == 0) & (hy_num % safe_cross == 0)
-        if need_g:
-            g_mask = ((px + qx) % 3 == 0) & ((py + qy) % 3 == 0)
-        if need_f:
-            fx_num = (px + qx) * cross - hx_num
-            fy_num = (py + qy) * cross - hy_num
-            f_mask = (fx_num % (2 * safe_cross) == 0) & (fy_num % (2 * safe_cross) == 0)
-        if CenterCondition.ORTHOCENTER in need:
-            masks[CenterCondition.ORTHOCENTER] = h_mask
-        if CenterCondition.CENTROID in need:
-            masks[CenterCondition.CENTROID] = g_mask
-        if CenterCondition.CIRCUMCENTER in need:
-            masks[CenterCondition.CIRCUMCENTER] = f_mask
-        if CenterCondition.CENTROID_AND_ORTHOCENTER in need:
-            masks[CenterCondition.CENTROID_AND_ORTHOCENTER] = g_mask & h_mask
-        if CenterCondition.ALL_THREE in need:
-            masks[CenterCondition.ALL_THREE] = f_mask & g_mask & h_mask
-        if CenterCondition.INCENTER in need:
-            masks[CenterCondition.INCENTER] = _incenter_mask(px, py, qx, qy, sq_root, groups)
-
-        for cond, cond_mask in masks.items():
-            combined = base & cond_mask
+        need = [c for c in conditions if any(cell[0] == c for cell in remaining)]
+        if any(c is not CenterCondition.INCENTER for c in need):
+            letters = "".join(c.value for c in need)
+            # kept in a name until the next P's replace them: freed at once, on
+            # top of the heap, they go back to the system and are faulted in again
+            numerators = center_numerators(px, py, qx, qy, cross, d0, letters)
+            flags = center_flags(np.where(valid, cross, 1), *numerators, letters)
+        for cond in need:
+            if cond is CenterCondition.INCENTER:
+                combined = base & _incenter_mask(px, py, qx, qy, sq_root, groups)
+            else:
+                combined = base & cond.met_by(flags)
             if not combined.any():
                 continue
             survivors = np.flatnonzero(combined)

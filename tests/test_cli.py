@@ -266,6 +266,12 @@ class TestScanFigureProps:
         code, out, err = run(capsys, "incenter-scan", "--box", "1000001")
         assert code == 1 and "box_radius" in err and out == ""
 
+    def test_box_above_the_memory_cap_rejected(self, capsys):
+        # refused when the config is made, before any sweep starts
+        for argv in (("incenter-scan", "--box", "1001"), ("atlas", "--box", "1001", "--lmax", "8")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "") and "box_radius must be at most 1000" in err, argv
+
     def test_figures_render(self, capsys, tmp_path):
         for name in ("euler", "model", "incircle-345", "incircle"):
             out_file = tmp_path / f"{name}.svg"

@@ -135,41 +135,55 @@ class TestObtuseAndRight:
                 cons.obtuse_G(ell)
 
 
+GH, FGH = CenterCondition.CENTROID_AND_ORTHOCENTER, CenterCondition.ALL_THREE
+
+
+def combined(condition, ell, shape=ShapeClass.ACUTE):
+    return build_witness(WitnessRequest(condition, shape, ell))
+
+
 class TestCombinedConditions:
     def test_explicit_gh_triangles(self):
-        w = cons.acute_GH(9)
-        assert verts(w) == ((0, 0), (6, 3), (3, 6))
+        w = combined(GH, 9)
+        assert (verts(w), w.family_tag) == (((0, 0), (6, 3), (3, 6)), "centroid+orthocenter/explicit")
         assert w.report.centroid.as_lattice_point().as_tuple() == (3, 3)
         assert w.report.orthocenter.as_lattice_point().as_tuple() == (4, 4)
-        assert verts(cons.acute_GH(15)) == ((0, 0), (9, 0), (3, 9))
+        w = combined(GH, 15)
+        assert (verts(w), w.family_tag) == (((0, 0), (9, 0), (3, 9)), "centroid+orthocenter/explicit")
         # perimeter 18 comes from tripling the perimeter-6 orthocenter witness
-        assert verts(cons.acute_GH(18)) == ((0, 0), (9, 0), (3, 6))
+        w = combined(GH, 18)
+        assert (verts(w), w.family_tag) == (((0, 0), (9, 0), (3, 6)), "centroid+orthocenter/tripled")
 
     def test_explicit_fgh_triangles(self):
-        w = cons.acute_FGH(12)
-        assert verts(w) == ((0, 0), (6, 0), (3, 9))
+        w = combined(FGH, 12)
+        assert (verts(w), w.family_tag) == (((0, 0), (6, 0), (3, 9)), "all-centers/explicit")
         rep = w.report
         assert rep.circumcenter.as_lattice_point().as_tuple() == (3, 4)
         assert rep.centroid.as_lattice_point().as_tuple() == (3, 3)
         assert rep.orthocenter.as_lattice_point().as_tuple() == (3, 1)
-        assert verts(cons.acute_FGH(18)) == ((0, 0), (12, 6), (6, 12))
-        assert verts(cons.acute_FGH(30)) == ((0, 0), (18, 0), (6, 18))
+        w = combined(FGH, 18)
+        assert (verts(w), w.family_tag) == (((0, 0), (12, 6), (6, 12)), "all-centers/explicit")
+        w = combined(FGH, 30)
+        assert (verts(w), w.family_tag) == (((0, 0), (18, 0), (6, 18)), "all-centers/explicit")
+        # perimeter 24 comes from tripling the perimeter-8 circumcenter witness
+        w = combined(FGH, 24)
+        assert (verts(w), w.family_tag) == (((0, 0), (12, 0), (9, 9)), "all-centers/tripled")
 
     def test_domains_and_coverage(self):
+        explicit = {(GH, 9), (GH, 12), (GH, 15), (GH, 21), (FGH, 12), (FGH, 18), (FGH, 30)}
         for ell in range(3, 121):
-            for fn, ok in (
-                (cons.acute_GH, ell % 3 == 0 and ell >= 9),
-                (cons.obtuse_GH, ell % 3 == 0 and ell >= 9),
-                (cons.right_GH, ell % 3 == 0 and ell >= 9),
-                (cons.acute_FGH, ell % 6 == 0 and ell >= 12),
-                (cons.obtuse_FGH, ell % 6 == 0 and ell >= 12),
-                (cons.right_FGH, ell % 6 == 0 and ell >= 12),
+            for cond, tag, ok in (
+                (GH, "centroid+orthocenter", ell % 3 == 0 and ell >= 9),
+                (FGH, "all-centers", ell % 6 == 0 and ell >= 12),
             ):
-                if ok:
-                    fn(ell)
-                else:
-                    with pytest.raises(UnachievableError):
-                        fn(ell)
+                for shape in ShapeClass:
+                    if ok:
+                        w = combined(cond, ell, shape)
+                        kind = "explicit" if shape is ShapeClass.ACUTE and (cond, ell) in explicit else "tripled"
+                        assert w.family_tag == f"{tag}/{kind}", (cond, shape, ell)
+                    else:
+                        with pytest.raises(UnachievableError):
+                            combined(cond, ell, shape)
 
 
 class TestScaleAndShear:

@@ -20,7 +20,6 @@ from latticecenters.feasibility import (
     prop1_witness,
     prop2_witness,
     replay,
-    right_centroid_possible,
     subtriangle_multisets,
     tangent_sum_filter,
 )
@@ -372,15 +371,3 @@ class TestPropositions:
                 assert all(v % 3 != 0 for v in w2)
                 assert math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z) == 1
 
-
-class TestRightCentroidPossible:
-    def test_examples(self):
-        assert right_centroid_possible(9)[0] is True
-        assert right_centroid_possible(6)[0] is False
-        assert right_centroid_possible(10)[0] is False
-
-    def test_agrees_with_exclusion_report(self):
-        for ell in range(3, 40):
-            possible, _ = right_centroid_possible(ell)
-            report = exclusion_report(ell, G, ShapeClass.RIGHT)
-            assert possible == (not report.proven_impossible)

@@ -294,18 +294,19 @@ class TestSearch:
         assert hits == screened > 0
 
     def test_incenter_screen_at_the_largest_box(self):
-        # lattice-incenter triangles scaled to fill the largest box, each
+        # lattice-incenter triangles scaled to fill a box of radius 10^6, each
         # anchored at every vertex in turn and under every D4 symmetry
+        box = 10**6
         bases = (((0, 0), (14, 2), (8, 8)), ((0, 0), (14, 2), (21, 51)), ((0, 0), (4, 0), (4, 3)))
         checked = 0
         for base in bases:
-            k = MAX_BOX_RADIUS // (2 * max(abs(c) for v in base for c in v))
+            k = box // (2 * max(abs(c) for v in base for c in v))
             for a, b, c, d in oracles.D4:
                 verts = [(k * (a * x + b * y), k * (c * x + d * y)) for x, y in base]
                 for ox, oy in verts:
                     (px, py), (qx, qy) = [(x - ox, y - oy) for x, y in verts if (x, y) != (ox, oy)]
                     assert lattice_incenter(triangle((0, 0), (px, py), (qx, qy))) is not None
-                    mask = oracles.incenter_screen(px, py, np.array([qx]), np.array([qy]), MAX_BOX_RADIUS)
+                    mask = oracles.incenter_screen(px, py, np.array([qx]), np.array([qy]), box)
                     assert mask[0], ((px, py), (qx, qy))
                     checked += 1
         assert checked == 3 * 8 * 3
