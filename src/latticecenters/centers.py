@@ -93,10 +93,6 @@ class CenterCondition(enum.Enum):
             raise ValueError("incenter membership is not one of the F, G, H flags")
         return functools.reduce(operator.and_, (flags["FGH".index(letter)] for letter in self._value_))
 
-    def satisfied_by(self, report: "CenterReport") -> bool:
-        flags = (report.circumcenter_on_lattice, report.centroid_on_lattice, report.orthocenter_on_lattice)
-        return self.met_by(flags)
-
 
 @dataclass(frozen=True)
 class CenterReport:

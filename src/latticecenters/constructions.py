@@ -5,18 +5,13 @@ perimeter whose required centers land on the lattice, and re-verifies
 everything (shape, perimeter, center flags, and any closed-form center
 the family predicts) before returning, the center flags by the integer
 tests of centers.lattice_centers.  A witness computes its Fraction
-center report only when it is read.  Requests outside a family's domain
-raise UnachievableError; the feasibility module can then explain why
-with certificates.
+center report only when it is read.  Requests for a perimeter the cell
+does not admit raise UnachievableError; the feasibility module can then
+explain why with certificates.
 
-The achievable sets, by shape, are:
-
-    condition  acute                 obtuse           right
-    F          even, not 2/4/6/10    even >= 4        even >= 4
-    G          >= 3, not 5/11        >= 3, not 5/11   multiples of 3 >= 9
-    H          6 or >= 8             >= 3             >= 3
-    G and H    multiples of 3 >= 9 (all shapes)
-    F, G, H    multiples of 6 >= 12 (all shapes)
+ACHIEVABLE states, once, which perimeters each (condition, shape) cell
+admits; build_witness refuses the others, and the factories assume
+their perimeter is admitted.
 
 Only F, G and H have families of their own.  Tripling a triangle keeps
 F and H on the lattice and puts G there too, so a G-and-H (F, G, H)
@@ -28,6 +23,7 @@ no acute witness, built from one table of explicit triangles.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .centers import (
@@ -51,7 +47,33 @@ class ConstructionError(ArithmeticError):
 
 
 class UnachievableError(ValueError):
-    """The requested perimeter lies outside the family's domain."""
+    """The requested perimeter lies outside the cell's achievable set."""
+
+
+_C, _S = CenterCondition, ShapeClass
+_EVEN_FROM_4 = (lambda l: l % 2 == 0 and l >= 4, "even perimeters >= 4")
+_NOT_5_11 = (lambda l: l >= 3 and l not in (5, 11), "all perimeters except 5 and 11")
+_ALL = (lambda l: l >= 3, "all perimeters")
+_GH = (lambda l: l % 3 == 0 and l >= 9, "multiples of 3 except 3 and 6")
+_FGH = (lambda l: l % 6 == 0 and l >= 12, "multiples of 6 except 6")
+
+# The paper's characterisation: (condition, shape) -> (whether perimeter l is
+# achievable, that set in words).  GH and FGH admit the same set for every shape.
+ACHIEVABLE: dict[tuple[CenterCondition, ShapeClass], tuple[Callable[[int], bool], str]] = {
+    (_C.CIRCUMCENTER, _S.ACUTE): (
+        lambda l: l % 2 == 0 and (l == 8 or l >= 12), "even perimeters except 2, 4, 6 and 10"
+    ),
+    (_C.CIRCUMCENTER, _S.OBTUSE): _EVEN_FROM_4,
+    (_C.CIRCUMCENTER, _S.RIGHT): _EVEN_FROM_4,
+    (_C.CENTROID, _S.ACUTE): _NOT_5_11,
+    (_C.CENTROID, _S.OBTUSE): _NOT_5_11,
+    (_C.CENTROID, _S.RIGHT): (lambda l: l % 3 == 0 and l >= 9, "multiples of 3, at least 9"),
+    (_C.ORTHOCENTER, _S.ACUTE): (lambda l: l == 6 or l >= 8, "6 and everything >= 8"),
+    (_C.ORTHOCENTER, _S.OBTUSE): _ALL,
+    (_C.ORTHOCENTER, _S.RIGHT): _ALL,
+    **{(_C.CENTROID_AND_ORTHOCENTER, s): _GH for s in _S},
+    **{(_C.ALL_THREE, s): _FGH for s in _S},
+}
 
 
 @dataclass(frozen=True)
@@ -134,13 +156,8 @@ def _is_prime(n: int) -> bool:
 
 
 def acute_H(perimeter: int) -> Witness:
-    """Acute triangle with lattice orthocenter; exists iff perimeter is 6 or >= 8."""
+    """Acute triangle with lattice orthocenter."""
     ell = perimeter
-    if ell != 6 and ell < 8:
-        raise UnachievableError(
-            f"no acute triangle with lattice orthocenter has perimeter {ell}; "
-            "see the exclusion report"
-        )
     request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.ACUTE, ell)
     if ell % 2 == 0:
         n = ell // 2
@@ -157,7 +174,7 @@ def acute_H(perimeter: int) -> Witness:
 
 
 def obtuse_H(perimeter: int) -> Witness:
-    """Obtuse triangle with lattice orthocenter; any perimeter >= 3."""
+    """Obtuse triangle with lattice orthocenter."""
     ell = perimeter
     request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.OBTUSE, ell)
     tri = triangle((0, 0), (1, 0), (2 - ell, ell - 2))
@@ -184,13 +201,8 @@ _ACUTE_F_EXPLICIT = {
 
 
 def acute_F(perimeter: int) -> Witness:
-    """Acute triangle with lattice circumcenter; even perimeter, 8 or >= 12."""
+    """Acute triangle with lattice circumcenter."""
     ell = perimeter
-    if ell % 2 != 0 or ell in (4, 6, 10) or ell < 8:
-        raise UnachievableError(
-            f"no acute triangle with lattice circumcenter has perimeter {ell}; "
-            "see the exclusion report"
-        )
     request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.ACUTE, ell)
     if ell in _ACUTE_F_EXPLICIT:
         (a, b), f = _ACUTE_F_EXPLICIT[ell]
@@ -216,12 +228,8 @@ def acute_F(perimeter: int) -> Witness:
 
 
 def obtuse_F(perimeter: int) -> Witness:
-    """Obtuse triangle with lattice circumcenter; any even perimeter >= 4."""
+    """Obtuse triangle with lattice circumcenter."""
     ell = perimeter
-    if ell % 2 != 0 or ell < 4:
-        raise UnachievableError(
-            f"a lattice circumcenter needs an even perimeter >= 4, got {ell}"
-        )
     request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.OBTUSE, ell)
     tri = triangle((0, 0), (2, 0), (3 - ell, ell - 3))
     _expect(circumcenter(tri), (1, ell - 2), "obtuse circumcenter family")
@@ -229,12 +237,8 @@ def obtuse_F(perimeter: int) -> Witness:
 
 
 def right_F(perimeter: int) -> Witness:
-    """Right triangle with lattice circumcenter; any even perimeter >= 4."""
+    """Right triangle with lattice circumcenter."""
     ell = perimeter
-    if ell % 2 != 0 or ell < 4:
-        raise UnachievableError(
-            f"a lattice circumcenter needs an even perimeter >= 4, got {ell}"
-        )
     request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.RIGHT, ell)
     tri = triangle((0, 0), (1, 1), (3 - ell, ell - 3))
     _expect(circumcenter(tri), ((4 - ell) // 2, (ell - 2) // 2), "right circumcenter family")
@@ -257,13 +261,8 @@ def _grown_height_witness(
 
 
 def acute_G(perimeter: int) -> Witness:
-    """Acute triangle with lattice centroid; any perimeter >= 3 except 5 and 11."""
+    """Acute triangle with lattice centroid."""
     ell = perimeter
-    if ell in (5, 11):
-        raise UnachievableError(
-            f"no triangle with lattice centroid has perimeter {ell}; "
-            "see the exclusion report"
-        )
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.ACUTE, ell)
     if ell == 3:
         tri = triangle((0, 0), (1, 2), (2, 1))
@@ -299,13 +298,8 @@ def acute_G(perimeter: int) -> Witness:
 
 
 def obtuse_G(perimeter: int) -> Witness:
-    """Obtuse triangle with lattice centroid; same perimeters as acute."""
+    """Obtuse triangle with lattice centroid, the acute one sheared."""
     ell = perimeter
-    if ell in (5, 11):
-        raise UnachievableError(
-            f"no triangle with lattice centroid has perimeter {ell}; "
-            "see the exclusion report"
-        )
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.OBTUSE, ell)
     if ell == 3:
         tri = triangle((0, 0), (1, 0), (-1, 3))
@@ -320,12 +314,8 @@ def obtuse_G(perimeter: int) -> Witness:
 
 
 def right_G(perimeter: int) -> Witness:
-    """Right triangle with lattice centroid; perimeter any multiple of 3 >= 9."""
+    """Right triangle with lattice centroid."""
     ell = perimeter
-    if ell % 3 != 0 or ell < 9:
-        raise UnachievableError(
-            f"a right triangle with lattice centroid has perimeter in 3N, >= 9; got {ell}"
-        )
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.RIGHT, ell)
     n = (ell - 6) // 3
     tri = triangle((0, 0), (3 * n, 0), (0, 3))
@@ -338,18 +328,10 @@ def right_G(perimeter: int) -> Witness:
 # Tripling a triangle triples its perimeter, keeps F and H on the lattice
 # and puts G there too (the vertex sums become multiples of 3).  So a GH
 # (FGH) witness of perimeter ell is the tripled H (F) witness of ell / 3:
-# combined condition -> (inner condition, tag prefix, domain).
+# combined condition -> (inner condition, tag prefix).
 _TRIPLED = {
-    CenterCondition.CENTROID_AND_ORTHOCENTER: (
-        CenterCondition.ORTHOCENTER,
-        "centroid+orthocenter",
-        "lattice centroid and orthocenter force a perimeter in 3N, >= 9",
-    ),
-    CenterCondition.ALL_THREE: (
-        CenterCondition.CIRCUMCENTER,
-        "all-centers",
-        "all three lattice centers force a perimeter in 6N, >= 12",
-    ),
+    CenterCondition.CENTROID_AND_ORTHOCENTER: (CenterCondition.ORTHOCENTER, "centroid+orthocenter"),
+    CenterCondition.ALL_THREE: (CenterCondition.CIRCUMCENTER, "all-centers"),
 }
 
 # The acute cells tripling cannot reach, as ell / 3 has no acute H (F) witness:
@@ -368,7 +350,7 @@ _CENTER = {"F": circumcenter, "G": centroid, "H": orthocenter}
 
 
 def _tripled(request: WitnessRequest) -> Witness:
-    inner_condition, tag, domain = _TRIPLED[request.condition]
+    inner_condition, tag = _TRIPLED[request.condition]
     ell = request.perimeter
     explicit = _ACUTE_EXPLICIT.get((request.condition, ell)) if request.shape is ShapeClass.ACUTE else None
     if explicit is not None:
@@ -377,14 +359,8 @@ def _tripled(request: WitnessRequest) -> Witness:
         for letter, coords in zip(request.condition.value, centers):
             _expect(_CENTER[letter](tri), coords, f"explicit {tag} case {ell}")
         return _verified(tri, request, f"{tag}/explicit")
-    inner = None
-    if ell % 3 == 0 and ell >= 9:  # ell / 3 is a perimeter
-        try:
-            inner = _FACTORIES[(inner_condition, request.shape)](ell // 3)
-        except UnachievableError:
-            pass
-    if inner is None:
-        raise UnachievableError(f"{domain}; got {ell}")
+    # ACHIEVABLE admits ell only where ell / 3 lies in the inner cell's set
+    inner = _FACTORIES[(inner_condition, request.shape)](ell // 3)
     return _verified(inner.triangle.scaled(3), request, f"{tag}/tripled")
 
 
@@ -402,10 +378,15 @@ _FACTORIES = {
 
 
 def build_witness(request: WitnessRequest) -> Witness:
-    """Dispatch to the family covering the request, verifying the result."""
-    factory = _FACTORIES.get((request.condition, request.shape))
-    if factory is not None:
-        return factory(request.perimeter)
-    if request.condition in _TRIPLED:
-        return _tripled(request)
-    raise ValueError(f"no construction family for {request.condition}/{request.shape}")
+    """Check the perimeter against ACHIEVABLE, then build and verify the family's witness."""
+    key = (request.condition, request.shape)
+    if key not in ACHIEVABLE:
+        raise ValueError(f"no construction family for {request.condition}/{request.shape}")
+    achievable, expression = ACHIEVABLE[key]
+    if not achievable(request.perimeter):
+        raise UnachievableError(
+            f"no {request.shape} triangle meets lattice condition {request.condition} "
+            f"at perimeter {request.perimeter}; achievable: {expression}"
+        )
+    factory = _FACTORIES.get(key)
+    return factory(request.perimeter) if factory is not None else _tripled(request)

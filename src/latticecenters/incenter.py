@@ -103,16 +103,14 @@ def incenter_report(t: LatticeTriangle, center: LatticePoint | None = None) -> I
         center = lattice_incenter(t)
         if center is None:
             raise ValueError(f"{t} has no lattice incenter")
-    elif not _is_lattice_incenter(t, center):
+    if not _is_lattice_incenter(t, center):
         raise ValueError(f"{center} is not the incenter of {t}")
 
     lines = _side_lines(t)
     vals = [nx * center.x + ny * center.y + c for nx, ny, c, _, _ in lines]
     norms = [nx * nx + ny * ny for nx, ny, _, _, _ in lines]
-    # the squared distance to side i is vals[i]**2 / norms[i]; compared cross-multiplied
+    # the squared inradius is vals[i]**2 / norms[i], the same for every side
     v0, m0 = vals[0], norms[0]
-    if any(v * v * m0 != v0 * v0 * m for v, m in zip(vals, norms)):
-        raise ArithmeticError(f"unequal side distances from {center} in {t}")
 
     touches = []
     flags = []

@@ -44,7 +44,7 @@ import numpy as np
 from . import incenter as incenter_mod
 from .centers import CenterCondition, center_flags, center_numerators, lattice_centers
 from .centers import center_report  # noqa: F401 (importable from here, as before)
-from .constructions import UnachievableError, WitnessRequest, build_witness
+from .constructions import ACHIEVABLE, UnachievableError, WitnessRequest, build_witness
 from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
 from .feasibility import replay  # noqa: F401 (importable from here, as before)
 from .lattice import (
@@ -628,41 +628,13 @@ class TableCell:
         return "match"
 
 
-def _expected_achievable(condition: CenterCondition, shape: ShapeClass):
-    even = "even perimeters except 2, 4, 6 and 10" if shape is ShapeClass.ACUTE else "even perimeters >= 4"
-    table = {
-        CenterCondition.CIRCUMCENTER: {
-            ShapeClass.ACUTE: (lambda l: l % 2 == 0 and (l == 8 or l >= 12), even),
-            ShapeClass.OBTUSE: (lambda l: l % 2 == 0 and l >= 4, even),
-            ShapeClass.RIGHT: (lambda l: l % 2 == 0 and l >= 4, even),
-        },
-        CenterCondition.CENTROID: {
-            ShapeClass.ACUTE: (lambda l: l >= 3 and l not in (5, 11), "all perimeters except 5 and 11"),
-            ShapeClass.OBTUSE: (lambda l: l >= 3 and l not in (5, 11), "all perimeters except 5 and 11"),
-            ShapeClass.RIGHT: (lambda l: l % 3 == 0 and l >= 9, "multiples of 3, at least 9"),
-        },
-        CenterCondition.ORTHOCENTER: {
-            ShapeClass.ACUTE: (lambda l: l == 6 or l >= 8, "6 and everything >= 8"),
-            ShapeClass.OBTUSE: (lambda l: l >= 3, "all perimeters"),
-            ShapeClass.RIGHT: (lambda l: l >= 3, "all perimeters"),
-        },
-    }
-    if condition in table:
-        return table[condition][shape]
-    if condition is CenterCondition.CENTROID_AND_ORTHOCENTER:
-        return (lambda l: l % 3 == 0 and l >= 9, "multiples of 3 except 3 and 6")
-    if condition is CenterCondition.ALL_THREE:
-        return (lambda l: l % 6 == 0 and l >= 12, "multiples of 6 except 6")
-    raise ValueError(f"no reference set for {condition}")
-
-
 def verify_results_table(
     lmax: int = 24,
     box_radius: int = 40,
     atlas: AchievabilityAtlas | None = None,
     checkpoint_dir: str | None = None,
 ) -> list[TableCell]:
-    """Compare the atlas against the reference achievable-perimeter sets.
+    """Compare the atlas against the achievable-perimeter sets of ACHIEVABLE.
 
     Per perimeter: match when an expected-achievable cell holds a witness
     or an expected-impossible cell holds certificates; open when the
@@ -674,15 +646,15 @@ def verify_results_table(
     cells = []
     for condition in atlas.config.conditions:
         if condition is CenterCondition.INCENTER:
-            continue  # empirical only; no reference set exists
+            continue  # empirical only; ACHIEVABLE has no row for it
         for shape in atlas.config.shapes:
-            expected, expression = _expected_achievable(condition, shape)
+            expected, expression = ACHIEVABLE[(condition, shape)]
             verdicts = []
             for ell in range(3, min(lmax, atlas.config.lmax) + 1):
                 entry = atlas.entry(condition, shape, ell)
                 if entry.status == "open":
                     verdicts.append((ell, "open"))
-                elif (entry.status == "witness") == bool(expected(ell)):
+                elif (entry.status == "witness") == expected(ell):
                     verdicts.append((ell, "match"))
                 else:
                     verdicts.append((ell, "mismatch"))

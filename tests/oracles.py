@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from latticecenters.angles import Rational, solve_pi_triples
-from latticecenters.centers import CenterCondition, RationalPoint
+from latticecenters.centers import CenterCondition, CenterReport, RationalPoint
 from latticecenters.feasibility import (
     ExclusionCertificate,
     ExclusionReport,
@@ -195,6 +195,11 @@ def orbit_signature(t: LatticeTriangle) -> frozenset:
         mny = min(y for _, y in img)
         out.add(tuple(sorted((x - mnx, y - mny) for x, y in img)))
     return frozenset(out)
+
+
+def report_flags(rep: CenterReport) -> tuple[bool, bool, bool]:
+    """The (F, G, H) lattice flags of a Fraction center report, as CenterCondition.met_by takes them."""
+    return (rep.circumcenter_on_lattice, rep.centroid_on_lattice, rep.orthocenter_on_lattice)
 
 
 def random_triangle(rng: random.Random, radius: int) -> LatticeTriangle:

@@ -117,14 +117,13 @@ class TestCenterReport:
                 assert (p.x + d.x, p.y + d.y) == (q.x, q.y)
 
     def test_condition_satisfaction(self):
-        rep = center_report(triangle((0, 0), (6, 3), (3, 6)))
-        assert CenterCondition.CENTROID_AND_ORTHOCENTER.satisfied_by(rep)
-        assert not CenterCondition.ALL_THREE.satisfied_by(rep)
+        flags = _report_flags(triangle((0, 0), (6, 3), (3, 6)))
+        assert CenterCondition.CENTROID_AND_ORTHOCENTER.met_by(flags)
+        assert not CenterCondition.ALL_THREE.met_by(flags)
 
 
 def _report_flags(t):
-    rep = center_report(t)
-    return (rep.circumcenter_on_lattice, rep.centroid_on_lattice, rep.orthocenter_on_lattice)
+    return oracles.report_flags(center_report(t))
 
 
 class TestLatticeCenters:

@@ -6,6 +6,7 @@ import pytest
 from latticecenters import constructions as cons
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.constructions import (
+    ACHIEVABLE,
     ConstructionError,
     UnachievableError,
     WitnessRequest,
@@ -13,6 +14,7 @@ from latticecenters.constructions import (
     delta,
     sheared,
 )
+from latticecenters.feasibility import exclusion_report
 from latticecenters.lattice import ShapeClass, lattice_perimeter, side_lengths, triangle
 
 import oracles
@@ -20,6 +22,11 @@ import oracles
 
 def verts(w):
     return tuple(v.as_tuple() for v in w.triangle.vertices)
+
+
+def refused(condition, shape, ell):
+    with pytest.raises(UnachievableError):
+        build_witness(WitnessRequest(condition, shape, ell))
 
 
 class TestAcuteOrthocenter:
@@ -30,8 +37,7 @@ class TestAcuteOrthocenter:
 
     def test_rejections(self):
         for ell in (3, 4, 5, 7):
-            with pytest.raises(UnachievableError):
-                cons.acute_H(ell)
+            refused(CenterCondition.ORTHOCENTER, ShapeClass.ACUTE, ell)
 
     def test_coverage(self):
         for ell in [6] + list(range(8, 121)):
@@ -50,11 +56,8 @@ class TestAcuteCircumcenter:
         assert verts(cons.acute_F(16)) == ((0, 0), (8, 0), (1, 7))
 
     def test_rejections(self):
-        for ell in (4, 6, 10):
-            with pytest.raises(UnachievableError):
-                cons.acute_F(ell)
-        with pytest.raises(UnachievableError):
-            cons.acute_F(9)
+        for ell in (4, 6, 10, 9):
+            refused(CenterCondition.CIRCUMCENTER, ShapeClass.ACUTE, ell)
 
     def test_coverage(self):
         for ell in [8] + list(range(12, 121, 2)):
@@ -75,8 +78,7 @@ class TestAcuteCentroid:
 
     def test_rejections(self):
         for ell in (5, 11):
-            with pytest.raises(UnachievableError):
-                cons.acute_G(ell)
+            refused(CenterCondition.CENTROID, ShapeClass.ACUTE, ell)
 
     def test_coverage_exercises_every_family(self):
         tags = set()
@@ -117,12 +119,9 @@ class TestObtuseAndRight:
         assert side_lengths(w.triangle) == side_lengths(cons.acute_G(7).triangle)
 
     def test_domains(self):
-        with pytest.raises(UnachievableError):
-            cons.right_G(12 + 1)
-        with pytest.raises(UnachievableError):
-            cons.right_G(6)
-        with pytest.raises(UnachievableError):
-            cons.obtuse_F(7)
+        refused(CenterCondition.CENTROID, ShapeClass.RIGHT, 12 + 1)
+        refused(CenterCondition.CENTROID, ShapeClass.RIGHT, 6)
+        refused(CenterCondition.CIRCUMCENTER, ShapeClass.OBTUSE, 7)
         for ell in range(3, 61):
             cons.obtuse_H(ell)
             cons.right_H(ell)
@@ -276,7 +275,26 @@ class TestDispatch:
                 w = build_witness(WitnessRequest(cond, shape, 36))
                 assert w.report.shape is shape
                 assert w.report.perimeter == 36
-                assert cond.satisfied_by(w.report)
+                assert cond.met_by(oracles.report_flags(w.report))
+
+    def test_achievable_decides_every_standard_cell(self):
+        """build_witness succeeds exactly on ACHIEVABLE's perimeters; every
+        other cell it refuses has an exclusion proof, so no standard cell
+        is left unknown."""
+        assert len(ACHIEVABLE) == 15
+        for (cond, shape), (achievable, expression) in ACHIEVABLE.items():
+            for ell in range(3, 151):
+                request = WitnessRequest(cond, shape, ell)
+                if achievable(ell):
+                    build_witness(request)
+                    continue
+                with pytest.raises(UnachievableError) as refusal:
+                    build_witness(request)
+                assert str(refusal.value) == (
+                    f"no {shape} triangle meets lattice condition {cond} at perimeter {ell}; "
+                    f"achievable: {expression}"
+                )
+                assert exclusion_report(ell, cond, shape).proven_impossible, request
 
     def test_incenter_not_constructible(self):
         with pytest.raises(ValueError):

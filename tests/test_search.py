@@ -156,7 +156,7 @@ class TestSearch:
             rep = center_report(t)
             assert rep.shape is shape
             assert rep.perimeter == ell
-            assert cond.satisfied_by(rep)
+            assert cond.met_by(oracles.report_flags(rep))
 
     def test_incenter_hits_have_a_lattice_incenter(self):
         config = SearchConfig(box_radius=8, lmax=12, conditions=(INC,))
@@ -423,7 +423,7 @@ def _move_witness(doc: dict, to: tuple[CenterCondition, ShapeClass]) -> None:
         if source["status"] == target["status"] == "witness":
             t = triangle(*map(tuple, source["witness_vertices"]))
             rep = center_report(t)
-            if rep.shape is not to[1] or not to[0].satisfied_by(rep):
+            if rep.shape is not to[1] or not to[0].met_by(oracles.report_flags(rep)):
                 target["witness_vertices"] = source["witness_vertices"]
                 return
     raise AssertionError("no witness to move")
