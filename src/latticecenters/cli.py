@@ -285,6 +285,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_atlas(args) -> int:
+    if args.out and args.format != "json":
+        raise ValueError(f"--out writes the json format only, not {args.format}")
     conditions = tuple(CenterCondition(tok) for tok in args.conditions.split(","))
     config = SearchConfig(
         box_radius=args.box,

@@ -22,11 +22,11 @@ vectorized over Q for each P, and every lattice test is exact integer
 arithmetic.  The circumcenter, centroid and orthocenter flags are the
 divisibility tests of centers.lattice_centers run on int64 arrays
 (center_numerators, center_flags), and each condition's mask is
-CenterCondition.met_by of them; an incenter-only sweep computes none of
-them.  The incenter needs a squarefree-part match of the squared sides
-and one divisibility, tried only on the Q whose |Q|^2 has the squarefree
-part of |P|^2.  Sharding splits the swept points round-robin; per-cell
-results merge by minimal (P index, Q index), so output is independent of the shard count.
+CenterCondition.met_by of them.  The incenter needs a squarefree-part match
+of the squared sides and one divisibility, so only the Q whose |Q|^2 has the
+squarefree part of |P|^2 can hit: a P that needs only the incenter sweeps that
+kernel group, and only F, G and H sweep the whole grid.  Sharding splits the
+swept points round-robin; per-cell results merge by minimal (P index, Q index), so output is independent of the shard count.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ SHAPE_ORDER = (ShapeClass.ACUTE, ShapeClass.OBTUSE, ShapeClass.RIGHT)
 
 STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 
-# Largest accepted box radius, for memory first: a shard's per-P arrays
-# span the (2B + 1)^2 grid, so its peak grows as about 1.15 KB * B^2, some
-# 1.2 GB at B = 1000.  The int64 circumcenter numerators (up to 8 B^3)
-# would wrap around beyond B = 10^6.
+# Largest accepted box radius, for memory first: an F, G or H sweep builds
+# its per-P arrays on the whole (2B + 1)^2 grid (the incenter on P's kernel
+# group), so its peak grows as about 1.15 KB * B^2, some 1.2 GB at B = 1000.
+# The int64 circumcenter numerators (up to 8 B^3) would wrap around beyond B = 10^6.
 MAX_BOX_RADIUS = 1000
 
 # Checkpoint tag of the first-vertex sweep: one point per D4 orbit,
@@ -155,23 +155,18 @@ def _incenter_kernels(qx: np.ndarray, qy: np.ndarray, box_radius: int) -> tuple[
     return sq_root, dict(zip(keys.tolist(), np.split(order, starts[1:])))
 
 
-def _incenter_mask(
-    px: int, py: int, qx: np.ndarray, qy: np.ndarray, sq_root: np.ndarray, groups: dict[int, np.ndarray]
-) -> np.ndarray:
+def _incenter_mask(px: int, py: int, qx: np.ndarray, qy: np.ndarray, sq_root: np.ndarray) -> np.ndarray:
     # O, P, Q has a lattice incenter exactly when its squared sides share
     # one squarefree part k, so that the sides are a, b, c times sqrt(k),
     # and (b P + c Q) / (a + b + c) is a lattice point (see
     # incenter.lattice_incenter); every intermediate stays within 8 B^2
-    mask = np.zeros(len(qx), dtype=bool)
     c = int(sq_root[px * px + py * py])
     kernel = (px * px + py * py) // (c * c)
-    idx = groups[kernel]  # P is a grid point, so its group exists
-    gx, gy = qx[idx], qy[idx]
-    n_pq = (px - gx) ** 2 + (py - gy) ** 2
-    a, b = sq_root[n_pq], sq_root[gx * gx + gy * gy]
+    n_pq, n_q = (px - qx) ** 2 + (py - qy) ** 2, qx * qx + qy * qy
+    a, b = sq_root[n_pq], sq_root[n_q]
     total = a + b + c
-    mask[idx] = (n_pq // (a * a) == kernel) & ((b * px + c * gx) % total == 0) & ((b * py + c * gy) % total == 0)
-    return mask
+    same = (n_q // (b * b) == kernel) & (n_pq // (a * a) == kernel)
+    return same & ((b * px + c * qx) % total == 0) & ((b * py + c * qy) % total == 0)
 
 
 def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[Cell]) -> dict[Cell, Candidate]:
@@ -183,25 +178,24 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
     P is the smallest-index point of its D4 orbit, (-x, -y) for a point
     (x, y) of the cone 0 <= y <= x.  Only those points are swept, in
     ascending index order (x descending, then y descending), each with
-    every Q of the box in index order; shards take every shard_count-th
-    of them.  An earlier P cannot hit the cell (its pair would be
-    smaller), so the first hit per cell in the shard holding the minimum
-    is the minimum, and merging shards by index gives it whatever the
-    shard count.
+    its candidate Q in index order (P's kernel group if P needs only the
+    incenter, else the box); shards take every shard_count-th of them.
+    An earlier P cannot hit the cell (its pair would be smaller), so the
+    first hit per cell in the shard holding the minimum is the minimum,
+    and merging shards by index gives it whatever the shard count.
     """
     box = config.box_radius
     side = 2 * box + 1
-    pts = _grid_points(box)
-    qx = np.array([p[0] for p in pts], dtype=np.int64)
-    qy = np.array([p[1] for p in pts], dtype=np.int64)
-    gcd_q = np.gcd(np.abs(qx), np.abs(qy))
+    grid_x, grid_y = np.array(_grid_points(box), dtype=np.int64).T
+    # one column per grid point, in index order: x, y, gcd(x, y), index
+    grid = np.stack([grid_x, grid_y, np.gcd(np.abs(grid_x), np.abs(grid_y)), np.arange(side * side)])
     lmax = config.lmax
 
     shape_by_code = (ShapeClass.ACUTE, ShapeClass.RIGHT, ShapeClass.OBTUSE)
     shape_allowed = np.array([s in config.shapes for s in shape_by_code])
     conditions = [c for c in config.conditions if any(c == cell[0] for cell in cells_needed)]
     if CenterCondition.INCENTER in conditions:
-        sq_root, groups = _incenter_kernels(qx, qy, box)
+        sq_root, groups = _incenter_kernels(grid_x, grid_y, box)
 
     found: dict[Cell, Candidate] = {}
     remaining = set(cells_needed)
@@ -215,6 +209,11 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         if gp + 2 > lmax:
             continue  # partial perimeter already over budget
 
+        # only P's kernel group can meet the incenter test; F, G and H sweep the whole grid, as views
+        need = [c for c in conditions if any(cell[0] == c for cell in remaining)]
+        norm = px * px + py * py
+        cand = groups[norm // int(sq_root[norm]) ** 2] if need == [CenterCondition.INCENTER] else slice(None)
+        qx, qy, gcd_q, q_ids = grid[:, cand]
         cross = px * qy - py * qx
         valid = cross != 0
         gcd_pq = np.gcd(np.abs(px - qx), np.abs(py - qy))
@@ -232,16 +231,16 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         if not base.any():
             continue
 
-        need = [c for c in conditions if any(cell[0] == c for cell in remaining)]
         if any(c is not CenterCondition.INCENTER for c in need):
             letters = "".join(c.value for c in need)
             # kept in a name until the next P's replace them: freed at once, on
-            # top of the heap, they go back to the system and are faulted in again
+            # top of the heap, these whole-grid arrays go back to the system
+            # and are faulted in again
             numerators = center_numerators(px, py, qx, qy, cross, d0, letters)
             flags = center_flags(np.where(valid, cross, 1), *numerators, letters)
         for cond in need:
             if cond is CenterCondition.INCENTER:
-                combined = base & _incenter_mask(px, py, qx, qy, sq_root, groups)
+                combined = base & _incenter_mask(px, py, qx, qy, sq_root)
             else:
                 combined = base & cond.met_by(flags)
             if not combined.any():
@@ -249,12 +248,11 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
             survivors = np.flatnonzero(combined)
             cell_ids = shape_code[survivors] * (lmax + 1) + perim[survivors]
             _, first = np.unique(cell_ids, return_index=True)
-            for q_idx in survivors[np.sort(first)]:
-                code = int(shape_code[q_idx])
-                cell = (cond, shape_by_code[code], int(perim[q_idx]))
+            for i in survivors[np.sort(first)]:
+                cell = (cond, shape_by_code[shape_code[i]], int(perim[i]))
                 if cell not in remaining:
                     continue
-                found[cell] = (p_idx, int(q_idx), px, py, int(qx[q_idx]), int(qy[q_idx]))
+                found[cell] = (p_idx, int(q_ids[i]), px, py, int(qx[i]), int(qy[i]))
                 remaining.discard(cell)
     return found
 
@@ -278,6 +276,10 @@ def _cells_hash(cells: frozenset[Cell]) -> str:
     return hashlib.sha256(json.dumps(listed).encode()).hexdigest()[:16]
 
 
+_RECORD_KEYS = ("config_hash", "cells_hash", "shard_id", "status", "found")
+_FOUND_KEYS = ("condition", "shape", "perimeter", "p_idx", "q_idx", "vertices")
+
+
 def _load_checkpoint(path: str, config: SearchConfig, cells_hash: str) -> dict[int, dict[Cell, Candidate]]:
     done: dict[int, dict[Cell, Candidate]] = {}
     if not os.path.exists(path):
@@ -292,21 +294,18 @@ def _load_checkpoint(path: str, config: SearchConfig, cells_hash: str) -> dict[i
     for line in data[:complete].splitlines():
         if not line.strip():
             continue
-        record = json.loads(line)
-        if (
-            record.get("config_hash") != config.run_hash()
-            or record.get("cells_hash") != cells_hash
-            or record.get("status") != "done"
-        ):
+        config_hash, record_cells, shard_id, status, found = _required(
+            json.loads(line), _RECORD_KEYS, "checkpoint record", (str, str, int, str, list)
+        )
+        if (config_hash, record_cells, status) != (config.run_hash(), cells_hash, "done"):
             continue
         partial: dict[Cell, Candidate] = {}
-        for item in record.get("found", []):
-            cond = CenterCondition(item["condition"])
-            shape = ShapeClass(item["shape"])
-            cell = (cond, shape, int(item["perimeter"]))
-            p, q = item["vertices"][1], item["vertices"][2]
-            partial[cell] = (int(item["p_idx"]), int(item["q_idx"]), p[0], p[1], q[0], q[1])
-        done[int(record["shard_id"])] = partial
+        for item in found:
+            kinds = (str, str, int, int, int)
+            cond, shape, ell, p_idx, q_idx, verts = _required(item, _FOUND_KEYS, "checkpoint item", kinds)
+            _, (px, py), (qx, qy) = _vertices(verts, "checkpoint item")
+            partial[(CenterCondition(cond), ShapeClass(shape), ell)] = (p_idx, q_idx, px, py, qx, qy)
+        done[shard_id] = partial
     return done
 
 
@@ -480,6 +479,12 @@ def _required(mapping, keys: tuple[str, ...], where: str, kinds: tuple = ()) -> 
     return [mapping[k] for k in keys]
 
 
+def _vertices(verts, where: str) -> list:
+    if type(verts) is not list or [type(v) is list and list(map(type, v)) for v in verts] != [[int, int]] * 3:
+        raise ValueError(f"{where} needs three [int, int] vertices, not {verts!r}")
+    return verts
+
+
 def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
     condition, shape, perimeter, status = _required(item, _ENTRY_KEYS, "atlas entry", (None, None, int))
     cell = (CenterCondition(condition), ShapeClass(shape), perimeter)
@@ -494,9 +499,7 @@ def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
     verts, source = _required(item, ("witness_vertices", "source"), f"witness entry {cell}")
     if source not in ("construction", "search"):
         raise ValueError(f"witness entry {cell} has unknown source {source!r}")
-    if type(verts) is not list or [type(v) is list and list(map(type, v)) for v in verts] != [[int, int]] * 3:
-        raise ValueError(f"witness entry {cell} needs three [int, int] vertices, not {verts!r}")
-    witness = triangle(*map(tuple, verts))
+    witness = triangle(*map(tuple, _vertices(verts, f"witness entry {cell}")))
     entry = AtlasEntry(*cell, status, witness, source)
     _verify_witness_entry(entry)
     return entry

@@ -216,6 +216,17 @@ class TestTableAndAtlas:
         code, out, _ = run(capsys, "atlas", "--box", "6", "--lmax", "10", "--format", "csv")
         assert (code, digest(out)) == (0, "4d32a48ada73ffbc")
 
+    def test_incenter_atlas_bytes(self, capsys):
+        code, out, _ = run(capsys, "atlas", "--conditions", "I", "--box", "100", "--lmax", "60")
+        assert (code, digest(out)) == (0, "ce68b7383c67ec1f")
+
+    @pytest.mark.parametrize("fmt", ["csv", "human"])
+    def test_atlas_out_needs_json(self, capsys, tmp_path, fmt):
+        out_file = tmp_path / "atlas.out"
+        code, out, err = run(capsys, "atlas", "--box", "5", "--lmax", "8", "--format", fmt, "--out", str(out_file))
+        assert (code, out) == (1, "") and "--out writes the json format only" in err
+        assert not out_file.exists()
+
     def test_atlas_unknown_shape_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["atlas", "--shapes", "acute,foo"])
@@ -248,6 +259,17 @@ class TestTableAndAtlas:
         assert (code, again, err) == (0, first, "")
         assert log.read_bytes() == record
 
+    @pytest.mark.parametrize("drop", [None, "shard_id"])
+    def test_malformed_checkpoint_record_is_an_error(self, capsys, tmp_path, drop):
+        argv = ("atlas", "--box", "6", "--lmax", "8", "--conditions", "I", "--atlas-dir", str(tmp_path))
+        assert run(capsys, *argv)[0] == 0
+        (log,) = tmp_path.iterdir()
+        record = json.loads(log.read_text())
+        # a list where an object belongs, or the record without one key
+        log.write_text(json.dumps([] if drop is None else {k: v for k, v in record.items() if k != drop}) + "\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: checkpoint record")
+
 
 class TestScanFigureProps:
     def test_incenter_scan_csv(self, capsys):
@@ -261,6 +283,10 @@ class TestScanFigureProps:
     def test_incenter_scan_csv_bytes(self, capsys):
         code, out, _ = run(capsys, "incenter-scan", "--box", "8", "--lmax", "12")
         assert (code, digest(out)) == (0, "95d914d02774ae3d")
+
+    def test_incenter_scan_csv_bytes_box_100(self, capsys):
+        code, out, _ = run(capsys, "incenter-scan", "--box", "100", "--lmax", "60")
+        assert (code, digest(out)) == (0, "43e2a087f38175ea")
 
     def test_scan_box_beyond_int64_range_rejected(self, capsys):
         code, out, err = run(capsys, "incenter-scan", "--box", "1000001")

@@ -50,6 +50,16 @@ def _triangles(draw_pts):
         return None
 
 
+def _assert_shards_match_full_grid(config: SearchConfig, cells: frozenset) -> dict:
+    # the merged candidates of 1, 2 and 3 shards equal the full-grid oracle's
+    expected = _merge_candidates([oracles.search_shard_full_grid(config, 0, cells)])
+    for shards in (1, 2, 3):
+        sharded = dataclasses.replace(config, shard_count=shards)
+        got = _merge_candidates([_search_shard(sharded, sid, cells) for sid in range(shards)])
+        assert got == expected, shards
+    return expected
+
+
 class TestCanonicalKey:
     def test_examples(self):
         a = triangle((0, 0), (1, 0), (0, 1))
@@ -175,12 +185,40 @@ class TestSearch:
         lmax = 4 * box + 2
         config = SearchConfig(box_radius=box, lmax=lmax, conditions=conditions)
         cells = frozenset((c, s, ell) for c in conditions for s in SHAPE_ORDER for ell in range(3, lmax + 1))
-        expected = _merge_candidates([oracles.search_shard_full_grid(config, 0, cells)])
+        expected = _assert_shards_match_full_grid(config, cells)
         assert len(expected) > 10 and (box < 4 or any(cell[0] is INC for cell in expected))
-        for shards in (1, 2, 3):
-            sharded = dataclasses.replace(config, shard_count=shards)
-            got = _merge_candidates([_search_shard(sharded, sid, cells) for sid in range(shards)])
-            assert got == expected, shards
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("box", range(2, 61))
+    def test_incenter_sweep_matches_full_grid(self, box):
+        # the incenter sweep over kernel groups against the float-screened
+        # full-grid oracle, every shape and reachable perimeter of the box
+        lmax = 4 * box + 2
+        config = SearchConfig(box_radius=box, lmax=lmax, conditions=(INC,))
+        cells = frozenset((INC, s, ell) for s in SHAPE_ORDER for ell in range(3, lmax + 1))
+        expected = _assert_shards_match_full_grid(config, cells)
+        assert box < 5 or expected
+
+    def test_incenter_only_sweep_stays_in_kernel_groups(self, monkeypatch):
+        import latticecenters.search as search_mod
+
+        box = 12
+        grid_x, grid_y = np.array(_grid_points(box), dtype=np.int64).T
+        _, groups = search_mod._incenter_kernels(grid_x, grid_y, box)
+        largest = max(map(len, groups.values()))
+        assert largest < len(grid_x) // 4
+        sizes = []
+        real = search_mod._incenter_mask
+
+        def recording(px, py, qx, qy, *rest):
+            sizes.append(len(qx))
+            return real(px, py, qx, qy, *rest)
+
+        monkeypatch.setattr(search_mod, "_incenter_mask", recording)
+        config = SearchConfig(box_radius=box, lmax=4 * box + 2, conditions=(INC,))
+        cells = frozenset((INC, s, ell) for s in SHAPE_ORDER for ell in range(3, config.lmax + 1))
+        assert _search_shard(config, 0, cells)
+        assert sizes and max(sizes) <= largest
 
     def test_incenter_search_hits_are_located_once(self, monkeypatch):
         import latticecenters.incenter as incenter_mod
@@ -270,6 +308,28 @@ class TestSearch:
         (log,) = tmp_path.iterdir()
         log.write_bytes(b"{not json\n" + log.read_bytes())
         with pytest.raises(ValueError):  # only a torn last record is forgiven
+            build_atlas(config, checkpoint_dir=str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda record: [],
+            lambda record: {k: v for k, v in record.items() if k != "shard_id"},
+            lambda record: dict(record, shard_id="0"),
+            lambda record: dict(record, found=[{k: v for k, v in record["found"][0].items() if k != "q_idx"}]),
+            lambda record: dict(record, found=[dict(record["found"][0], vertices=[[0, 0], [1]])]),
+            lambda record: dict(record, found=[dict(record["found"][0], vertices=[[0, 0], 1, 2])]),
+        ],
+        ids=["not-an-object", "no-shard-id", "string-shard-id", "item-without-q-idx", "short-vertex", "int-vertex"],
+    )
+    def test_malformed_checkpoint_record_is_reported(self, tmp_path, edit):
+        config = SearchConfig(box_radius=6, lmax=8, conditions=(INC,))
+        build_atlas(config, checkpoint_dir=str(tmp_path))
+        (log,) = tmp_path.iterdir()
+        record = json.loads(log.read_bytes())
+        assert record["found"]
+        log.write_text(json.dumps(edit(record)) + "\n")
+        with pytest.raises(ValueError, match="checkpoint"):
             build_atlas(config, checkpoint_dir=str(tmp_path))
 
     def test_incenter_screen_keeps_every_lattice_incenter(self):
