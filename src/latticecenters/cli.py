@@ -248,14 +248,8 @@ def cmd_angles(args) -> int:
     return EXIT_OK
 
 
-def _atlas_dir(args) -> str | None:
-    if getattr(args, "atlas_dir", None):
-        return args.atlas_dir
-    return os.environ.get("LC_ATLAS_DIR") or None
-
-
 def cmd_table(args) -> int:
-    cells = verify_results_table(args.lmax, args.box, checkpoint_dir=_atlas_dir(args))
+    cells = verify_results_table(args.lmax, args.box)
     payload = {
         "lmax": args.lmax,
         "box_radius": args.box,
@@ -295,7 +289,7 @@ def cmd_atlas(args) -> int:
         shapes=args.shapes,
         shard_count=args.shards,
     )
-    atlas = build_atlas(config, checkpoint_dir=_atlas_dir(args))
+    atlas = build_atlas(config)
     if args.format == "json":
         blob = atlas.to_json_bytes()
         if args.out:
@@ -434,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="compare the atlas against the reference sets")
     p.add_argument("--lmax", type=int, default=24)
     p.add_argument("--box", type=int, default=40)
-    p.add_argument("--atlas-dir")
     _add_format(p)
     p.set_defaults(func=cmd_table)
 
@@ -445,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shapes", type=_shapes, default="acute,obtuse,right")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--out")
-    p.add_argument("--atlas-dir")
     _add_format(p, default="json")
     p.set_defaults(func=cmd_atlas)
 

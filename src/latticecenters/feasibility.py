@@ -157,11 +157,19 @@ def gcd_violation(s: SideMultiset) -> str | None:
     return f"gcd{(x, y)}={g} differs from gcd of all three = {total}"
 
 
+# Largest perimeter whose side multisets are enumerated; PerimeterSides
+# raises ValueError beyond it.  A perimeter l has about l^2 / 12 of them, and
+# `construct --format json` on an unachievable cell at l = 2000 (333k
+# multisets) peaks at 0.9 GB and 12 s on a 2-core x86 host, growing as l^2.
+MAX_PERIMETER = 2000
+
+
 class PerimeterSides:
     """Every side multiset of one perimeter with its gcd_violation verdict.
 
     Shared by all the cells of the perimeter and computed on first use,
-    so a cell settled by the perimeter alone costs nothing.  It also
+    so a cell settled by the perimeter alone costs nothing (a perimeter
+    over MAX_PERIMETER raises ValueError only then).  It also
     holds the certificates issued so far: a certificate names no cell
     shape, so each (condition, rule, multiset) certificate is issued
     once and shared by every cell of the perimeter that needs it.
@@ -175,6 +183,8 @@ class PerimeterSides:
 
     @functools.cached_property
     def sides(self) -> tuple[tuple[SideMultiset, str | None], ...]:
+        if self.perimeter > MAX_PERIMETER:
+            raise ValueError(f"perimeter {self.perimeter} is over {MAX_PERIMETER}, too many side multisets to list")
         return tuple((s, gcd_violation(s)) for s in partitions(self.perimeter))
 
 

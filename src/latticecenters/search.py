@@ -26,12 +26,12 @@ CenterCondition.met_by of them.  The incenter needs a squarefree-part match
 of the squared sides and one divisibility, so only the Q whose |Q|^2 has the
 squarefree part of |P|^2 can hit: a P that needs only the incenter sweeps that
 kernel group, and only F, G and H sweep the whole grid.  Sharding splits the
-swept points round-robin; per-cell results merge by minimal (P index, Q index), so output is independent of the shard count.
+swept points round-robin; per-cell results merge by minimal (P index,
+Q index), so output is independent of the shard count.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -68,10 +68,6 @@ STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 # group), so its peak grows as about 1.15 KB * B^2, some 1.2 GB at B = 1000.
 # The int64 circumcenter numerators (up to 8 B^3) would wrap around beyond B = 10^6.
 MAX_BOX_RADIUS = 1000
-
-# Checkpoint tag of the first-vertex sweep: one point per D4 orbit,
-# round-robin over shards (see _search_shard).
-_SWEEP = "d4-orbit-minima"
 
 
 def _grid_points(box_radius: int) -> list[tuple[int, int]]:
@@ -126,13 +122,6 @@ class SearchConfig:
             "conditions": [c.value for c in self.conditions],
             "shapes": [s.value for s in self.shapes],
         }
-
-    def run_hash(self) -> str:
-        # The sweep tag names how shards partition the search, so records
-        # written under another partition are never merged with these.
-        payload = dict(self.document_echo(), shard_count=self.shard_count, sweep=_SWEEP)
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 Cell = tuple[CenterCondition, ShapeClass, int]
@@ -267,116 +256,23 @@ def _merge_candidates(results: Sequence[dict[Cell, Candidate]]) -> dict[Cell, Ca
     return merged
 
 
-def _checkpoint_path(directory: str, config: SearchConfig) -> str:
-    return os.path.join(directory, f"search-{config.run_hash()}.jsonl")
-
-
-def _cells_hash(cells: frozenset[Cell]) -> str:
-    listed = sorted((c.value, s.value, ell) for c, s, ell in cells)
-    return hashlib.sha256(json.dumps(listed).encode()).hexdigest()[:16]
-
-
-_RECORD_KEYS = ("config_hash", "cells_hash", "shard_id", "status", "found")
-_FOUND_KEYS = ("condition", "shape", "perimeter", "p_idx", "q_idx", "vertices")
-
-
-def _load_checkpoint(path: str, config: SearchConfig, cells_hash: str) -> dict[int, dict[Cell, Candidate]]:
-    done: dict[int, dict[Cell, Candidate]] = {}
-    if not os.path.exists(path):
-        return done
-    with open(path, "rb") as fh:
-        data = fh.read()
-    complete = data.rfind(b"\n") + 1
-    if complete < len(data):
-        # A record torn by an interrupted write: drop it so the next one
-        # starts on a fresh line; its shard simply runs again.
-        os.truncate(path, complete)
-    for line in data[:complete].splitlines():
-        if not line.strip():
-            continue
-        config_hash, record_cells, shard_id, status, found = _required(
-            json.loads(line), _RECORD_KEYS, "checkpoint record", (str, str, int, str, list)
-        )
-        if (config_hash, record_cells, status) != (config.run_hash(), cells_hash, "done"):
-            continue
-        partial: dict[Cell, Candidate] = {}
-        for item in found:
-            kinds = (str, str, int, int, int)
-            cond, shape, ell, p_idx, q_idx, verts = _required(item, _FOUND_KEYS, "checkpoint item", kinds)
-            _, (px, py), (qx, qy) = _vertices(verts, "checkpoint item")
-            partial[(CenterCondition(cond), ShapeClass(shape), ell)] = (p_idx, q_idx, px, py, qx, qy)
-        done[shard_id] = partial
-    return done
-
-
-def _append_checkpoint(
-    path: str, config: SearchConfig, cells_hash: str, shard_id: int, partial: dict[Cell, Candidate]
-) -> None:
-    record = {
-        "config_hash": config.run_hash(),
-        "cells_hash": cells_hash,
-        "shard_id": shard_id,
-        "status": "done",
-        "found": [
-            {
-                "condition": cell[0].value,
-                "shape": cell[1].value,
-                "perimeter": cell[2],
-                "p_idx": cand[0],
-                "q_idx": cand[1],
-                "vertices": [[0, 0], [cand[2], cand[3]], [cand[4], cand[5]]],
-            }
-            for cell, cand in sorted(partial.items(), key=lambda kv: _cell_sort_key(kv[0]))
-        ],
-    }
-    # one write per record, so a crash can tear at most the last line
-    with open(path, "ab") as fh:
-        fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
-        fh.flush()
-
-
-def search_witnesses(
-    config: SearchConfig,
-    cells_needed: frozenset[Cell],
-    checkpoint_dir: str | None = None,
-) -> dict[Cell, LatticeTriangle]:
+def search_witnesses(config: SearchConfig, cells_needed: frozenset[Cell]) -> dict[Cell, LatticeTriangle]:
     """Find one triangle per requested cell within the box, if any exists.
 
     Deterministic for a fixed (box_radius, lmax, conditions, shapes):
-    the triangles do not depend on shard_count or on checkpoint reuse.
+    the triangles do not depend on shard_count.
     """
     if not cells_needed:
         return {}
-    checkpoint = None
-    cells_hash = _cells_hash(cells_needed)
-    cached: dict[int, dict[Cell, Candidate]] = {}
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        checkpoint = _checkpoint_path(checkpoint_dir, config)
-        cached = _load_checkpoint(checkpoint, config, cells_hash)
-
     # shards past the number of swept first vertices would be empty
     shard_count = min(config.shard_count, len(_cone_points(config.box_radius)))
-    shard_ids = [s for s in range(shard_count) if s not in cached]
-    results: dict[int, dict[Cell, Candidate]] = dict(cached)
-    if shard_ids:
-        if len(shard_ids) == 1:
-            for sid in shard_ids:
-                results[sid] = _search_shard(config, sid, cells_needed)
-        else:
-            workers = min(len(shard_ids), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    sid: pool.submit(_search_shard, config, sid, cells_needed)
-                    for sid in shard_ids
-                }
-                for sid, fut in futures.items():
-                    results[sid] = fut.result()
-        if checkpoint is not None:
-            for sid in shard_ids:
-                _append_checkpoint(checkpoint, config, cells_hash, sid, results[sid])
-
-    merged = _merge_candidates([results[sid] for sid in sorted(results)])
+    if shard_count == 1:
+        results = [_search_shard(config, 0, cells_needed)]
+    else:
+        with ProcessPoolExecutor(max_workers=min(shard_count, os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(_search_shard, config, sid, cells_needed) for sid in range(shard_count)]
+            results = [fut.result() for fut in futures]
+    merged = _merge_candidates(results)
     return {cell: triangle((0, 0), (px, py), (qx, qy)) for cell, (_, _, px, py, qx, qy) in merged.items()}
 
 
@@ -556,11 +452,7 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     return atlas
 
 
-def build_atlas(
-    config: SearchConfig,
-    seed_constructions: bool = True,
-    checkpoint_dir: str | None = None,
-) -> AchievabilityAtlas:
+def build_atlas(config: SearchConfig, seed_constructions: bool = True) -> AchievabilityAtlas:
     """Resolve every (condition, shape, perimeter) cell of the config.
 
     Construction families seed witnesses, exclusion filters certify the
@@ -599,7 +491,7 @@ def build_atlas(
                 else:
                     unresolved.append(cell)
 
-    hits = search_witnesses(config, frozenset(unresolved), checkpoint_dir)
+    hits = search_witnesses(config, frozenset(unresolved))
     for cell in unresolved:
         hit = hits.get(cell)
         if hit is None:
@@ -632,10 +524,7 @@ class TableCell:
 
 
 def verify_results_table(
-    lmax: int = 24,
-    box_radius: int = 40,
-    atlas: AchievabilityAtlas | None = None,
-    checkpoint_dir: str | None = None,
+    lmax: int = 24, box_radius: int = 40, atlas: AchievabilityAtlas | None = None
 ) -> list[TableCell]:
     """Compare the atlas against the achievable-perimeter sets of ACHIEVABLE.
 
@@ -645,7 +534,7 @@ def verify_results_table(
     """
     if atlas is None:
         config = SearchConfig(box_radius=box_radius, lmax=lmax, conditions=STANDARD_CONDITIONS)
-        atlas = build_atlas(config, checkpoint_dir=checkpoint_dir)
+        atlas = build_atlas(config)
     cells = []
     for condition in atlas.config.conditions:
         if condition is CenterCondition.INCENTER:

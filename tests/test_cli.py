@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from latticecenters import feasibility
 from latticecenters.cli import main
 from latticecenters.feasibility import partitions
 
@@ -95,6 +96,21 @@ class TestConstruct:
         data = json.loads(out)
         assert code == 0
         assert data["vertices"] == [[0, 0], [3, 0], [0, 3]]
+
+    def test_perimeter_cap_refuses_before_listing_side_multisets(self, capsys, monkeypatch):
+        def no_listing(perimeter):
+            raise AssertionError(f"listed the side multisets of perimeter {perimeter}")
+
+        monkeypatch.setattr(feasibility, "partitions", no_listing)
+        # unachievable, and only a full listing could settle it
+        code, out, err = run(capsys, "construct", "--center", "G", "--shape", "right", "--perimeter", "100000")
+        assert (code, out) == (1, "")
+        assert err == "error: perimeter 100000 is over 2000, too many side multisets to list\n"
+        # a construction or the perimeter alone still answers at any size
+        code, _, err = run(capsys, "construct", "--center", "G", "--shape", "acute", "--perimeter", "1000000")
+        assert (code, err) == (0, "")
+        code, out, _ = run(capsys, "construct", "--center", "F", "--shape", "acute", "--perimeter", "100001")
+        assert code == 2 and "EvenPerimeter" in out
 
 
 class TestAngles:
@@ -235,40 +251,24 @@ class TestTableAndAtlas:
         assert "shape must be acute, right or obtuse, got 'foo'" in err
         assert "Traceback" not in err
 
-    def test_atlas_dir_env_var_receives_checkpoints(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["atlas", "table"])
+    def test_atlas_dir_flag_is_a_usage_error(self, capsys, tmp_path, command):
+        target = tmp_path / "D"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--atlas-dir", str(target)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --atlas-dir" in err
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    def test_lc_atlas_dir_is_not_read(self, capsys, tmp_path, monkeypatch):
+        argv = ("atlas", "--conditions", "I", "--box", "6", "--lmax", "8", "--shards", "2")
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
         monkeypatch.setenv("LC_ATLAS_DIR", str(tmp_path))
-        out_file = tmp_path / "atlas.json"
-        code, _, _ = run(
-            capsys, "atlas", "--box", "6", "--lmax", "8",
-            "--conditions", "I", "--shards", "2", "--out", str(out_file),
-        )
-        assert code == 0
-        logs = [p for p in tmp_path.iterdir() if p.suffix == ".jsonl"]
-        assert len(logs) == 1  # the shard checkpoint log landed in LC_ATLAS_DIR
-        assert len(logs[0].read_text().strip().splitlines()) == 2
-
-    def test_torn_checkpoint_record_is_skipped(self, capsys, tmp_path):
-        argv = ("atlas", "--box", "6", "--lmax", "8", "--conditions", "I", "--atlas-dir", str(tmp_path))
-        code, first, _ = run(capsys, *argv)
-        assert code == 0
-        (log,) = tmp_path.iterdir()
-        record = log.read_bytes()
-        with open(log, "ab") as fh:  # a crash halfway through the next record
-            fh.write(record[: len(record) // 2])
-        code, again, err = run(capsys, *argv)
-        assert (code, again, err) == (0, first, "")
-        assert log.read_bytes() == record
-
-    @pytest.mark.parametrize("drop", [None, "shard_id"])
-    def test_malformed_checkpoint_record_is_an_error(self, capsys, tmp_path, drop):
-        argv = ("atlas", "--box", "6", "--lmax", "8", "--conditions", "I", "--atlas-dir", str(tmp_path))
-        assert run(capsys, *argv)[0] == 0
-        (log,) = tmp_path.iterdir()
-        record = json.loads(log.read_text())
-        # a list where an object belongs, or the record without one key
-        log.write_text(json.dumps([] if drop is None else {k: v for k, v in record.items() if k != drop}) + "\n")
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "") and err.startswith("error: checkpoint record")
+        assert run(capsys, *argv) == plain
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScanFigureProps:

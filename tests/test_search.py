@@ -1,6 +1,6 @@
 import collections
+import concurrent.futures
 import dataclasses
-import hashlib
 import json
 import random
 
@@ -19,8 +19,6 @@ from latticecenters.search import (
     MAX_BOX_RADIUS,
     SHAPE_ORDER,
     SearchConfig,
-    _cells_hash,
-    _checkpoint_path,
     _cone_points,
     _grid_points,
     _merge_candidates,
@@ -247,90 +245,34 @@ class TestSearch:
                 base = blob
             assert blob == base
 
-    def test_checkpoint_resume(self, tmp_path):
-        config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,), shard_count=3)
-        fresh = build_atlas(config, checkpoint_dir=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        lines = files[0].read_text().strip().splitlines()
-        assert len(lines) == 3  # one completed record per shard
-        assert all(json.loads(line)["status"] == "done" for line in lines)
-        resumed = build_atlas(config, checkpoint_dir=str(tmp_path))
-        assert resumed.to_json_bytes() == fresh.to_json_bytes()
-        # no duplicate records were appended on the resumed run
-        assert len(files[0].read_text().strip().splitlines()) == 3
+    def test_shard_count_capped_at_swept_points(self, monkeypatch):
+        import latticecenters.search as search_mod
 
-    def test_checkpoint_from_another_sweep_is_not_reused(self, tmp_path):
-        config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,), shard_count=2)
-        fresh = build_atlas(config)
-        # records hashed as the full-grid sweep hashed this config (no
-        # sweep tag), each claiming its shard found nothing
-        payload = dict(config.document_echo(), shard_count=config.shard_count)
-        grid_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-        assert grid_hash != config.run_hash()
-        cells_hash = _cells_hash(frozenset(fresh.entries))
-        records = "".join(
-            json.dumps({"config_hash": grid_hash, "cells_hash": cells_hash, "shard_id": sid,
-                        "status": "done", "found": []}) + "\n"
-            for sid in range(config.shard_count)
-        )
-        (tmp_path / f"search-{grid_hash}.jsonl").write_text(records)
-        with open(_checkpoint_path(str(tmp_path), config), "a") as fh:
-            fh.write(records)
-        resumed = build_atlas(config, checkpoint_dir=str(tmp_path))
-        assert resumed.to_json_bytes() == fresh.to_json_bytes()
-
-    def test_torn_trailing_checkpoint_record_is_dropped(self, tmp_path):
-        config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,), shard_count=3)
-        fresh = build_atlas(config, checkpoint_dir=str(tmp_path))
-        (log,) = tmp_path.iterdir()
-        records = log.read_bytes().splitlines(keepends=True)
-        # lose the last shard's record, leaving half of it behind
-        log.write_bytes(b"".join(records[:2]) + records[2][: len(records[2]) // 2])
-        resumed = build_atlas(config, checkpoint_dir=str(tmp_path))
-        assert resumed.to_json_bytes() == fresh.to_json_bytes()
-        # the torn half is gone and the re-run shard's record is whole
-        assert sorted(log.read_bytes().splitlines(keepends=True)) == sorted(records)
-
-    def test_shard_count_capped_at_swept_points(self, tmp_path):
         # box 3 sweeps 9 first vertices, so shards 9..49 would all be empty
         assert len(_cone_points(3)) == 9
         one = build_atlas(SearchConfig(box_radius=3, lmax=12, conditions=(INC,)))
-        config = SearchConfig(box_radius=3, lmax=12, conditions=(INC,), shard_count=50)
-        many = build_atlas(config, checkpoint_dir=str(tmp_path))
-        (log,) = tmp_path.iterdir()
-        assert len(log.read_text().splitlines()) == 9
+        submitted = []
+
+        class InProcessPool:  # runs each submitted shard at once, recording its id
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, config, shard_id, cells_needed):
+                submitted.append(shard_id)
+                future = concurrent.futures.Future()
+                future.set_result(fn(config, shard_id, cells_needed))
+                return future
+
+        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InProcessPool)
+        many = build_atlas(SearchConfig(box_radius=3, lmax=12, conditions=(INC,), shard_count=50))
+        assert submitted == list(range(9))
         assert many.to_json_bytes() == one.to_json_bytes()
-
-    def test_corrupt_checkpoint_record_is_reported(self, tmp_path):
-        config = SearchConfig(box_radius=6, lmax=8, conditions=(INC,))
-        build_atlas(config, checkpoint_dir=str(tmp_path))
-        (log,) = tmp_path.iterdir()
-        log.write_bytes(b"{not json\n" + log.read_bytes())
-        with pytest.raises(ValueError):  # only a torn last record is forgiven
-            build_atlas(config, checkpoint_dir=str(tmp_path))
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda record: [],
-            lambda record: {k: v for k, v in record.items() if k != "shard_id"},
-            lambda record: dict(record, shard_id="0"),
-            lambda record: dict(record, found=[{k: v for k, v in record["found"][0].items() if k != "q_idx"}]),
-            lambda record: dict(record, found=[dict(record["found"][0], vertices=[[0, 0], [1]])]),
-            lambda record: dict(record, found=[dict(record["found"][0], vertices=[[0, 0], 1, 2])]),
-        ],
-        ids=["not-an-object", "no-shard-id", "string-shard-id", "item-without-q-idx", "short-vertex", "int-vertex"],
-    )
-    def test_malformed_checkpoint_record_is_reported(self, tmp_path, edit):
-        config = SearchConfig(box_radius=6, lmax=8, conditions=(INC,))
-        build_atlas(config, checkpoint_dir=str(tmp_path))
-        (log,) = tmp_path.iterdir()
-        record = json.loads(log.read_bytes())
-        assert record["found"]
-        log.write_text(json.dumps(edit(record)) + "\n")
-        with pytest.raises(ValueError, match="checkpoint"):
-            build_atlas(config, checkpoint_dir=str(tmp_path))
 
     def test_incenter_screen_keeps_every_lattice_incenter(self):
         box = 8
