@@ -5,7 +5,13 @@ to at least pi exactly when n0*M1*M2 + n1*M0*M2 + n2*M0*M1 <= n0*n1*n2,
 with equality exactly at pi.  `_pi_gap` evaluates that identity, and
 every comparison with pi goes through it: the TangentSum solver,
 `sums_to_pi`, the table frontier, and `pi_signs` (the status column of
-the angles command).
+the angles command).  Rational tangent numerators are first scaled to
+integers by their common denominator L; integer numerators (the
+TangentSum rule's, whose even sides halve exactly) are taken as they
+are, with L = 1.
+
+The solver `iter_pi_triples` yields its solutions one at a time, so the
+TangentSum rule stops sweeping at the first solution that survives it.
 
 A separate directed-rounding layer produces certified decimal digits of
 angle-sum / pi ratios; it never feeds back into the exact comparisons.
@@ -16,7 +22,9 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from itertools import compress
+from operator import mod, not_
+from typing import Iterator, Sequence
 
 Rational = Fraction | int
 
@@ -24,13 +32,19 @@ _HALF = Fraction(1, 2)
 
 
 def _integer_numerators(numerators: Sequence[Rational]) -> tuple[tuple[int, int, int], int]:
-    """(n, L): three positive rationals scaled by their common denominator L to integers."""
-    p = [Fraction(x) for x in numerators]
-    if len(p) != 3 or any(x <= 0 for x in p):
+    """(n, L): three positive rationals scaled by their common denominator L to integers.
+
+    Integers are returned as they are, with L = 1.
+    """
+    if all(isinstance(x, int) for x in numerators):
+        n, scale = tuple(numerators), 1
+    else:
+        p = [Fraction(x) for x in numerators]
+        scale = math.lcm(*(x.denominator for x in p))
+        n = tuple(int(x * scale) for x in p)
+    if len(n) != 3 or any(x <= 0 for x in n):
         raise ValueError("expected three positive rationals")
-    scale = math.lcm(*(x.denominator for x in p))
-    n0, n1, n2 = (int(x * scale) for x in p)
-    return (n0, n1, n2), scale
+    return n, scale  # type: ignore[return-value]
 
 
 def _pi_gap(n: tuple[int, int, int], scale: int, m: tuple[int, int, int]) -> int:
@@ -58,31 +72,36 @@ def pi_signs(numerators: Sequence[Rational], rows: Sequence[tuple[int, int, int]
     return [(gap > 0) - (gap < 0) for gap in (_pi_gap(n, scale, m) for m in rows)]
 
 
-def solve_pi_triples(numerators: Sequence[Rational]) -> list[tuple[int, int, int]]:
-    """All (m0, m1, m2) in N^3 with sum of arctan(p_i / m_i) equal to pi,
-    in increasing (m0, m1) order.
+def iter_pi_triples(numerators: Sequence[Rational]) -> Iterator[tuple[int, int, int]]:
+    """Each (m0, m1, m2) in N^3 with sum of arctan(p_i / m_i) equal to pi,
+    in increasing (m0, m1) order, yielded as the sweep reaches it.
 
-    With the p_i scaled to integers n_i and M_i = L*m_i, the equation
+    With the p_i scaled to integers n_i (L = 1 when they are integers
+    already) and M_i = L*m_i, the equation
     n0*M1*M2 + n1*M0*M2 + n2*M0*M1 = n0*n1*n2 fixes
     M2 = n2*(n0*n1 - M0*M1) / (n0*M1 + M0*n1) for each (m0, m1) under the
     hyperbola M0*M1 < n0*n1.  m0 <= n0*(n1*n2 - L^2) / (L^2*(n1 + n2)),
-    the closed form of "the sum at (m0, 1, 1) reaches pi".
+    the closed form of "the sum at (m0, 1, 1) reaches pi".  The numerators
+    are checked when the first solution is drawn.
     """
     (n0, n1, n2), scale = _integer_numerators(numerators)
-    solutions: list[tuple[int, int, int]] = []
     for m0 in range(1, _denominator_bound((n0, n1, n2), scale, 0) + 1):
         big0 = scale * m0
         # m2 >= 1 iff n2*(n0*n1 - M0*M1) >= L*(n0*M1 + M0*n1)
         m1_max = n1 * (n0 * n2 - scale * big0) // (scale * (n2 * big0 + scale * n0))
-        # m2 = num / den, both linear in m1: step them from m1 = 1
+        # m2 = num / den, both linear in m1: a range each, indexed by m1 - 1,
+        # and their remainders taken pairwise by map
         num, den = n2 * (n0 * n1 - big0 * scale), scale * (n0 * scale + big0 * n1)
         num_step, den_step = n2 * big0 * scale, scale * scale * n0
-        for m1 in range(1, m1_max + 1):
-            if num % den == 0:
-                solutions.append((m0, m1, num // den))
-            num -= num_step
-            den += den_step
-    return solutions
+        nums = range(num, num - m1_max * num_step, -num_step)
+        dens = range(den, den + m1_max * den_step, den_step)
+        for i in compress(range(m1_max), map(not_, map(mod, nums, dens))):
+            yield (m0, i + 1, nums[i] // dens[i])
+
+
+def solve_pi_triples(numerators: Sequence[Rational]) -> list[tuple[int, int, int]]:
+    """All the solutions of iter_pi_triples, in its (m0, m1) order."""
+    return list(iter_pi_triples(numerators))
 
 
 # --- certified decimal rendering (directed rounding, no floats) ----------

@@ -219,8 +219,10 @@ def cmd_construct(args) -> int:
 def cmd_angles(args) -> int:
     sides = SideMultiset.of(args.lengths[0], args.lengths[1], args.lengths[2])
     numerators = halved_numerators(sides)
-    solutions = solve_pi_triples(numerators)
+    # the table's row limit refuses oversized input before the solver runs;
+    # the solutions lie inside any table that fits, so the solve is bounded
     table = render_table(numerators)
+    solutions = solve_pi_triples(numerators)
     denominators = [row for row, _ in table]
     signs = pi_signs(numerators, denominators)
     status = {row: ("less", "equal", "greater")[sign + 1] for row, sign in zip(denominators, signs)}

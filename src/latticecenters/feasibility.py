@@ -36,11 +36,10 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable
 
-from .angles import solve_pi_triples
+from .angles import iter_pi_triples
 from .centers import CenterCondition
 from .lattice import ShapeClass
 
@@ -188,14 +187,29 @@ class PerimeterSides:
         return tuple((s, gcd_violation(s)) for s in partitions(self.perimeter))
 
 
-def halved_numerators(s: SideMultiset) -> tuple[Fraction, Fraction, Fraction]:
+def halved_numerators(s: SideMultiset) -> tuple[int, int, int]:
     """Tangent numerators for the circumcenter angle analysis.
 
     With a lattice circumcenter, the angle opposite a side of even
     lattice length has an even vertex-to-orthocenter lattice length, so
-    that numerator halves.
+    that numerator halves.  Only even sides halve, so the numerators are
+    integers and the solver takes them with common denominator 1.
     """
-    return tuple(Fraction(x, 2) if x % 2 == 0 else Fraction(x) for x in s.as_tuple())  # type: ignore[return-value]
+    return tuple(x // 2 if x % 2 == 0 else x for x in s.as_tuple())  # type: ignore[return-value]
+
+
+def _gcd_law_holds(x: int, y: int, z: int) -> bool:
+    """gcd_violation(SideMultiset.of(x, y, z)) is None, without building the
+    multiset or the text: the lengths may come in any order."""
+    return math.gcd(x, y) == math.gcd(x, z) == math.gcd(y, z)
+
+
+def _subtriangle_sides(
+    sides: tuple[int, int, int], solution: tuple[int, int, int]
+) -> tuple[tuple[int, int, int], ...]:
+    """The side lengths of the sub-triangles of subtriangle_multisets, unsorted."""
+    d0, d1, d2 = (2 * m if ell % 2 == 0 else m for ell, m in zip(sides, solution))
+    return ((d0, d1, sides[2]), (d1, d2, sides[0]), (d2, d0, sides[1]))
 
 
 def subtriangle_multisets(
@@ -209,12 +223,7 @@ def subtriangle_multisets(
     opposite side is even and mi otherwise.  Each pair of vertices then
     spans a genuine lattice sub-triangle with the orthocenter.
     """
-    sides = s.as_tuple()
-    dist = [2 * m if ell % 2 == 0 else m for ell, m in zip(sides, solution)]
-    subs = []
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        subs.append(SideMultiset.of(dist[i], dist[j], sides[k]))
-    return subs
+    return [SideMultiset.of(*sub) for sub in _subtriangle_sides(s.as_tuple(), solution)]
 
 
 def tangent_sum_filter(s: SideMultiset) -> str | None:
@@ -224,21 +233,23 @@ def tangent_sum_filter(s: SideMultiset) -> str | None:
     side lengths, and they must sum to exactly pi.  If no denominator
     triple works, or every solution produces a sub-triangle violating the
     pairwise-gcd law, the multiset is impossible: the result is the
-    detail text saying why, and None when some solution survives.
+    detail text saying why, and None when some solution survives.  The
+    solutions are drawn one at a time, so the sweep stops at the first
+    survivor; a detail lists them all.
     """
-    numerators = halved_numerators(s)
-    solutions = solve_pi_triples(numerators)
-    nums = f"({numerators[0]},{numerators[1]},{numerators[2]})"
-    if not solutions:
-        return f"no denominators make arctans of {nums} sum to pi"
-    kills = []
-    for sol in solutions:
-        subs = subtriangle_multisets(s, sol)
-        killed = next((sub for sub in subs if gcd_violation(sub) is not None), None)
+    numerators, sides = halved_numerators(s), s.as_tuple()
+    kills = []  # (solution, the first of its sub-triangles breaking the gcd law)
+    for sol in iter_pi_triples(numerators):
+        killed = next((sub for sub in _subtriangle_sides(sides, sol) if not _gcd_law_holds(*sub)), None)
         if killed is None:
             return None  # a solution survives; the rule proves nothing
-        kills.append(f"m={sol} -> sub-triangle {killed} violates the pairwise-gcd law")
-    return f"solutions for {nums}: " + "; ".join(kills)
+        kills.append((sol, SideMultiset.of(*killed)))
+    nums = f"({numerators[0]},{numerators[1]},{numerators[2]})"
+    if not kills:
+        return f"no denominators make arctans of {nums} sum to pi"
+    return f"solutions for {nums}: " + "; ".join(
+        f"m={sol} -> sub-triangle {killed} violates the pairwise-gcd law" for sol, killed in kills
+    )
 
 
 def _all_mod3(detail: str) -> Callable[[SideMultiset], str | None]:

@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths under test: boundary
 and interior lattice points are counted point by point, orbits are
 partitioned through explicit symmetry images, and angle sums are checked
 through high-precision floating point.  The previous incenter,
-incenter-report, pi-triple, full-grid search and per-multiset exclusion
-algorithms are kept here as the references their faster replacements are
-tested against, and so are the exact k*pi + arctan(t) angle algebra and
+incenter-report, pi-triple (an angle scan and the eager hyperbola
+sweep), full-grid search and per-multiset exclusion algorithms are kept
+here as the references their faster replacements are tested against,
+and so are the exact k*pi + arctan(t) angle algebra and
 the canonical-key orbit enumeration, which only tests use, the atlas
 writer that ran json.dumps over the whole document, and the search's
 floating-point incenter screen.
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from latticecenters.angles import Rational, solve_pi_triples
+from latticecenters.angles import Rational
 from latticecenters.centers import CenterCondition, CenterReport, RationalPoint
 from latticecenters.feasibility import (
     ExclusionCertificate,
@@ -32,7 +33,6 @@ from latticecenters.feasibility import (
     Rule,
     SideMultiset,
     gcd_violation,
-    halved_numerators,
     partitions,
     subtriangle_multisets,
 )
@@ -709,16 +709,50 @@ def even_perimeter_certificate(perimeter: int, condition: CenterCondition) -> Ex
     )
 
 
+def halved_numerators_fractions(s: SideMultiset) -> tuple[Fraction, Fraction, Fraction]:
+    """The TangentSum numerators as Fractions: even side lengths halved."""
+    return tuple(Fraction(x, 2) if x % 2 == 0 else Fraction(x) for x in s.as_tuple())  # type: ignore[return-value]
+
+
+def pi_triples_hyperbola_sweep(numerators) -> list[tuple[int, int, int]]:
+    """The TangentSum solutions as one eager list, by the (m0, m1) sweep under
+    the hyperbola M0*M1 < n0*n1, with every numerator taken as a Fraction.
+
+    The numerators are scaled by their common denominator L to integers
+    n_i, M_i = L*m_i, and m2 is read off
+    M2 = n2*(n0*n1 - M0*M1) / (n0*M1 + M0*n1) with one division per pair.
+    """
+    p = [Fraction(x) for x in numerators]
+    if len(p) != 3 or any(x <= 0 for x in p):
+        raise ValueError("expected three positive rationals")
+    scale = math.lcm(*(x.denominator for x in p))
+    n0, n1, n2 = (int(x * scale) for x in p)
+    m0_max = max(0, n0 * (n1 * n2 - scale * scale) // (scale * scale * (n1 + n2)))
+    solutions = []
+    for m0 in range(1, m0_max + 1):
+        big0 = scale * m0
+        m1_max = n1 * (n0 * n2 - scale * big0) // (scale * (n2 * big0 + scale * n0))
+        num, den = n2 * (n0 * n1 - big0 * scale), scale * (n0 * scale + big0 * n1)
+        num_step, den_step = n2 * big0 * scale, scale * scale * n0
+        for m1 in range(1, m1_max + 1):
+            if num % den == 0:
+                solutions.append((m0, m1, num // den))
+            num -= num_step
+            den += den_step
+    return solutions
+
+
 def tangent_sum_filter(s: SideMultiset, condition: CenterCondition = CenterCondition.CIRCUMCENTER) -> ExclusionCertificate | None:
     """Angle analysis for acute triangles with a lattice circumcenter.
 
     The three angles are arctan(n_i / m_i) with n_i the (halved-if-even)
     side lengths, and they must sum to exactly pi.  If no denominator
     triple works, or every solution produces a sub-triangle violating the
-    pairwise-gcd law, the multiset is impossible.
+    pairwise-gcd law, the multiset is impossible.  Every solution is
+    found before any is tested.
     """
-    numerators = halved_numerators(s)
-    solutions = solve_pi_triples(numerators)
+    numerators = halved_numerators_fractions(s)
+    solutions = pi_triples_hyperbola_sweep(numerators)
     nums = f"({numerators[0]},{numerators[1]},{numerators[2]})"
     if not solutions:
         return ExclusionCertificate(

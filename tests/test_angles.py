@@ -10,6 +10,7 @@ from latticecenters.angles import (
     angle_over_pi_bounds,
     certified_ratio_string,
     frontier_rows,
+    iter_pi_triples,
     pi_signs,
     render_table,
     solve_pi_triples,
@@ -189,12 +190,31 @@ class TestSolver:
             assert all(max(sol) <= 25 for sol in got)
 
     def test_matches_angle_scan_on_every_small_multiset(self):
-        # same list, same (m0, m1) order: certificate text prints it
+        # same list, same (m0, m1) order: certificate text prints it; the
+        # integer numerators and their Fraction forms give the same list
         for perimeter in range(3, 25):
             for a in range(1, perimeter // 3 + 1):
                 for b in range(a, (perimeter - a) // 2 + 1):
-                    nums = halved_numerators(SideMultiset(a, b, perimeter - a - b))
-                    assert solve_pi_triples(nums) == oracles.pi_triples_angle_scan(nums), nums
+                    s = SideMultiset(a, b, perimeter - a - b)
+                    nums = halved_numerators(s)
+                    assert all(type(n) is int for n in nums), nums
+                    expected = oracles.pi_triples_angle_scan(nums)
+                    assert list(iter_pi_triples(nums)) == expected, nums
+                    assert solve_pi_triples(nums) == expected, nums
+                    assert solve_pi_triples(oracles.halved_numerators_fractions(s)) == expected, nums
+
+    def test_matches_eager_sweep_to_perimeter_60(self):
+        for perimeter in range(3, 61):
+            for a in range(1, perimeter // 3 + 1):
+                for b in range(a, (perimeter - a) // 2 + 1):
+                    s = SideMultiset(a, b, perimeter - a - b)
+                    want = oracles.pi_triples_hyperbola_sweep(oracles.halved_numerators_fractions(s))
+                    assert list(iter_pi_triples(halved_numerators(s))) == want, s
+
+    def test_rejects_non_positive_numerators(self):
+        for nums in ((0, 1, 2), (1, -2, 3), (Fraction(1, 2), 0, 1), (1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="three positive"):
+                solve_pi_triples(nums)
 
     def test_matches_angle_scan_on_rational_numerators(self):
         cases = [
@@ -205,8 +225,10 @@ class TestSolver:
             ((Fraction(9, 2), Fraction(11, 2), Fraction(13, 4)), []),
         ]
         for nums, expected in cases:
+            assert list(iter_pi_triples(nums)) == expected
             assert solve_pi_triples(nums) == expected
             assert oracles.pi_triples_angle_scan(nums) == expected
+            assert oracles.pi_triples_hyperbola_sweep(nums) == expected
 
 
 def _level(rows, total):

@@ -1,15 +1,21 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import latticecenters
 from latticecenters import feasibility
 from latticecenters.cli import main
 from latticecenters.feasibility import partitions
 
 import oracles
+
+SRC = str(Path(latticecenters.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -163,6 +169,29 @@ class TestAngles:
         code, out, err = run(capsys, "angles", "40", "41", "43")
         assert code == 1 and out == ""
         assert err.startswith("error: the denominator table for numerators (20, 41, 43)")
+
+    def test_huge_sides_refused_before_solving(self):
+        # the row limit is checked before the solver sweeps a range that grows as l^3
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "latticecenters.cli", "angles", "30000", "30000", "30000"],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: the denominator table for numerators (15000, 15000, 15000)")
+        assert "would exceed 50000 rows" in done.stderr
+
+    def test_output_bytes(self, capsys):
+        # integer numerators print as the Fraction numerators did
+        pinned = {
+            ("2", "3", "5", "human"): "9159a2b0df8fa0eb",
+            ("2", "3", "5", "json"): "7655b9acd07c3a43",
+            ("4", "6", "8", "human"): "509e39bc151cf9e4",
+            ("4", "6", "8", "json"): "2527b8a3b7230ab2",
+        }
+        for (*sides, fmt), want in pinned.items():
+            code, out, _ = run(capsys, "angles", *sides, "--format", fmt)
+            assert (code, digest(out)) == (0, want), (sides, fmt)
 
 
 class TestTableAndAtlas:

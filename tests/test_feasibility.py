@@ -1,11 +1,14 @@
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import random
 
 import pytest
 
+from latticecenters import feasibility
+from latticecenters.angles import solve_pi_triples
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.feasibility import (
     RULES,
@@ -101,6 +104,26 @@ class TestFilters:
         # but not a realizable multiset such as (1,3,4) (perimeter 8 witness)
         assert tangent_sum_filter(SideMultiset(1, 3, 4)) is None
 
+    def test_tangent_sum_filter_stops_at_first_survivor(self, monkeypatch):
+        # (3,5,8) has four solutions and the first survives: one is drawn.
+        # (4,7,11) has three, all killed: all are drawn and listed.
+        drawn, iter_pi_triples = [], feasibility.iter_pi_triples
+
+        def counting(numerators):
+            for sol in iter_pi_triples(numerators):
+                drawn.append(sol)
+                yield sol
+
+        monkeypatch.setattr(feasibility, "iter_pi_triples", counting)
+        assert len(solve_pi_triples(halved_numerators(SideMultiset(3, 5, 8)))) == 4
+        assert tangent_sum_filter(SideMultiset(3, 5, 8)) is None
+        assert drawn == [(1, 1, 7)]
+        drawn.clear()
+        detail = tangent_sum_filter(SideMultiset(4, 7, 11))
+        assert drawn == [(1, 2, 12), (2, 4, 3), (6, 1, 2)]
+        assert detail == oracles.tangent_sum_filter(SideMultiset(4, 7, 11)).detail
+        assert detail.startswith("solutions for (2,7,11): m=(1, 2, 12) -> sub-triangle")
+
 
 class TestExclusionReports:
     def test_orthocenter_acute_boundary(self):
@@ -171,6 +194,9 @@ class TestSharedPerimeterSides:
             for s in partitions(ell):
                 want = oracles.gcd_filter_two_pass(s, H)
                 assert gcd_violation(s) == (None if want is None else want.detail), s
+                # the TangentSum rule's verdict-only form, on the lengths in any order
+                for order in itertools.permutations(s.as_tuple()):
+                    assert feasibility._gcd_law_holds(*order) is (want is None), order
 
     def test_matches_per_multiset_chain(self):
         # every standard cell, with and without a table shared across the perimeter
@@ -182,6 +208,20 @@ class TestSharedPerimeterSides:
                     for got in (exclusion_report(ell, cond, shape, sides), exclusion_report(ell, cond, shape)):
                         assert got.text() == want.text(), (ell, cond, shape)
                         assert got.survivors == want.survivors, (ell, cond, shape)
+                        assert got.certificates == want.certificates, (ell, cond, shape)
+
+    @pytest.mark.slow
+    def test_acute_circumcenter_cells_match_per_multiset_chain_to_150(self):
+        # the TangentSum cells at every even perimeter to 150, against the
+        # oracle filter that sweeps every solution before testing any; a
+        # cell that is not settled prints only its survivors, so the
+        # certificates are compared too
+        for ell in range(4, 151, 2):
+            for cond in (F, CenterCondition.ALL_THREE):
+                want = oracles.exclusion_report_per_multiset(ell, cond, ShapeClass.ACUTE)
+                got = exclusion_report(ell, cond, ShapeClass.ACUTE)
+                assert got.text() == want.text(), (ell, cond)
+                assert got.certificates == want.certificates, (ell, cond)
 
     def test_sides_of_another_perimeter_rejected(self):
         with pytest.raises(ValueError, match="perimeter"):
