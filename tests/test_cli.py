@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import latticecenters
-from latticecenters import feasibility
+from latticecenters import cli, feasibility
 from latticecenters.cli import main
 from latticecenters.feasibility import partitions
 
@@ -272,6 +272,14 @@ class TestTableAndAtlas:
         assert (code, out) == (1, "") and "--out writes the json format only" in err
         assert not out_file.exists()
 
+    def test_atlas_empty_out_is_refused(self, capsys, monkeypatch):
+        def build(config):
+            raise AssertionError("nothing is built for an empty --out")
+
+        monkeypatch.setattr(cli, "build_atlas", build)
+        code, out, err = run(capsys, "atlas", "--box", "5", "--lmax", "8", "--conditions", "G", "--out", "")
+        assert (code, out) == (1, "") and "--out needs a file name" in err
+
     def test_atlas_unknown_shape_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["atlas", "--shapes", "acute,foo"])
@@ -344,6 +352,15 @@ class TestScanFigureProps:
         assert rows[5]["coprime_no_3"] == ""
         assert rows[11]["coprime_no_3"] == ""
         assert rows[12]["coprime_no_3"] != ""
+
+    def test_props_over_the_cap_is_refused_before_any_row(self, capsys, monkeypatch):
+        def witness(n):
+            raise AssertionError("no row is built over the cap")
+
+        monkeypatch.setattr(cli, "prop1_witness", witness)
+        code, out, err = run(capsys, "props", "--max-n", str(cli.PROPS_MAX_N + 1))
+        assert (code, out) == (1, "")
+        assert err == f"error: --max-n must be at most {cli.PROPS_MAX_N}, got {cli.PROPS_MAX_N + 1}\n"
 
     def test_props_csv_without_rows_is_a_header(self, capsys):
         code, out, _ = run(capsys, "props", "--max-n", "0", "--format", "csv")

@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import dataclasses
+import gc
 import json
 import random
 
@@ -648,3 +649,46 @@ class TestAtlasWriter:
         assert set(calls) == {id(c) for c in held}
         assert set(calls.values()) == {1}
         assert len(calls) < len(held)
+
+
+@pytest.fixture(scope="module")
+def box8_atlas_bytes():
+    return build_atlas(SearchConfig(box_radius=8, lmax=30)).to_json_bytes()
+
+
+class TestAtlasLoadCollector:
+    # the loader pauses cyclic collection and puts back the caller's state
+    def test_load_starts_no_collection(self, box8_atlas_bytes):
+        doc = json.loads(box8_atlas_bytes)
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        assert gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            atlas_from_document(doc)
+        finally:
+            gc.callbacks.remove(record)
+        assert "start" not in phases
+
+    def test_collection_enabled_after_a_load_and_after_a_rejected_one(self, box8_atlas_bytes):
+        assert gc.isenabled()
+        atlas_from_document(json.loads(box8_atlas_bytes))
+        assert gc.isenabled()
+        doc = json.loads(box8_atlas_bytes)
+        impossible = [e for e in doc["entries"] if e["status"] == "impossible"]
+        impossible[-1]["certificates"][0]["detail"] += " (edited)"
+        with pytest.raises(ValueError, match="certificates"):
+            atlas_from_document(doc)
+        assert gc.isenabled()
+
+    def test_collection_stays_disabled_for_a_caller_that_disabled_it(self, box8_atlas_bytes):
+        doc = json.loads(box8_atlas_bytes)
+        gc.disable()
+        try:
+            atlas_from_document(doc)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
