@@ -12,15 +12,12 @@ equidistance from the vertices for F).
 
 center_report gives the centers as Fractions; lattice_centers decides
 only their lattice membership, by integer divisibility tests, with the
-same cross-checks scaled to integers.  Its algebra, center_numerators
-and center_flags, also runs elementwise on the search's int64 arrays.
+same cross-checks scaled to integers.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,11 +84,11 @@ class CenterCondition(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    def met_by(self, flags):
-        """Whether the (F, G, H) flags, bools or numpy bool arrays, meet this condition: & of those it names."""
+    def met_by(self, flags: tuple[bool, bool, bool]) -> bool:
+        """Whether the (F, G, H) lattice flags meet this condition: all of those it names."""
         if self is CenterCondition.INCENTER:
             raise ValueError("incenter membership is not one of the F, G, H flags")
-        return functools.reduce(operator.and_, (flags["FGH".index(letter)] for letter in self._value_))
+        return all(flags["FGH".index(letter)] for letter in self._value_)
 
 
 @dataclass(frozen=True)
@@ -166,42 +163,22 @@ def center_report(t: LatticeTriangle) -> CenterReport:
     )
 
 
-def center_numerators(x1, y1, x2, y2, cross, dot, letters: str = "FGH"):
-    """(2*cross*F, 3*G, cross*H) for the triangle O, (x1, y1), (x2, y2), on ints or int64 arrays.
-
-    cross = x1*y2 - x2*y1 and dot = x1*x2 + y1*y2 come from the caller.
-    cross*H = dot*(y2 - y1, x1 - x2), 3*G = (x1 + x2, y1 + y2) and, by the
-    Euler relation, 2*cross*F = cross*3*G - cross*H, which is formed only
-    when F is in letters (else it is None).
-    """
-    hx, hy = dot * (y2 - y1), dot * (x1 - x2)
-    gx, gy = x1 + x2, y1 + y2
-    f = (cross * gx - hx, cross * gy - hy) if "F" in letters else None
-    return f, (gx, gy), (hx, hy)
-
-
-def center_flags(cross, f, g, h, letters: str = "FGH"):
-    """(F, G, H) flags, each true where its scale factor divides both coordinates, or None if not in letters."""
-    c2 = 2 * cross
-    return (
-        (f[0] % c2 == 0) & (f[1] % c2 == 0) if "F" in letters else None,
-        (g[0] % 3 == 0) & (g[1] % 3 == 0) if "G" in letters else None,
-        (h[0] % cross == 0) & (h[1] % cross == 0) if "H" in letters else None,
-    )
-
-
 def lattice_centers(t: LatticeTriangle) -> tuple[bool, bool, bool]:
     """Whether F, G and H (in that order) are lattice points, decided in integers.
 
-    The centers relative to v0 come from center_numerators, cross-checked
-    as in center_report but scaled to integers.
+    With v0 at the origin, cross*H = dot*(y2 - y1, x1 - x2), 3*G = (x1 + x2,
+    y1 + y2) and 2*cross*F = cross*3*G - cross*H (Euler), each tested for
+    divisibility by its factor and cross-checked as in center_report.
     """
     x1, y1 = t.v1.x - t.v0.x, t.v1.y - t.v0.y
     x2, y2 = t.v2.x - t.v0.x, t.v2.y - t.v0.y
     cross = x1 * y2 - x2 * y1
     if cross == 0:
         raise DegenerateTriangleError(f"collinear vertices: {t}")
-    (fx, fy), g, (hx, hy) = center_numerators(x1, y1, x2, y2, cross, x1 * x2 + y1 * y2)
+    dot = x1 * x2 + y1 * y2
+    hx, hy = dot * (y2 - y1), dot * (x1 - x2)
+    gx, gy = x1 + x2, y1 + y2
+    fx, fy = cross * gx - hx, cross * gy - hy
     o, a, b = (0, 0), (x1, y1), (x2, y2)
     # cross*(H - vi) must be perpendicular to the opposite side, for each vertex
     for (vx, vy), (px, py), (qx, qy) in ((o, a, b), (a, b, o), (b, o, a)):
@@ -212,7 +189,7 @@ def lattice_centers(t: LatticeTriangle) -> tuple[bool, bool, bool]:
     d2 = [(fx - c2 * vx) ** 2 + (fy - c2 * vy) ** 2 for vx, vy in (o, a, b)]
     if not d2[0] == d2[1] == d2[2]:
         raise ArithmeticError(f"circumcenter check failed for {t}")
-    return center_flags(cross, (fx, fy), g, (hx, hy))
+    return (fx % c2 == 0 and fy % c2 == 0, gx % 3 == 0 and gy % 3 == 0, hx % cross == 0 and hy % cross == 0)
 
 
 def exact_tangent(t: LatticeTriangle, vertex: int) -> Fraction:

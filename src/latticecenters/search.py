@@ -19,15 +19,14 @@ symmetries of the square (D4), and so is every cell, so that P is the
 smallest-index point of its D4 orbit: the sweep takes P only from those
 points, one per orbit, which are the points with x <= y <= 0.  Searching is
 vectorized over Q for each P, and every lattice test is exact integer
-arithmetic.  The circumcenter, centroid and orthocenter flags are the
-divisibility tests of centers.lattice_centers run on int64 arrays
-(center_numerators, center_flags), and each condition's mask is
-CenterCondition.met_by of them.  The incenter needs a squarefree-part match
-of the squared sides and one divisibility, so only the Q whose |Q|^2 has the
-squarefree part of |P|^2 can hit: a P that needs only the incenter sweeps that
-kernel group, and only F, G and H sweep the whole grid.  Sharding splits the
-swept points round-robin; per-cell results merge by minimal (P index,
-Q index), so output is independent of the shard count.
+arithmetic.  The search serves the incenter cells only: constructions
+and exclusion certificates decide every F, G and H cell (see
+constructions.ACHIEVABLE).  A lattice incenter needs a squarefree-part
+match of the squared sides and one divisibility, so only the Q whose
+|Q|^2 has the squarefree part of |P|^2 can hit: each P sweeps that kernel
+group.  Sharding splits the swept points round-robin; per-cell results
+merge by minimal (P index, Q index), so output is independent of the
+shard count.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import incenter as incenter_mod
-from .centers import CenterCondition, center_flags, center_numerators, lattice_centers
+from .centers import CenterCondition, lattice_centers
 from .centers import center_report  # noqa: F401 (importable from here, as before)
 from .constructions import ACHIEVABLE, UnachievableError, WitnessRequest, build_witness
 from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
@@ -64,10 +63,10 @@ SHAPE_ORDER = (ShapeClass.ACUTE, ShapeClass.OBTUSE, ShapeClass.RIGHT)
 
 STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 
-# Largest accepted box radius, for memory first: an F, G or H sweep builds
-# its per-P arrays on the whole (2B + 1)^2 grid (the incenter on P's kernel
-# group), so its peak grows as about 1.15 KB * B^2, some 1.2 GB at B = 1000.
-# The int64 circumcenter numerators (up to 8 B^3) would wrap around beyond B = 10^6.
+# Largest accepted box radius, for memory: a shard's peak ru_maxrss grows as
+# about 0.52 KB * B^2 over the interpreter's 30 MB (one shard sweeping five
+# first vertices: 64 MB at B = 250, 158 MB at 500, 546 MB at 1000; x86-64
+# Linux, numpy 2.4), nearly all of it while building the grid's coordinates.
 MAX_BOX_RADIUS = 1000
 
 
@@ -149,18 +148,18 @@ def _incenter_mask(px: int, py: int, qx: np.ndarray, qy: np.ndarray, sq_root: np
     # O, P, Q has a lattice incenter exactly when its squared sides share
     # one squarefree part k, so that the sides are a, b, c times sqrt(k),
     # and (b P + c Q) / (a + b + c) is a lattice point (see
-    # incenter.lattice_incenter); every intermediate stays within 8 B^2
+    # incenter.lattice_incenter); every Q comes from P's kernel group, so
+    # only |P - Q|^2 is compared, and every intermediate stays within 8 B^2
     c = int(sq_root[px * px + py * py])
     kernel = (px * px + py * py) // (c * c)
-    n_pq, n_q = (px - qx) ** 2 + (py - qy) ** 2, qx * qx + qy * qy
-    a, b = sq_root[n_pq], sq_root[n_q]
+    n_pq = (px - qx) ** 2 + (py - qy) ** 2
+    a, b = sq_root[n_pq], sq_root[qx * qx + qy * qy]
     total = a + b + c
-    same = (n_q // (b * b) == kernel) & (n_pq // (a * a) == kernel)
-    return same & ((b * px + c * qx) % total == 0) & ((b * py + c * qy) % total == 0)
+    return (n_pq // (a * a) == kernel) & ((b * px + c * qx) % total == 0) & ((b * py + c * qy) % total == 0)
 
 
 def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[Cell]) -> dict[Cell, Candidate]:
-    """Sweep this shard's first vertices; the first hit per cell is the minimal one.
+    """Sweep this shard's first vertices; the first hit per incenter cell is the minimal one.
 
     A cell's witness is its anchored pair with the smallest grid indices
     (p_idx, q_idx).  The box and every cell are closed under the eight
@@ -168,11 +167,11 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
     P is the smallest-index point of its D4 orbit, (-x, -y) for a point
     (x, y) of the cone 0 <= y <= x.  Only those points are swept, in
     ascending index order (x descending, then y descending), each with
-    its candidate Q in index order (P's kernel group if P needs only the
-    incenter, else the box); shards take every shard_count-th of them.
-    An earlier P cannot hit the cell (its pair would be smaller), so the
-    first hit per cell in the shard holding the minimum is the minimum,
-    and merging shards by index gives it whatever the shard count.
+    the Q of its kernel group in index order; shards take every
+    shard_count-th of them.  An earlier P cannot hit the cell (its pair
+    would be smaller), so the first hit per cell in the shard holding the
+    minimum is the minimum, and merging shards by index gives it whatever
+    the shard count.
     """
     box = config.box_radius
     side = 2 * box + 1
@@ -183,9 +182,7 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
 
     shape_by_code = (ShapeClass.ACUTE, ShapeClass.RIGHT, ShapeClass.OBTUSE)
     shape_allowed = np.array([s in config.shapes for s in shape_by_code])
-    conditions = [c for c in config.conditions if any(c == cell[0] for cell in cells_needed)]
-    if CenterCondition.INCENTER in conditions:
-        sq_root, groups = _incenter_kernels(grid_x, grid_y, box)
+    sq_root, groups = _incenter_kernels(grid_x, grid_y, box)
 
     found: dict[Cell, Candidate] = {}
     remaining = set(cells_needed)
@@ -199,11 +196,8 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         if gp + 2 > lmax:
             continue  # partial perimeter already over budget
 
-        # only P's kernel group can meet the incenter test; F, G and H sweep the whole grid, as views
-        need = [c for c in conditions if any(cell[0] == c for cell in remaining)]
         norm = px * px + py * py
-        cand = groups[norm // int(sq_root[norm]) ** 2] if need == [CenterCondition.INCENTER] else slice(None)
-        qx, qy, gcd_q, q_ids = grid[:, cand]
+        qx, qy, gcd_q, q_ids = grid[:, groups[norm // int(sq_root[norm]) ** 2]]
         cross = px * qy - py * qx
         valid = cross != 0
         gcd_pq = np.gcd(np.abs(px - qx), np.abs(py - qy))
@@ -221,29 +215,18 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         if not base.any():
             continue
 
-        if any(c is not CenterCondition.INCENTER for c in need):
-            letters = "".join(c.value for c in need)
-            # kept in a name until the next P's replace them: freed at once, on
-            # top of the heap, these whole-grid arrays go back to the system
-            # and are faulted in again
-            numerators = center_numerators(px, py, qx, qy, cross, d0, letters)
-            flags = center_flags(np.where(valid, cross, 1), *numerators, letters)
-        for cond in need:
-            if cond is CenterCondition.INCENTER:
-                combined = base & _incenter_mask(px, py, qx, qy, sq_root)
-            else:
-                combined = base & cond.met_by(flags)
-            if not combined.any():
+        combined = base & _incenter_mask(px, py, qx, qy, sq_root)
+        if not combined.any():
+            continue
+        survivors = np.flatnonzero(combined)
+        cell_ids = shape_code[survivors] * (lmax + 1) + perim[survivors]
+        _, first = np.unique(cell_ids, return_index=True)
+        for i in survivors[np.sort(first)]:
+            cell = (CenterCondition.INCENTER, shape_by_code[shape_code[i]], int(perim[i]))
+            if cell not in remaining:
                 continue
-            survivors = np.flatnonzero(combined)
-            cell_ids = shape_code[survivors] * (lmax + 1) + perim[survivors]
-            _, first = np.unique(cell_ids, return_index=True)
-            for i in survivors[np.sort(first)]:
-                cell = (cond, shape_by_code[shape_code[i]], int(perim[i]))
-                if cell not in remaining:
-                    continue
-                found[cell] = (p_idx, int(q_ids[i]), px, py, int(qx[i]), int(qy[i]))
-                remaining.discard(cell)
+            found[cell] = (p_idx, int(q_ids[i]), px, py, int(qx[i]), int(qy[i]))
+            remaining.discard(cell)
     return found
 
 
@@ -258,11 +241,15 @@ def _merge_candidates(results: Sequence[dict[Cell, Candidate]]) -> dict[Cell, Ca
 
 
 def search_witnesses(config: SearchConfig, cells_needed: frozenset[Cell]) -> dict[Cell, LatticeTriangle]:
-    """Find one triangle per requested cell within the box, if any exists.
+    """Find one triangle per requested incenter cell within the box, if any exists.
 
-    Deterministic for a fixed (box_radius, lmax, conditions, shapes):
-    the triangles do not depend on shard_count.
+    Deterministic for a fixed (box_radius, lmax, shapes): the triangles
+    do not depend on shard_count.  Any other condition raises ValueError:
+    constructions and exclusion certificates decide those cells.
     """
+    stray = next((cell for cell in cells_needed if cell[0] is not CenterCondition.INCENTER), None)
+    if stray is not None:
+        raise ValueError("the box search serves incenter cells only, not %s/%s/%s" % stray)
     if not cells_needed:
         return {}
     # shards past the number of swept first vertices would be empty
@@ -389,6 +376,8 @@ def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
         raise ValueError(f"atlas entry {cell} lies outside the config")
     if "certificates" in item and status != "impossible":
         raise ValueError(f"{status} entry {cell} carries certificates")
+    if status == "open" and cell[0] is not CenterCondition.INCENTER:
+        raise ValueError(f"open entry {cell}: only incenter cells may be open")
     if status != "witness":
         if "witness_vertices" in item or "source" in item:
             raise ValueError(f"{status} entry {cell} carries a witness")
@@ -411,9 +400,11 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     cell, which must prove the cell impossible; the entry keeps the fresh
     certificates.  So a certificate edited, dropped or copied from
     another cell is rejected, and so are certificates or a witness on an
-    entry of another status.  The reports of one perimeter share one
-    PerimeterSides, and each certificate object becomes one to_json()
-    dict for every claim it is compared with.  Each of these failures,
+    entry of another status, and an open entry on any but an incenter
+    cell (constructions and certificates settle all the others).  The
+    reports of one perimeter share one PerimeterSides, and each
+    certificate object becomes one to_json() dict for every claim it is
+    compared with.  Each of these failures,
     and a missing or wrongly typed value anywhere, raises ValueError.
 
     The cyclic garbage collector is paused for the whole load.  The load
@@ -473,47 +464,38 @@ def _verified_atlas(doc: dict) -> AchievabilityAtlas:
     return atlas
 
 
-def build_atlas(config: SearchConfig, seed_constructions: bool = True) -> AchievabilityAtlas:
+def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
     """Resolve every (condition, shape, perimeter) cell of the config.
 
-    Construction families seed witnesses, exclusion filters certify the
-    impossible cells, and the box search fills whatever is left (which is
-    every incenter cell, since no impossibility rules exist for it).
-    Absence from the box is recorded as open, never as impossible.
-    Cells are walked perimeter by perimeter, so that the exclusion
-    reports of one perimeter share one PerimeterSides.
+    Constructions or exclusion certificates settle every F, G and H cell
+    (constructions.ACHIEVABLE); one that neither settles raises
+    ArithmeticError.  The box search fills the incenter cells, recording
+    absence from the box as open, never as impossible.  Cells are walked
+    perimeter by perimeter, so that the exclusion reports of one
+    perimeter share one PerimeterSides.
     """
     atlas = AchievabilityAtlas(config)
-    unresolved: list[Cell] = []
+    incenter_cells: list[Cell] = []
     for ell in range(3, config.lmax + 1):
         sides = PerimeterSides(ell)
         for condition in config.conditions:
             for shape in config.shapes:
                 cell = (condition, shape, ell)
-                entry = None
-                if condition is not CenterCondition.INCENTER:
-                    if seed_constructions:
-                        try:
-                            witness = build_witness(WitnessRequest(condition, shape, ell))
-                            entry = AtlasEntry(
-                                condition, shape, ell, "witness", witness.triangle, "construction"
-                            )
-                        except UnachievableError:
-                            entry = None
-                    if entry is None:
-                        report = exclusion_report(ell, condition, shape, sides)
-                        if report.proven_impossible:
-                            entry = AtlasEntry(
-                                condition, shape, ell, "impossible",
-                                certificates=report.certificates,
-                            )
-                if entry is not None:
-                    atlas.entries[cell] = entry
+                if condition is CenterCondition.INCENTER:
+                    incenter_cells.append(cell)
+                    continue
+                try:
+                    witness = build_witness(WitnessRequest(condition, shape, ell))
+                except UnachievableError:
+                    report = exclusion_report(ell, condition, shape, sides)
+                    if not report.proven_impossible:
+                        raise ArithmeticError(f"cell {condition}/{shape}/{ell} is neither built nor excluded")
+                    atlas.entries[cell] = AtlasEntry(*cell, "impossible", certificates=report.certificates)
                 else:
-                    unresolved.append(cell)
+                    atlas.entries[cell] = AtlasEntry(*cell, "witness", witness.triangle, "construction")
 
-    hits = search_witnesses(config, frozenset(unresolved))
-    for cell in unresolved:
+    hits = search_witnesses(config, frozenset(incenter_cells))
+    for cell in incenter_cells:
         hit = hits.get(cell)
         if hit is None:
             atlas.entries[cell] = AtlasEntry(*cell, status="open")

@@ -3,13 +3,10 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from latticecenters.centers import (
     CenterCondition,
-    center_flags,
-    center_numerators,
     center_report,
     centroid,
     circumcenter,
@@ -28,7 +25,6 @@ from latticecenters.lattice import (
     triangle,
     twice_area,
 )
-from latticecenters.search import MAX_BOX_RADIUS
 import oracles
 
 
@@ -166,49 +162,6 @@ class TestLatticeCenters:
                         cond.met_by(flags)
                 else:
                     assert cond.met_by(flags) is want[cond.value], (cond, flags)
-
-    def test_conditions_on_bool_arrays(self):
-        # the search applies met_by to numpy flag arrays, one element per Q
-        patterns = list(itertools.product((False, True), repeat=3))
-        arrays = tuple(np.array([p[i] for p in patterns]) for i in range(3))
-        for cond in CenterCondition:
-            if cond is CenterCondition.INCENTER:
-                continue
-            met = cond.met_by(arrays)
-            assert met.dtype == bool and met.tolist() == [cond.met_by(p) for p in patterns], cond
-
-    def test_int64_flags_at_the_box_corners(self):
-        # the search's int64 form of the tests against lattice_centers, on
-        # random pairs and on planted ones (triangles with lattice centers,
-        # scaled to span the box, under D4, anchored at each vertex)
-        bases = (((0, 0), (6, 0), (3, 9)), ((0, 0), (6, 3), (3, 6)), ((0, 0), (4, 0), (3, 3)), ((0, 0), (3, 0), (1, 2)))
-        for box in (MAX_BOX_RADIUS, 10**6):  # up to 10^6 the numerators (< 8 B^3) fit in int64
-            rng = random.Random(box)
-            corner = (-box, 1 - box, box - 1, box)
-            pairs = [
-                tuple(rng.choice(corner) if rng.random() < 0.5 else rng.randint(-box, box) for _ in range(4))
-                for _ in range(2000)
-            ]
-            for base in bases:
-                span = max(abs(c) for v in base for w in base for c in (v[0] - w[0], v[1] - w[1]))
-                for k in (box // span, box // span - 1, box // span // 3 * 3):
-                    for a, b, c, d in oracles.D4:
-                        verts = [(k * (a * x + b * y), k * (c * x + d * y)) for x, y in base]
-                        for ox, oy in verts:
-                            (px, py), (qx, qy) = [(x - ox, y - oy) for x, y in verts if (x, y) != (ox, oy)]
-                            pairs.append((px, py, qx, qy))
-            px, py, qx, qy = np.array(pairs, dtype=np.int64).T
-            cross = px * qy - py * qx
-            numerators = center_numerators(px, py, qx, qy, cross, px * qx + py * qy)
-            flags = np.array(center_flags(np.where(cross != 0, cross, 1), *numerators))
-            seen = collections.Counter()
-            for i, (x1, y1, x2, y2) in enumerate(pairs):
-                if cross[i] != 0:
-                    t = triangle((0, 0), (x1, y1), (x2, y2))
-                    want = lattice_centers(t)
-                    assert tuple(flags[:, i].tolist()) == want == _report_flags(t), (box, pairs[i])
-                    seen[want] += 1
-            assert seen[(True, True, True)] and seen[(False, True, True)] and seen[(True, False, True)], seen
 
 
 class TestOrthicMValues:

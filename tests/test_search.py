@@ -2,6 +2,7 @@ import collections
 import concurrent.futures
 import dataclasses
 import gc
+import itertools
 import json
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecenters import feasibility
+from latticecenters.constructions import ACHIEVABLE
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
 from latticecenters.incenter import lattice_incenter
@@ -19,6 +21,7 @@ from latticecenters.search import (
     AtlasEntry,
     MAX_BOX_RADIUS,
     SHAPE_ORDER,
+    STANDARD_CONDITIONS,
     SearchConfig,
     _cone_points,
     _grid_points,
@@ -145,27 +148,49 @@ class TestOrbitIteration:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("box, lmax", [(12, 16), pytest.param(40, 24, marks=pytest.mark.slow)])
+    def test_full_grid_oracle_finds_exactly_the_achievable_cells(self, box, lmax):
+        # the search no longer sweeps F, G or H; the full-grid oracle still
+        # checks the theorem by brute force: a standard cell has a witness
+        # in the box exactly where ACHIEVABLE admits its perimeter
+        config = SearchConfig(box_radius=box, lmax=lmax)
+        cells = frozenset(itertools.product(STANDARD_CONDITIONS, SHAPE_ORDER, range(3, lmax + 1)))
+        found = oracles.search_shard_full_grid(config, 0, cells)
+        assert set(found) == {cell for cell in cells if ACHIEVABLE[cell[:2]][0](cell[2])}
+        for (cond, shape, ell), (_, _, px, py, qx, qy) in found.items():
+            rep = center_report(triangle((0, 0), (px, py), (qx, qy)))
+            assert rep.shape is shape and rep.perimeter == ell and cond.met_by(oracles.report_flags(rep))
+
     def test_search_only_reproduces_orthocenter_theorem(self):
+        # acute-H by brute force alone, with no construction: the full grid
+        # of box 12 holds a witness exactly at 6 and 8..14, and the atlas
+        # proves the other perimeters impossible
         config = SearchConfig(box_radius=12, lmax=14, conditions=(H,))
-        atlas = build_atlas(config, seed_constructions=False)
-        achievable = atlas.achievable(H, ShapeClass.ACUTE)
-        assert achievable == {6} | set(range(8, 15))
+        cells = frozenset((H, ShapeClass.ACUTE, ell) for ell in range(3, 15))
+        found = oracles.search_shard_full_grid(config, 0, cells)
+        assert {ell for _, _, ell in found} == {6} | set(range(8, 15))
+        atlas = build_atlas(config)
+        assert atlas.achievable(H, ShapeClass.ACUTE) == {6} | set(range(8, 15))
         for ell in (3, 4, 5, 7):
             assert atlas.entry(H, ShapeClass.ACUTE, ell).status == "impossible"
-        for cell, entry in atlas.entries.items():
-            if entry.status == "witness":
-                assert entry.source == "search"
 
     def test_search_witnesses_are_verified_cells(self):
-        config = SearchConfig(box_radius=8, lmax=10, conditions=(G,))
-        cells = frozenset((G, ShapeClass.OBTUSE, ell) for ell in range(3, 11))
+        config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,))
+        cells = frozenset((INC, s, ell) for s in ShapeClass for ell in range(3, 11))
         hits = search_witnesses(config, cells)
-        assert hits  # obtuse lattice-centroid triangles exist in range
+        assert hits  # lattice-incenter triangles exist in range
         for (cond, shape, ell), t in hits.items():
             rep = center_report(t)
+            assert cond is INC
             assert rep.shape is shape
             assert rep.perimeter == ell
-            assert cond.met_by(oracles.report_flags(rep))
+            assert lattice_incenter(t) is not None
+
+    def test_search_refuses_non_incenter_cells(self):
+        config = SearchConfig(box_radius=8, lmax=10, conditions=(G, INC))
+        cells = frozenset({(INC, ShapeClass.ACUTE, 8), (G, ShapeClass.OBTUSE, 6)})
+        with pytest.raises(ValueError, match="G/obtuse/6"):
+            search_witnesses(config, cells)
 
     def test_incenter_hits_have_a_lattice_incenter(self):
         config = SearchConfig(box_radius=8, lmax=12, conditions=(INC,))
@@ -177,7 +202,7 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "box, conditions",
-        [(box, CONDITION_ORDER) for box in range(2, 11)] + [(16, (INC,)), (24, (INC,))],
+        [(box, (INC,)) for box in range(2, 11)] + [(16, (INC,)), (24, (INC,))],
     )
     def test_cone_sweep_matches_full_grid(self, box, conditions):
         # every shape and reachable perimeter of the box
@@ -185,7 +210,7 @@ class TestSearch:
         config = SearchConfig(box_radius=box, lmax=lmax, conditions=conditions)
         cells = frozenset((c, s, ell) for c in conditions for s in SHAPE_ORDER for ell in range(3, lmax + 1))
         expected = _assert_shards_match_full_grid(config, cells)
-        assert len(expected) > 10 and (box < 4 or any(cell[0] is INC for cell in expected))
+        assert box < 4 or expected  # no lattice-incenter triangle fits a box of radius 3
 
     @pytest.mark.slow
     @pytest.mark.parametrize("box", range(2, 61))
@@ -314,6 +339,50 @@ class TestSearch:
                     checked += 1
         assert checked == 3 * 8 * 3
 
+    def test_incenter_mask_at_the_largest_box(self):
+        # the sweep's int64 incenter test against lattice_incenter at B =
+        # MAX_BOX_RADIUS, on random corner-heavy pairs and on planted ones:
+        # triangles with commensurable sides, scaled to span the box (so
+        # that some incenters are lattice points and some are not), under
+        # D4 and anchored at each vertex.  A Q outside P's kernel group
+        # never has a lattice incenter; the sweep skips it unmasked.
+        import latticecenters.search as search_mod
+
+        box = MAX_BOX_RADIUS
+        sq_root, _ = search_mod._incenter_kernels(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), box)
+        rng = random.Random(box)
+        corner = (-box, 1 - box, box - 1, box)
+        pairs = [
+            tuple(rng.choice(corner) if rng.random() < 0.5 else rng.randint(-box, box) for _ in range(4))
+            for _ in range(2000)
+        ]
+        # incenters (8, 4), (9, 7), (3, 1) and (3, 3/2), the last a lattice point at even scales only
+        bases = (((0, 0), (14, 2), (8, 8)), ((0, 0), (14, 2), (21, 51)), ((0, 0), (4, 0), (4, 3)), ((0, 0), (6, 0), (3, 4)))
+        for base in bases:
+            span = max(abs(c) for v in base for w in base for c in (v[0] - w[0], v[1] - w[1]))
+            for k in (box // span, box // span - 1):
+                for a, b, c, d in oracles.D4:
+                    verts = [(k * (a * x + b * y), k * (c * x + d * y)) for x, y in base]
+                    for ox, oy in verts:
+                        (px, py), (qx, qy) = [(x - ox, y - oy) for x, y in verts if (x, y) != (ox, oy)]
+                        pairs.append((px, py, qx, qy))
+
+        def kernel(n):
+            return n // int(sq_root[n]) ** 2
+
+        seen = collections.Counter()
+        for px, py, qx, qy in pairs:
+            if px * qy - py * qx == 0:
+                continue
+            want = lattice_incenter(triangle((0, 0), (px, py), (qx, qy))) is not None
+            if kernel(px * px + py * py) != kernel(qx * qx + qy * qy):
+                assert not want, (px, py, qx, qy)
+                continue
+            mask = search_mod._incenter_mask(px, py, np.array([qx], dtype=np.int64), np.array([qy], dtype=np.int64), sq_root)
+            assert bool(mask[0]) is want, (px, py, qx, qy)
+            seen[want] += 1
+        assert seen[True] >= 3 * 8 * 3 * 2 and seen[False] >= 8 * 3, seen
+
     def test_box_radius_limit(self):
         SearchConfig(box_radius=MAX_BOX_RADIUS)
         with pytest.raises(ValueError):
@@ -369,6 +438,35 @@ class TestAtlas:
         del doc[key]
         with pytest.raises(ValueError, match=key):
             atlas_from_document(doc)
+
+    def test_only_incenter_cells_reach_the_search(self, monkeypatch):
+        import latticecenters.search as search_mod
+
+        passed = []
+
+        def spy(config, cells_needed):
+            passed.append(cells_needed)
+            return search_witnesses(config, cells_needed)
+
+        monkeypatch.setattr(search_mod, "search_witnesses", spy)
+        atlas = build_atlas(SearchConfig(box_radius=6, lmax=60, conditions=CONDITION_ORDER))
+        assert passed == [frozenset(cell for cell in atlas.entries if cell[0] is INC)]
+        assert len(passed[0]) == 3 * 58
+
+    def test_unsettled_standard_cell_raises(self, monkeypatch):
+        # acute-H is unachievable at 7: a report that leaves it unsettled
+        # contradicts ACHIEVABLE
+        import latticecenters.search as search_mod
+
+        def unsettled(perimeter, condition, shape, sides=None):
+            report = feasibility.exclusion_report(perimeter, condition, shape, sides)
+            if (perimeter, condition, shape) == (7, H, ShapeClass.ACUTE):
+                return dataclasses.replace(report, proven_impossible=False, certificates=())
+            return report
+
+        monkeypatch.setattr(search_mod, "exclusion_report", unsettled)
+        with pytest.raises(ArithmeticError, match="H/acute/7"):
+            build_atlas(SearchConfig(box_radius=5, lmax=10, conditions=(G, H)))
 
     def test_results_table_small(self):
         cells = verify_results_table(lmax=14, box_radius=10)
@@ -440,6 +538,13 @@ def _move_witness_to_other_shape(doc: dict) -> None:
     _move_witness(doc, (G, ShapeClass.OBTUSE))
 
 
+def _open_acute_h8(doc: dict) -> None:
+    # the builder never leaves a standard cell open: acute-H is achievable at 8
+    entry = _find(doc, H, ShapeClass.ACUTE, 8)
+    entry.clear()
+    entry.update(condition="H", shape="acute", perimeter=8, status="open")
+
+
 def _two_vertices(doc: dict) -> None:
     _find(doc, H, ShapeClass.ACUTE, 12)["witness_vertices"].pop()
 
@@ -485,6 +590,7 @@ class TestAtlasLoaderRejects:
             (_edit_certificate_detail, "certificates"),
             (_move_witness_to_other_condition, "does not verify for H/acute"),
             (_move_witness_to_other_shape, "does not verify for G/obtuse"),
+            (_open_acute_h8, "only incenter cells may be open"),
         ],
     )
     def test_forged_document(self, forge, message):
@@ -604,29 +710,26 @@ def test_each_certificate_is_issued_once_per_perimeter():
         assert len(objects) < len(held)  # cells do share
 
 
-# (config, seed_constructions, the statuses and witness sources it must show)
+# (config, the statuses and witness sources it must show)
 _WRITER_CASES = {
-    "standard": (SearchConfig(box_radius=40, lmax=30), True, {"witness", "impossible", "construction"}),
-    "search-only": (SearchConfig(box_radius=8, lmax=14), False, {"witness", "impossible", "open", "search"}),
+    "standard": (SearchConfig(box_radius=40, lmax=30), {"witness", "impossible", "construction"}),
     "incenter": (
         SearchConfig(box_radius=6, lmax=14, conditions=CONDITION_ORDER),
-        True,
         {"witness", "impossible", "open", "construction", "search"},
     ),
     "one-condition-one-shape": (
         SearchConfig(box_radius=5, lmax=12, conditions=(H,), shapes=(ShapeClass.ACUTE,)),
-        True,
         {"witness", "impossible", "construction"},
     ),
-    "no-impossible-cell": (SearchConfig(box_radius=5, lmax=12, conditions=(INC,)), True, {"witness", "open", "search"}),
+    "no-impossible-cell": (SearchConfig(box_radius=5, lmax=12, conditions=(INC,)), {"witness", "open", "search"}),
 }
 
 
 class TestAtlasWriter:
     @pytest.mark.parametrize("case", sorted(_WRITER_CASES))
     def test_bytes_match_whole_document_dumps(self, case):
-        config, seed_constructions, shows = _WRITER_CASES[case]
-        atlas = build_atlas(config, seed_constructions=seed_constructions)
+        config, shows = _WRITER_CASES[case]
+        atlas = build_atlas(config)
         assert {x for e in atlas.entries.values() for x in (e.status, e.source) if x} == shows
         assert atlas.to_json_bytes() == oracles.atlas_json_bytes(atlas)
 
