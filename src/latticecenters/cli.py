@@ -438,7 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="compare the atlas against the reference sets")
     p.add_argument("--lmax", type=int, default=24)
-    p.add_argument("--box", type=int, default=40)
+    p.add_argument(
+        "--box",
+        type=int,
+        default=40,
+        help="search box radius: validated and echoed in the header, but it cannot change a "
+        "verdict, since constructions and certificates settle every standard cell",
+    )
     _add_format(p)
     p.set_defaults(func=cmd_table)
 

@@ -18,8 +18,8 @@ indices (P index, Q index).  The box is mapped to itself by the eight
 symmetries of the square (D4), and so is every cell, so that P is the
 smallest-index point of its D4 orbit: the sweep takes P only from those
 points, one per orbit, which are the points with x <= y <= 0.  Searching is
-vectorized over Q for each P, and every lattice test is exact integer
-arithmetic.  The search serves the incenter cells only: constructions
+vectorized over chunks of (P, Q) pairs, and every lattice test is exact
+integer arithmetic.  The search serves the incenter cells only: constructions
 and exclusion certificates decide every F, G and H cell (see
 constructions.ACHIEVABLE).  A lattice incenter needs a squarefree-part
 match of the squared sides and one divisibility, so only the Q whose
@@ -64,16 +64,11 @@ SHAPE_ORDER = (ShapeClass.ACUTE, ShapeClass.OBTUSE, ShapeClass.RIGHT)
 STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 
 # Largest accepted box radius, for memory: a shard's peak ru_maxrss grows as
-# about 0.52 KB * B^2 over the interpreter's 30 MB (one shard sweeping five
-# first vertices: 64 MB at B = 250, 158 MB at 500, 546 MB at 1000; x86-64
-# Linux, numpy 2.4), nearly all of it while building the grid's coordinates.
+# about 0.25 KB * B^2 over the interpreter's 32 MB (one shard sweeping five
+# first vertices: 48 MB at B = 250, 95 MB at 500, 280 MB at 1000; x86-64
+# Linux, numpy 2.4), nearly all of it in the int64 arrays over the grid and
+# the square-root table of _incenter_kernels.
 MAX_BOX_RADIUS = 1000
-
-
-def _grid_points(box_radius: int) -> list[tuple[int, int]]:
-    # [-B, B]^2 in grid-index order: point (x, y) has index (x + B) * (2B + 1) + (y + B)
-    span = range(-box_radius, box_radius + 1)
-    return [(x, y) for x in span for y in span]
 
 
 def _cone_points(width: int) -> list[tuple[int, int]]:
@@ -129,33 +124,39 @@ Cell = tuple[CenterCondition, ShapeClass, int]
 Candidate = tuple[int, int, int, int, int, int]
 
 
-def _incenter_kernels(qx: np.ndarray, qy: np.ndarray, box_radius: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def _incenter_kernels(qx: np.ndarray, qy: np.ndarray, box_radius: int) -> tuple[np.ndarray, np.ndarray]:
     # sq_root[n] is the largest d with d^2 | n for 0 <= n <= 8 B^2, so n's
-    # squarefree part is n // sq_root[n]^2; the grid's indices grouped by
-    # the squarefree part of |Q|^2, in index order within each group
+    # squarefree part is n // sq_root[n]^2; returns sq_root and the
+    # squarefree part of |Q|^2 for each point Q
     top = 8 * box_radius * box_radius
     sq_root = np.ones(top + 1, dtype=np.int64)
     for d in range(2, math.isqrt(top) + 1):
         sq_root[:: d * d] = d
     norm = qx * qx + qy * qy
-    kernel = norm // sq_root[norm] ** 2
-    order = np.argsort(kernel, kind="stable")
-    keys, starts = np.unique(kernel[order], return_index=True)
-    return sq_root, dict(zip(keys.tolist(), np.split(order, starts[1:])))
+    return sq_root, norm // sq_root[norm] ** 2
 
 
-def _incenter_mask(px: int, py: int, qx: np.ndarray, qy: np.ndarray, sq_root: np.ndarray) -> np.ndarray:
+def _incenter_mask(
+    px: int | np.ndarray, py: int | np.ndarray, qx: np.ndarray, qy: np.ndarray, sq_root: np.ndarray
+) -> np.ndarray:
     # O, P, Q has a lattice incenter exactly when its squared sides share
     # one squarefree part k, so that the sides are a, b, c times sqrt(k),
     # and (b P + c Q) / (a + b + c) is a lattice point (see
-    # incenter.lattice_incenter); every Q comes from P's kernel group, so
-    # only |P - Q|^2 is compared, and every intermediate stays within 8 B^2
-    c = int(sq_root[px * px + py * py])
-    kernel = (px * px + py * py) // (c * c)
+    # incenter.lattice_incenter); every Q comes from its P's kernel group,
+    # so only |P - Q|^2 is compared, and every intermediate stays within
+    # 8 B^2.  P is a point or one per Q.
+    n_p = px * px + py * py
+    c = sq_root[n_p]
     n_pq = (px - qx) ** 2 + (py - qy) ** 2
     a, b = sq_root[n_pq], sq_root[qx * qx + qy * qy]
     total = a + b + c
-    return (n_pq // (a * a) == kernel) & ((b * px + c * qx) % total == 0) & ((b * py + c * qy) % total == 0)
+    return (n_pq // (a * a) == n_p // (c * c)) & ((b * px + c * qx) % total == 0) & ((b * py + c * qy) % total == 0)
+
+
+# Pairs tested at once: bounds the sweep's working arrays (some twenty int64
+# arrays of this length) whatever the box.  Chunks of 2^16 pairs were no
+# faster at boxes 20 to 300 and raised a 100/60 sweep's peak by 6 MB.
+_CHUNK_PAIRS = 1 << 14
 
 
 def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[Cell]) -> dict[Cell, Candidate]:
@@ -168,64 +169,67 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
     (x, y) of the cone 0 <= y <= x.  Only those points are swept, in
     ascending index order (x descending, then y descending), each with
     the Q of its kernel group in index order; shards take every
-    shard_count-th of them.  An earlier P cannot hit the cell (its pair
-    would be smaller), so the first hit per cell in the shard holding the
-    minimum is the minimum, and merging shards by index gives it whatever
-    the shard count.
+    shard_count-th of them.  The swept pairs, in that order, are tested
+    in chunks of at most _CHUNK_PAIRS, and a cell's first hit in a chunk
+    is the first occurrence of its cell id there.  An earlier pair cannot
+    hit the cell (it would be smaller), so the first hit per cell in the
+    shard holding the minimum is the minimum, and merging shards by
+    index gives it whatever the shard count.
     """
     box = config.box_radius
     side = 2 * box + 1
-    grid_x, grid_y = np.array(_grid_points(box), dtype=np.int64).T
-    # one column per grid point, in index order: x, y, gcd(x, y), index
-    grid = np.stack([grid_x, grid_y, np.gcd(np.abs(grid_x), np.abs(grid_y)), np.arange(side * side)])
     lmax = config.lmax
+    # point (x, y) has grid index (x + B) * (2B + 1) + (y + B)
+    grid_x, grid_y = np.divmod(np.arange(side * side, dtype=np.int64), side)
+    grid_x -= box
+    grid_y -= box
+    sq_root, kernel = _incenter_kernels(grid_x, grid_y, box)
+    grid_gcd = np.gcd(np.abs(grid_x), np.abs(grid_y))
+
+    # the swept first vertices, x <= y <= 0 without the origin, in index order
+    swept = np.flatnonzero((grid_x < 0) & (grid_x <= grid_y) & (grid_y <= 0))[shard_id :: config.shard_count]
+    swept = swept[grid_gcd[swept] + 2 <= lmax]  # else the partial perimeter is over budget
+    # each P's kernel group is a run of `order`; the pairs of the shard are
+    # numbered in sweep order, P's from offsets[i] on
+    order = np.argsort(kernel, kind="stable")
+    sorted_kernel = kernel[order]
+    group = kernel[swept]
+    start = np.searchsorted(sorted_kernel, group, side="left")
+    offsets = np.concatenate(([0], np.cumsum(np.searchsorted(sorted_kernel, group, side="right") - start)))
+    pair_count = int(offsets[-1])
 
     shape_by_code = (ShapeClass.ACUTE, ShapeClass.RIGHT, ShapeClass.OBTUSE)
     shape_allowed = np.array([s in config.shapes for s in shape_by_code])
-    sq_root, groups = _incenter_kernels(grid_x, grid_y, box)
-
     found: dict[Cell, Candidate] = {}
     remaining = set(cells_needed)
 
-    for x, y in _cone_points(box)[::-1][shard_id :: config.shard_count]:
+    for lo in range(0, pair_count, _CHUNK_PAIRS):
         if not remaining:
             break
-        px, py = -x, -y
-        p_idx = (px + box) * side + py + box
-        gp = math.gcd(px, py)
-        if gp + 2 > lmax:
-            continue  # partial perimeter already over budget
-
-        norm = px * px + py * py
-        qx, qy, gcd_q, q_ids = grid[:, groups[norm // int(sq_root[norm]) ** 2]]
-        cross = px * qy - py * qx
-        valid = cross != 0
-        gcd_pq = np.gcd(np.abs(px - qx), np.abs(py - qy))
-        perim = gp + gcd_q + gcd_pq
-        valid &= perim <= lmax
-        if not valid.any():
+        pair = np.arange(lo, min(lo + _CHUNK_PAIRS, pair_count))
+        p_pos = np.searchsorted(offsets, pair, side="right") - 1
+        p_ids = swept[p_pos]
+        q_ids = order[start[p_pos] + pair - offsets[p_pos]]
+        px, py, qx, qy = grid_x[p_ids], grid_y[p_ids], grid_x[q_ids], grid_y[q_ids]
+        hits = np.flatnonzero(_incenter_mask(px, py, qx, qy, sq_root) & (px * qy != py * qx))
+        if not hits.size:
             continue
+        p_ids, q_ids, px, py, qx, qy = p_ids[hits], q_ids[hits], px[hits], py[hits], qx[hits], qy[hits]
 
+        perim = grid_gcd[p_ids] + grid_gcd[q_ids] + np.gcd(np.abs(px - qx), np.abs(py - qy))
         d0 = px * qx + py * qy
         d1 = px * (px - qx) + py * (py - qy)
         d2 = qx * (qx - px) + qy * (qy - py)
         min_dot = np.minimum(d0, np.minimum(d1, d2))
         shape_code = np.where(min_dot > 0, 0, np.where(min_dot == 0, 1, 2))
-        base = valid & shape_allowed[shape_code]
-        if not base.any():
-            continue
-
-        combined = base & _incenter_mask(px, py, qx, qy, sq_root)
-        if not combined.any():
-            continue
-        survivors = np.flatnonzero(combined)
+        survivors = np.flatnonzero((perim <= lmax) & shape_allowed[shape_code])
         cell_ids = shape_code[survivors] * (lmax + 1) + perim[survivors]
         _, first = np.unique(cell_ids, return_index=True)
         for i in survivors[np.sort(first)]:
             cell = (CenterCondition.INCENTER, shape_by_code[shape_code[i]], int(perim[i]))
             if cell not in remaining:
                 continue
-            found[cell] = (p_idx, int(q_ids[i]), px, py, int(qx[i]), int(qy[i]))
+            found[cell] = (int(p_ids[i]), int(q_ids[i]), int(px[i]), int(py[i]), int(qx[i]), int(qy[i]))
             remaining.discard(cell)
     return found
 

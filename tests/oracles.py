@@ -45,7 +45,6 @@ from latticecenters.search import (
     SearchConfig,
     _cell_sort_key,
     _cone_points,
-    _grid_points,
 )
 
 D4 = (
@@ -58,6 +57,12 @@ D4 = (
     (0, 1, 1, 0),
     (0, -1, -1, 0),
 )
+
+
+def grid_points(box_radius: int) -> list[tuple[int, int]]:
+    # [-B, B]^2 in grid-index order: point (x, y) has index (x + B) * (2B + 1) + (y + B)
+    span = range(-box_radius, box_radius + 1)
+    return [(x, y) for x in span for y in span]
 
 
 CanonicalKey = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
@@ -94,7 +99,7 @@ def iter_canonical_triangles(width: int, lmax: int | None = None) -> Iterator[La
     """
     if width < 1:
         raise ValueError("width must be positive")
-    grid = _grid_points(width)
+    grid = grid_points(width)
     seen: set[CanonicalKey] = set()
     origin = LatticePoint(0, 0)
     for px, py in _cone_points(width):
@@ -513,7 +518,7 @@ def search_shard_full_grid(config: SearchConfig, shard_id: int, cells_needed: fr
     The D4 cone sweep of search._search_shard must give the same merged
     candidates.
     """
-    pts = _grid_points(config.box_radius)
+    pts = grid_points(config.box_radius)
     qx = np.array([p[0] for p in pts], dtype=np.int64)
     qy = np.array([p[1] for p in pts], dtype=np.int64)
     gcd_q = np.gcd(np.abs(qx), np.abs(qy))

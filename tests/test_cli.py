@@ -325,6 +325,11 @@ class TestScanFigureProps:
         code, out, _ = run(capsys, "incenter-scan", "--box", "100", "--lmax", "60")
         assert (code, digest(out)) == (0, "43e2a087f38175ea")
 
+    @pytest.mark.parametrize("box, lmax, want", [("40", "30", "1f04fdd1a5c3096d"), ("60", "48", "e69c639a38fd2d5b")])
+    def test_incenter_scan_csv_bytes_pinned(self, capsys, box, lmax, want):
+        code, out, _ = run(capsys, "incenter-scan", "--box", box, "--lmax", lmax, "--format", "csv")
+        assert (code, digest(out)) == (0, want)
+
     def test_scan_box_beyond_int64_range_rejected(self, capsys):
         code, out, err = run(capsys, "incenter-scan", "--box", "1000001")
         assert code == 1 and "box_radius" in err and out == ""

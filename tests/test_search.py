@@ -24,7 +24,6 @@ from latticecenters.search import (
     STANDARD_CONDITIONS,
     SearchConfig,
     _cone_points,
-    _grid_points,
     _merge_candidates,
     _search_shard,
     atlas_from_document,
@@ -34,7 +33,7 @@ from latticecenters.search import (
 )
 
 import oracles
-from oracles import canonical_key, iter_canonical_triangles
+from oracles import canonical_key, grid_points, iter_canonical_triangles
 
 F = CenterCondition.CIRCUMCENTER
 G = CenterCondition.CENTROID
@@ -226,23 +225,50 @@ class TestSearch:
     def test_incenter_only_sweep_stays_in_kernel_groups(self, monkeypatch):
         import latticecenters.search as search_mod
 
+        # every pair tested has |P|^2 and |Q|^2 of one squarefree part, and
+        # no more pairs are tested than the swept first vertices' groups hold
         box = 12
-        grid_x, grid_y = np.array(_grid_points(box), dtype=np.int64).T
-        _, groups = search_mod._incenter_kernels(grid_x, grid_y, box)
-        largest = max(map(len, groups.values()))
-        assert largest < len(grid_x) // 4
-        sizes = []
+        grid_x, grid_y = np.array(grid_points(box), dtype=np.int64).T
+        sq_root, kernel = search_mod._incenter_kernels(grid_x, grid_y, box)
+        group_size = collections.Counter(kernel.tolist())
+        assert max(group_size.values()) < len(grid_x) // 4
+        swept_pairs = sum(group_size[int(kernel[(box - x) * (2 * box + 1) + box - y])] for x, y in _cone_points(box))
+        pairs = []
         real = search_mod._incenter_mask
 
         def recording(px, py, qx, qy, *rest):
-            sizes.append(len(qx))
+            pairs.extend(zip(px.tolist(), py.tolist(), qx.tolist(), qy.tolist()))
             return real(px, py, qx, qy, *rest)
+
+        def squarefree(n):
+            return n // int(sq_root[n]) ** 2
 
         monkeypatch.setattr(search_mod, "_incenter_mask", recording)
         config = SearchConfig(box_radius=box, lmax=4 * box + 2, conditions=(INC,))
         cells = frozenset((INC, s, ell) for s in SHAPE_ORDER for ell in range(3, config.lmax + 1))
         assert _search_shard(config, 0, cells)
-        assert sizes and max(sizes) <= largest
+        assert 0 < len(pairs) <= swept_pairs
+        assert all(squarefree(px * px + py * py) == squarefree(qx * qx + qy * qy) for px, py, qx, qy in pairs)
+
+    @pytest.mark.parametrize("box", range(6, 13))
+    def test_chunk_edges_do_not_change_the_sweep(self, monkeypatch, box):
+        # chunks of 1, 7 and 64 pairs end both inside and between first
+        # vertices' kernel groups; every shard matches its default-chunk
+        # sweep, and the merged shards match the full-grid oracle
+        import latticecenters.search as search_mod
+
+        lmax = 4 * box + 2
+        config = SearchConfig(box_radius=box, lmax=lmax, conditions=(INC,))
+        cells = frozenset((INC, s, ell) for s in SHAPE_ORDER for ell in range(3, lmax + 1))
+        expected = _merge_candidates([oracles.search_shard_full_grid(config, 0, cells)])
+        configs = [dataclasses.replace(config, shard_count=shards) for shards in (1, 2, 3)]
+        default = [[_search_shard(c, sid, cells) for sid in range(c.shard_count)] for c in configs]
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(search_mod, "_CHUNK_PAIRS", chunk)
+            for c, want in zip(configs, default):
+                got = [_search_shard(c, sid, cells) for sid in range(c.shard_count)]
+                assert got == want, (chunk, c.shard_count)
+                assert _merge_candidates(got) == expected, (chunk, c.shard_count)
 
     def test_incenter_search_hits_are_located_once(self, monkeypatch):
         import latticecenters.incenter as incenter_mod
@@ -302,7 +328,7 @@ class TestSearch:
 
     def test_incenter_screen_keeps_every_lattice_incenter(self):
         box = 8
-        pts = _grid_points(box)
+        pts = grid_points(box)
         qx = np.array([q[0] for q in pts], dtype=np.int64)
         qy = np.array([q[1] for q in pts], dtype=np.int64)
         hits = screened = 0
