@@ -45,12 +45,7 @@ from .lattice import (
     triangle,
     twice_area,
 )
-from .search import (
-    AchievabilityAtlas,
-    SearchConfig,
-    build_atlas,
-    verify_results_table,
-)
+from .search import AchievabilityAtlas, SearchConfig, build_atlas
 
 __version__ = "0.1.0"
 
@@ -97,5 +92,4 @@ __all__ = [
     "solve_pi_triples",
     "triangle",
     "twice_area",
-    "verify_results_table",
 ]

@@ -145,9 +145,6 @@ class IncenterScan:
     lmax: int
     rows: tuple[IncenterScanRow, ...]
 
-    def achievable(self, shape: ShapeClass) -> list[int]:
-        return sorted(r.perimeter for r in self.rows if r.shape is shape)
-
 
 def incenter_scan(box_radius: int, lmax: int, shard_count: int = 1) -> IncenterScan:
     """One lattice-incenter witness per (shape, perimeter) cell in the box.

@@ -44,7 +44,7 @@ import numpy as np
 from . import incenter as incenter_mod
 from .centers import CenterCondition, lattice_centers
 from .centers import center_report  # noqa: F401 (importable from here, as before)
-from .constructions import ACHIEVABLE, UnachievableError, WitnessRequest, build_witness
+from .constructions import UnachievableError, WitnessRequest, build_witness
 from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
 from .feasibility import replay  # noqa: F401 (importable from here, as before)
 from .lattice import (
@@ -69,12 +69,6 @@ STANDARD_CONDITIONS = CONDITION_ORDER[:5]
 # Linux, numpy 2.4), nearly all of it in the int64 arrays over the grid and
 # the square-root table of _incenter_kernels.
 MAX_BOX_RADIUS = 1000
-
-
-def _cone_points(width: int) -> list[tuple[int, int]]:
-    # 0 <= y <= x <= width without the origin: each D4 orbit of a nonzero
-    # point of [-width, width]^2 has exactly one member here, (max, min) of |x|, |y|
-    return [(x, y) for x in range(1, width + 1) for y in range(0, x + 1)]
 
 
 # --- search configuration --------------------------------------------------
@@ -256,8 +250,10 @@ def search_witnesses(config: SearchConfig, cells_needed: frozenset[Cell]) -> dic
         raise ValueError("the box search serves incenter cells only, not %s/%s/%s" % stray)
     if not cells_needed:
         return {}
-    # shards past the number of swept first vertices would be empty
-    shard_count = min(config.shard_count, len(_cone_points(config.box_radius)))
+    # shards past the number of swept first vertices, the B (B + 3) / 2 points
+    # with x <= y <= 0 other than the origin, would be empty
+    box = config.box_radius
+    shard_count = min(config.shard_count, box * (box + 3) // 2)
     if shard_count == 1:
         results = [_search_shard(config, 0, cells_needed)]
     else:
@@ -309,13 +305,6 @@ class AchievabilityAtlas:
 
     def entry(self, condition: CenterCondition, shape: ShapeClass, perimeter: int) -> AtlasEntry:
         return self.entries[(condition, shape, perimeter)]
-
-    def achievable(self, condition: CenterCondition, shape: ShapeClass) -> set[int]:
-        return {
-            cell[2]
-            for cell, e in self.entries.items()
-            if cell[0] is condition and cell[1] is shape and e.status == "witness"
-        }
 
     def to_json_bytes(self) -> bytes:
         """The document as json.dumps(sort_keys=True, separators=(",", ":")) writes it, plus a newline.
@@ -508,54 +497,3 @@ def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
             _verify_witness_entry(entry)
             atlas.entries[cell] = entry
     return atlas
-
-
-# --- summary-table verification ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableCell:
-    condition: CenterCondition
-    shape: ShapeClass
-    expression: str
-    verdicts: tuple[tuple[int, str], ...]  # (perimeter, "match"|"mismatch"|"open")
-
-    @property
-    def verdict(self) -> str:
-        kinds = {v for _, v in self.verdicts}
-        if "mismatch" in kinds:
-            return "mismatch"
-        if "open" in kinds:
-            return "open"
-        return "match"
-
-
-def verify_results_table(
-    lmax: int = 24, box_radius: int = 40, atlas: AchievabilityAtlas | None = None
-) -> list[TableCell]:
-    """Compare the atlas against the achievable-perimeter sets of ACHIEVABLE.
-
-    Per perimeter: match when an expected-achievable cell holds a witness
-    or an expected-impossible cell holds certificates; open when the
-    atlas left the cell empirically unresolved; mismatch otherwise.
-    """
-    if atlas is None:
-        config = SearchConfig(box_radius=box_radius, lmax=lmax, conditions=STANDARD_CONDITIONS)
-        atlas = build_atlas(config)
-    cells = []
-    for condition in atlas.config.conditions:
-        if condition is CenterCondition.INCENTER:
-            continue  # empirical only; ACHIEVABLE has no row for it
-        for shape in atlas.config.shapes:
-            expected, expression = ACHIEVABLE[(condition, shape)]
-            verdicts = []
-            for ell in range(3, min(lmax, atlas.config.lmax) + 1):
-                entry = atlas.entry(condition, shape, ell)
-                if entry.status == "open":
-                    verdicts.append((ell, "open"))
-                elif (entry.status == "witness") == expected(ell):
-                    verdicts.append((ell, "match"))
-                else:
-                    verdicts.append((ell, "mismatch"))
-            cells.append(TableCell(condition, shape, expression, tuple(verdicts)))
-    return cells

@@ -44,7 +44,6 @@ from latticecenters.search import (
     AtlasEntry,
     SearchConfig,
     _cell_sort_key,
-    _cone_points,
 )
 
 D4 = (
@@ -63,6 +62,12 @@ def grid_points(box_radius: int) -> list[tuple[int, int]]:
     # [-B, B]^2 in grid-index order: point (x, y) has index (x + B) * (2B + 1) + (y + B)
     span = range(-box_radius, box_radius + 1)
     return [(x, y) for x in span for y in span]
+
+
+def cone_points(width: int) -> list[tuple[int, int]]:
+    # 0 <= y <= x <= width without the origin: each D4 orbit of a nonzero
+    # point of [-width, width]^2 has exactly one member here, (max, min) of |x|, |y|
+    return [(x, y) for x in range(1, width + 1) for y in range(0, x + 1)]
 
 
 CanonicalKey = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
@@ -94,7 +99,7 @@ def iter_canonical_triangles(width: int, lmax: int | None = None) -> Iterator[La
     """One representative per orbit of triangles fitting a width x width box.
 
     The first edge vector is restricted to the cone 0 <= y <= x (every
-    orbit has a member there, see _cone_points), remaining duplicates are
+    orbit has a member there, see cone_points), remaining duplicates are
     removed by canonical key.  Optional perimeter cap lmax prunes early.
     """
     if width < 1:
@@ -102,7 +107,7 @@ def iter_canonical_triangles(width: int, lmax: int | None = None) -> Iterator[La
     grid = grid_points(width)
     seen: set[CanonicalKey] = set()
     origin = LatticePoint(0, 0)
-    for px, py in _cone_points(width):
+    for px, py in cone_points(width):
         gp = math.gcd(px, py)
         if lmax is not None and gp + 2 > lmax:
             continue

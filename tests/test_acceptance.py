@@ -34,7 +34,7 @@ from latticecenters.lattice import (
     triangle,
     twice_area,
 )
-from latticecenters.search import verify_results_table
+from latticecenters.search import SHAPE_ORDER, STANDARD_CONDITIONS, SearchConfig, build_atlas
 
 import oracles
 from oracles import iter_canonical_triangles
@@ -138,13 +138,20 @@ def test_criterion_5_centroid_theorem():
 
 
 def test_criterion_6_summary_table():
-    cells = verify_results_table(lmax=24, box_radius=40)
-    assert len(cells) == 15
-    assert all(cell.verdict == "match" for cell in cells)
-    by_key = {(c.condition, c.shape): c for c in cells}
-    right_g = by_key[(G, ShapeClass.RIGHT)]
-    assert all(v == "match" for _, v in right_g.verdicts)  # minimum 9 included
-    report("criterion 6: all 15 summary-table cells match up to perimeter 24 (box 40)")
+    # every standard cell to 24 holds a witness exactly where ACHIEVABLE
+    # admits its perimeter, and certificates everywhere else
+    atlas = build_atlas(SearchConfig(lmax=24))
+    keys = [(c, s) for c in STANDARD_CONDITIONS for s in SHAPE_ORDER]
+    assert len(keys) == 15 and set(keys) == set(cons.ACHIEVABLE)
+    assert set(atlas.entries) == {(c, s, ell) for c, s in keys for ell in range(3, 25)}
+    for (condition, shape, ell), entry in atlas.entries.items():
+        if cons.ACHIEVABLE[(condition, shape)][0](ell):
+            assert entry.status == "witness", (condition, shape, ell)
+        else:
+            assert entry.status == "impossible" and entry.certificates, (condition, shape, ell)
+    right_g = [ell for ell in range(3, 25) if atlas.entry(G, ShapeClass.RIGHT, ell).status == "witness"]
+    assert min(right_g) == 9
+    report("criterion 6: all 15 summary-table cells hold as ACHIEVABLE states them up to perimeter 24")
 
 
 def test_criterion_7_incenter_examples():

@@ -11,7 +11,9 @@ import pytest
 import latticecenters
 from latticecenters import cli, feasibility
 from latticecenters.cli import main
+from latticecenters.constructions import ACHIEVABLE
 from latticecenters.feasibility import partitions
+from latticecenters.search import SHAPE_ORDER, STANDARD_CONDITIONS
 
 import oracles
 
@@ -196,11 +198,29 @@ class TestAngles:
 
 class TestTableAndAtlas:
     def test_table_small(self, capsys):
-        code, out, _ = run(capsys, "table", "--lmax", "12", "--box", "10", "--format", "json")
+        for fmt, want in (("human", "77ebb51da28a074b"), ("json", "4387b685679589c8"), ("csv", "d36349c42be67abd")):
+            code, out, _ = run(capsys, "table", "--format", fmt)
+            assert (code, digest(out)) == (0, want), fmt
+        code, out, _ = run(capsys, "table", "--lmax", "12", "--format", "json")
         data = json.loads(out)
-        assert code == 0
-        assert len(data["cells"]) == 15
-        assert all(cell["verdict"] == "match" for cell in data["cells"])
+        assert (code, digest(out), sorted(data)) == (0, "595fc366ad753305", ["cells", "lmax"])
+        assert [(c["condition"], c["shape"], c["achievable"]) for c in data["cells"]] == [
+            (c.value, s.value, ACHIEVABLE[(c, s)][1]) for c in STANDARD_CONDITIONS for s in SHAPE_ORDER
+        ]
+
+    def test_repeated_main_calls_share_one_parser(self, capsys):
+        # a usage error leaves nothing behind in the parser main reuses
+        assert cli.build_parser() is cli.build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["table", "--box", "40"])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (1, "")
+            assert err.endswith("latticecenters: error: unrecognized arguments: --box 40\n")
+            code, out, err = run(capsys, "table")
+            assert (code, digest(out), err) == (0, "77ebb51da28a074b", "")
+            code, out, _ = run(capsys, "incenter-scan", "--box", "20", "--lmax", "20")
+            assert (code, digest(out)) == (0, "5c215f72525ef176")
 
     def test_atlas_determinism_across_shards(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a1.json", tmp_path / "a2.json"
@@ -288,16 +308,24 @@ class TestTableAndAtlas:
         assert "shape must be acute, right or obtuse, got 'foo'" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def _assert_unrecognized(capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["atlas", "table"])
     def test_atlas_dir_flag_is_a_usage_error(self, capsys, tmp_path, command):
         target = tmp_path / "D"
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--atlas-dir", str(target)])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --atlas-dir" in err
-        assert "Traceback" not in err
+        self._assert_unrecognized(capsys, [command, "--atlas-dir", str(target)], "--atlas-dir")
         assert not target.exists()
+
+    def test_table_box_flag_is_a_usage_error(self, capsys):
+        # constructions and certificates settle every standard cell, so no box reaches table
+        self._assert_unrecognized(capsys, ["table", "--box", "40"], "--box 40")
 
     def test_lc_atlas_dir_is_not_read(self, capsys, tmp_path, monkeypatch):
         argv = ("atlas", "--conditions", "I", "--box", "6", "--lmax", "8", "--shards", "2")

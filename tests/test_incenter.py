@@ -257,7 +257,7 @@ class TestIncenterScan:
         # the 3-4-5 right triangle has perimeter 12 and lattice incenter,
         # so a (right, 12) witness must appear once the box reaches it
         scan = incenter_scan(12, 12)
-        assert 12 in scan.achievable(ShapeClass.RIGHT)
+        assert 12 in {r.perimeter for r in scan.rows if r.shape is ShapeClass.RIGHT}
 
     def test_at_most_one_row_per_cell(self):
         scan = incenter_scan(9, 12)

@@ -23,17 +23,15 @@ from latticecenters.search import (
     SHAPE_ORDER,
     STANDARD_CONDITIONS,
     SearchConfig,
-    _cone_points,
     _merge_candidates,
     _search_shard,
     atlas_from_document,
     build_atlas,
     search_witnesses,
-    verify_results_table,
 )
 
 import oracles
-from oracles import canonical_key, grid_points, iter_canonical_triangles
+from oracles import canonical_key, cone_points, grid_points, iter_canonical_triangles
 
 F = CenterCondition.CIRCUMCENTER
 G = CenterCondition.CENTROID
@@ -49,6 +47,26 @@ def _triangles(draw_pts):
         return LatticeTriangle(*(LatticePoint(x, y) for x, y in draw_pts))
     except ValueError:
         return None
+
+
+def _in_process_pool(submitted: list, run: bool = True):
+    class InProcessPool:  # records each submitted shard's id, and runs the shard at once if asked
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, config, shard_id, cells_needed):
+            submitted.append(shard_id)
+            future = concurrent.futures.Future()
+            future.set_result(fn(config, shard_id, cells_needed) if run else {})
+            return future
+
+    return InProcessPool
 
 
 def _assert_shards_match_full_grid(config: SearchConfig, cells: frozenset) -> dict:
@@ -169,7 +187,8 @@ class TestSearch:
         found = oracles.search_shard_full_grid(config, 0, cells)
         assert {ell for _, _, ell in found} == {6} | set(range(8, 15))
         atlas = build_atlas(config)
-        assert atlas.achievable(H, ShapeClass.ACUTE) == {6} | set(range(8, 15))
+        built = {ell for (_, shape, ell), e in atlas.entries.items() if shape is ShapeClass.ACUTE and e.status == "witness"}
+        assert built == {6} | set(range(8, 15))
         for ell in (3, 4, 5, 7):
             assert atlas.entry(H, ShapeClass.ACUTE, ell).status == "impossible"
 
@@ -232,7 +251,7 @@ class TestSearch:
         sq_root, kernel = search_mod._incenter_kernels(grid_x, grid_y, box)
         group_size = collections.Counter(kernel.tolist())
         assert max(group_size.values()) < len(grid_x) // 4
-        swept_pairs = sum(group_size[int(kernel[(box - x) * (2 * box + 1) + box - y])] for x, y in _cone_points(box))
+        swept_pairs = sum(group_size[int(kernel[(box - x) * (2 * box + 1) + box - y])] for x, y in cone_points(box))
         pairs = []
         real = search_mod._incenter_mask
 
@@ -301,30 +320,27 @@ class TestSearch:
         import latticecenters.search as search_mod
 
         # box 3 sweeps 9 first vertices, so shards 9..49 would all be empty
-        assert len(_cone_points(3)) == 9
+        assert len(cone_points(3)) == 9
         one = build_atlas(SearchConfig(box_radius=3, lmax=12, conditions=(INC,)))
         submitted = []
-
-        class InProcessPool:  # runs each submitted shard at once, recording its id
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, config, shard_id, cells_needed):
-                submitted.append(shard_id)
-                future = concurrent.futures.Future()
-                future.set_result(fn(config, shard_id, cells_needed))
-                return future
-
-        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", _in_process_pool(submitted))
         many = build_atlas(SearchConfig(box_radius=3, lmax=12, conditions=(INC,), shard_count=50))
         assert submitted == list(range(9))
         assert many.to_json_bytes() == one.to_json_bytes()
+
+    def test_shard_cap_counts_the_cone(self, monkeypatch):
+        # the cap's closed form B (B + 3) / 2 is the number of swept first
+        # vertices: a pool that records the shards and runs none gets one
+        # shard per cone point
+        import latticecenters.search as search_mod
+
+        cells = frozenset({(INC, ShapeClass.RIGHT, 12)})
+        for box in range(2, 61):
+            submitted = []
+            monkeypatch.setattr(search_mod, "ProcessPoolExecutor", _in_process_pool(submitted, run=False))
+            config = SearchConfig(box_radius=box, lmax=12, conditions=(INC,), shard_count=4000)
+            assert search_witnesses(config, cells) == {}
+            assert submitted == list(range(len(cone_points(box)))), box
 
     def test_incenter_screen_keeps_every_lattice_incenter(self):
         box = 8
@@ -493,11 +509,6 @@ class TestAtlas:
         monkeypatch.setattr(search_mod, "exclusion_report", unsettled)
         with pytest.raises(ArithmeticError, match="H/acute/7"):
             build_atlas(SearchConfig(box_radius=5, lmax=10, conditions=(G, H)))
-
-    def test_results_table_small(self):
-        cells = verify_results_table(lmax=14, box_radius=10)
-        assert len(cells) == 15
-        assert all(c.verdict == "match" for c in cells)
 
 
 def _small_document(lmax: int = 14) -> dict:
