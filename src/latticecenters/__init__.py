@@ -12,6 +12,7 @@ from .centers import (
     CenterCondition,
     CenterReport,
     RationalPoint,
+    center_numerators,
     center_report,
     centroid,
     circumcenter,
@@ -68,6 +69,7 @@ __all__ = [
     "WitnessRequest",
     "build_atlas",
     "build_witness",
+    "center_numerators",
     "center_report",
     "centroid",
     "circumcenter",

@@ -10,9 +10,11 @@ are computed after translating v0 to the origin and are cross-checked
 against their defining properties (altitude perpendicularity for H,
 equidistance from the vertices for F).
 
-center_report gives the centers as Fractions; lattice_centers decides
-only their lattice membership, by integer divisibility tests, with the
-same cross-checks scaled to integers.
+center_numerators is the one integer derivation of the three centers,
+with the same cross-checks scaled to integers: lattice_centers decides
+lattice membership from it by divisibility, and the construction
+families check the centers they predict against it.  center_report
+keeps Fractions for the values it reports, deriving each center once.
 """
 
 from __future__ import annotations
@@ -134,20 +136,17 @@ def _check_altitudes(t: LatticeTriangle, h: RationalPoint) -> None:
 
 
 def circumcenter(t: LatticeTriangle) -> RationalPoint:
-    """Point equidistant from the three vertices, via 2F + H = 3G."""
+    """Point equidistant from the three vertices, via 2F + H = 3G (see center_report)."""
+    return center_report(t).circumcenter
+
+
+def center_report(t: LatticeTriangle) -> CenterReport:
     g = centroid(t)
     h = orthocenter(t)
     f = RationalPoint((3 * g.x - h.x) / 2, (3 * g.y - h.y) / 2)
     d2 = [(f.x - v.x) ** 2 + (f.y - v.y) ** 2 for v in t.vertices]
     if not d2[0] == d2[1] == d2[2]:
         raise ArithmeticError(f"circumcenter check failed for {t}")
-    return f
-
-
-def center_report(t: LatticeTriangle) -> CenterReport:
-    g = centroid(t)
-    h = orthocenter(t)
-    f = circumcenter(t)
     # Euler relation must hold exactly by construction.
     if f.scaled(2) + h != g.scaled(3):
         raise ArithmeticError(f"Euler relation violated for {t}")
@@ -163,12 +162,13 @@ def center_report(t: LatticeTriangle) -> CenterReport:
     )
 
 
-def lattice_centers(t: LatticeTriangle) -> tuple[bool, bool, bool]:
-    """Whether F, G and H (in that order) are lattice points, decided in integers.
+def center_numerators(t: LatticeTriangle) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """F, G and H (in that order), each as (den, (nx, ny)): the point v0 + (nx, ny) / den.
 
     With v0 at the origin, cross*H = dot*(y2 - y1, x1 - x2), 3*G = (x1 + x2,
-    y1 + y2) and 2*cross*F = cross*3*G - cross*H (Euler), each tested for
-    divisibility by its factor and cross-checked as in center_report.
+    y1 + y2) and 2*cross*F = cross*3*G - cross*H (Euler), so the
+    denominators are 2*cross, 3 and cross.  H and F are cross-checked as in
+    center_report, scaled to integers.
     """
     x1, y1 = t.v1.x - t.v0.x, t.v1.y - t.v0.y
     x2, y2 = t.v2.x - t.v0.x, t.v2.y - t.v0.y
@@ -189,7 +189,13 @@ def lattice_centers(t: LatticeTriangle) -> tuple[bool, bool, bool]:
     d2 = [(fx - c2 * vx) ** 2 + (fy - c2 * vy) ** 2 for vx, vy in (o, a, b)]
     if not d2[0] == d2[1] == d2[2]:
         raise ArithmeticError(f"circumcenter check failed for {t}")
-    return (fx % c2 == 0 and fy % c2 == 0, gx % 3 == 0 and gy % 3 == 0, hx % cross == 0 and hy % cross == 0)
+    return (c2, (fx, fy)), (3, (gx, gy)), (cross, (hx, hy))
+
+
+def lattice_centers(t: LatticeTriangle) -> tuple[bool, bool, bool]:
+    """Whether F, G and H (in that order) are lattice points: center_numerators' divisibility tests."""
+    (cf, (fx, fy)), (_, (gx, gy)), (ch, (hx, hy)) = center_numerators(t)
+    return (fx % cf == 0 and fy % cf == 0, gx % 3 == 0 and gy % 3 == 0, hx % ch == 0 and hy % ch == 0)
 
 
 def exact_tangent(t: LatticeTriangle, vertex: int) -> Fraction:

@@ -3,11 +3,12 @@
 Each factory produces a lattice triangle of the requested shape and
 perimeter whose required centers land on the lattice, and re-verifies
 everything (shape, perimeter, center flags, and any closed-form center
-the family predicts) before returning, the center flags by the integer
-tests of centers.lattice_centers.  A witness computes its Fraction
-center report only when it is read.  Requests for a perimeter the cell
-does not admit raise UnachievableError; the feasibility module can then
-explain why with certificates.
+the family predicts) before returning, all in integers: the flags by
+centers.lattice_centers, each predicted center against the numerators
+of centers.center_numerators.  A witness computes its Fraction center
+report only when it is read.  Requests for a perimeter the cell does not
+admit raise UnachievableError; the feasibility module can then explain
+why with certificates.
 
 ACHIEVABLE states, once, which perimeters each (condition, shape) cell
 admits; build_witness refuses the others, and the factories assume
@@ -26,16 +27,7 @@ import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .centers import (
-    CenterCondition,
-    CenterReport,
-    RationalPoint,
-    center_report,
-    centroid,
-    circumcenter,
-    lattice_centers,
-    orthocenter,
-)
+from .centers import CenterCondition, CenterReport, center_numerators, center_report, lattice_centers
 from .lattice import LatticePoint, LatticeTriangle, ShapeClass, classify_shape, lattice_perimeter, triangle
 
 _SHEAR_CAP = 64
@@ -110,9 +102,12 @@ def _verified(tri: LatticeTriangle, request: WitnessRequest, tag: str) -> Witnes
     return Witness(tri, tag)
 
 
-def _expect(point: RationalPoint, coords: tuple[int, int], what: str) -> None:
-    if (point.x, point.y) != coords:
-        raise ConstructionError(f"{what}: got {point}, expected {coords}")
+def _expect(tri: LatticeTriangle, letter: str, coords: tuple[int, int], what: str) -> None:
+    # the center the letter (F, G or H) names must be coords: den * (coords - v0) == its numerator
+    den, (nx, ny) = center_numerators(tri)["FGH".index(letter)]
+    x, y = coords
+    if (nx, ny) != (den * (x - tri.v0.x), den * (y - tri.v0.y)):
+        raise ConstructionError(f"{what}: got {letter} = {tri.v0.as_tuple()} + ({nx},{ny})/{den}, expected {coords}")
 
 
 def sheared(t: LatticeTriangle, k: int) -> LatticeTriangle:
@@ -162,14 +157,14 @@ def acute_H(perimeter: int) -> Witness:
     if ell % 2 == 0:
         n = ell // 2
         tri = triangle((0, 0), (n, 0), (1, n - 1))
-        _expect(orthocenter(tri), (1, 1), "even-perimeter orthocenter family")
+        _expect(tri, "H", (1, 1), "even-perimeter orthocenter family")
         return _verified(tri, request, "orthocenter/even")
     if ell % 4 == 1:
         tri = triangle((0, 0), ((ell + 1) // 2, 0), (2, (ell - 3) // 2))
-        _expect(orthocenter(tri), (2, 2), "1 mod 4 orthocenter family")
+        _expect(tri, "H", (2, 2), "1 mod 4 orthocenter family")
         return _verified(tri, request, "orthocenter/odd-1mod4")
     tri = triangle((0, 0), ((ell + 3) // 2, 0), (6, 3 * (ell - 9) // 2))
-    _expect(orthocenter(tri), (6, 2), "3 mod 4 orthocenter family")
+    _expect(tri, "H", (6, 2), "3 mod 4 orthocenter family")
     return _verified(tri, request, "orthocenter/odd-3mod4")
 
 
@@ -178,7 +173,7 @@ def obtuse_H(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.OBTUSE, ell)
     tri = triangle((0, 0), (1, 0), (2 - ell, ell - 2))
-    _expect(orthocenter(tri), (2 - ell, 1 - ell), "obtuse orthocenter family")
+    _expect(tri, "H", (2 - ell, 1 - ell), "obtuse orthocenter family")
     return _verified(tri, request, "orthocenter/obtuse")
 
 
@@ -187,7 +182,7 @@ def right_H(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.RIGHT, ell)
     tri = triangle((0, 0), (ell - 2, 0), (0, 1))
-    _expect(orthocenter(tri), (0, 0), "right orthocenter family")
+    _expect(tri, "H", (0, 0), "right orthocenter family")
     return _verified(tri, request, "orthocenter/right")
 
 
@@ -207,23 +202,23 @@ def acute_F(perimeter: int) -> Witness:
     if ell in _ACUTE_F_EXPLICIT:
         (a, b), f = _ACUTE_F_EXPLICIT[ell]
         tri = triangle((0, 0), a, b)
-        _expect(circumcenter(tri), f, f"explicit circumcenter case {ell}")
+        _expect(tri, "F", f, f"explicit circumcenter case {ell}")
         return _verified(tri, request, "circumcenter/explicit")
     r = ell % 8
     if r == 4:
         n = (ell - 4) // 8
         tri = triangle((0, 0), (4 * n + 2, 0), (4, 8 * n - 4))
-        _expect(circumcenter(tri), (2 * n + 1, 4 * n - 3), "4 mod 8 circumcenter family")
+        _expect(tri, "F", (2 * n + 1, 4 * n - 3), "4 mod 8 circumcenter family")
         return _verified(tri, request, "circumcenter/4mod8")
     if r == 6:
         n = (ell - 6) // 8
         tri = triangle((0, 0), (2 * n + 1, 1), (0, 6 * n + 4))
-        _expect(circumcenter(tri), (n - 1, 3 * n + 2), "6 mod 8 circumcenter family")
+        _expect(tri, "F", (n - 1, 3 * n + 2), "6 mod 8 circumcenter family")
         return _verified(tri, request, "circumcenter/6mod8")
     # 0 or 2 mod 8: one family covers both, via the parity of n.
     n = (ell - 2) // 4 if r == 2 else (ell - 4) // 4
     tri = triangle((0, 0), (2 * n + 2, 0), (4, 2 * n - 2))
-    _expect(circumcenter(tri), (n + 1, n - 3), "0/2 mod 8 circumcenter family")
+    _expect(tri, "F", (n + 1, n - 3), "0/2 mod 8 circumcenter family")
     return _verified(tri, request, "circumcenter/0or2mod8")
 
 
@@ -232,7 +227,7 @@ def obtuse_F(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.OBTUSE, ell)
     tri = triangle((0, 0), (2, 0), (3 - ell, ell - 3))
-    _expect(circumcenter(tri), (1, ell - 2), "obtuse circumcenter family")
+    _expect(tri, "F", (1, ell - 2), "obtuse circumcenter family")
     return _verified(tri, request, "circumcenter/obtuse")
 
 
@@ -241,7 +236,7 @@ def right_F(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.RIGHT, ell)
     tri = triangle((0, 0), (1, 1), (3 - ell, ell - 3))
-    _expect(circumcenter(tri), ((4 - ell) // 2, (ell - 2) // 2), "right circumcenter family")
+    _expect(tri, "F", ((4 - ell) // 2, (ell - 2) // 2), "right circumcenter family")
     return _verified(tri, request, "circumcenter/right")
 
 
@@ -266,7 +261,7 @@ def acute_G(perimeter: int) -> Witness:
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.ACUTE, ell)
     if ell == 3:
         tri = triangle((0, 0), (1, 2), (2, 1))
-        _expect(centroid(tri), (1, 1), "perimeter-3 centroid triangle")
+        _expect(tri, "G", (1, 1), "perimeter-3 centroid triangle")
         return _verified(tri, request, "centroid/base-3")
     if ell % 3 == 0:
         base = acute_G(3).triangle
@@ -303,7 +298,7 @@ def obtuse_G(perimeter: int) -> Witness:
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.OBTUSE, ell)
     if ell == 3:
         tri = triangle((0, 0), (1, 0), (-1, 3))
-        _expect(centroid(tri), (0, 1), "perimeter-3 obtuse centroid triangle")
+        _expect(tri, "G", (0, 1), "perimeter-3 obtuse centroid triangle")
         return _verified(tri, request, "centroid/obtuse-3")
     base = acute_G(ell).triangle
     for k in range(1, _SHEAR_CAP + 1):
@@ -319,7 +314,7 @@ def right_G(perimeter: int) -> Witness:
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.RIGHT, ell)
     n = (ell - 6) // 3
     tri = triangle((0, 0), (3 * n, 0), (0, 3))
-    _expect(centroid(tri), (n, 1), "right centroid family")
+    _expect(tri, "G", (n, 1), "right centroid family")
     return _verified(tri, request, "centroid/right")
 
 
@@ -346,9 +341,6 @@ _ACUTE_EXPLICIT = {
     (CenterCondition.ALL_THREE, 30): (((18, 0), (6, 18)), ((9, 7), (8, 6), (6, 4))),
 }
 
-_CENTER = {"F": circumcenter, "G": centroid, "H": orthocenter}
-
-
 def _tripled(request: WitnessRequest) -> Witness:
     inner_condition, tag = _TRIPLED[request.condition]
     ell = request.perimeter
@@ -357,7 +349,7 @@ def _tripled(request: WitnessRequest) -> Witness:
         (a, b), centers = explicit
         tri = triangle((0, 0), a, b)
         for letter, coords in zip(request.condition.value, centers):
-            _expect(_CENTER[letter](tri), coords, f"explicit {tag} case {ell}")
+            _expect(tri, letter, coords, f"explicit {tag} case {ell}")
         return _verified(tri, request, f"{tag}/explicit")
     # ACHIEVABLE admits ell only where ell / 3 lies in the inner cell's set
     inner = _FACTORIES[(inner_condition, request.shape)](ell // 3)

@@ -31,6 +31,7 @@ shard count.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
@@ -43,10 +44,10 @@ import numpy as np
 
 from . import incenter as incenter_mod
 from .centers import CenterCondition, lattice_centers
-from .centers import center_report  # noqa: F401 (importable from here, as before)
+from .centers import center_report  # noqa: F401 (bench/test_bench.py, its only user, imports it from here)
 from .constructions import UnachievableError, WitnessRequest, build_witness
 from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
-from .feasibility import replay  # noqa: F401 (importable from here, as before)
+from .feasibility import replay  # noqa: F401 (bench/test_bench.py, its only user, imports it from here)
 from .lattice import (
     LatticeTriangle,
     ShapeClass,
@@ -384,6 +385,27 @@ def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
     return entry
 
 
+def _collector_paused(step):
+    """step(arg) with cyclic garbage collection paused; the caller's state is put back on return and on error.
+
+    Nothing is allocated between pause, call and resume, so no collection starts around the step.  The
+    state is process-wide: concurrent pauses share one, ended by the one that found collection enabled.
+    """
+
+    @functools.wraps(step)
+    def paused(arg):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return step(arg)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     """Parse an atlas document, re-verifying every claim it makes.
 
@@ -400,26 +422,12 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     compared with.  Each of these failures,
     and a missing or wrongly typed value anywhere, raises ValueError.
 
-    The cyclic garbage collector is paused for the whole load.  The load
-    allocates some 10^5 containers that hold no cycles (reports,
-    certificates, to_json dicts), and the collections they trigger
-    rescan the whole parsed document: 0.08-0.11 s of a 0.8 s load of the
-    lmax 90 / box 40 atlas on a 2-core x86 host.  The caller's state is
-    put back on return and on error: collection resumes only if it was
-    enabled on entry.  That state is process-wide, so loads run from
-    several threads share one pause: it ends when the load that found
-    collection enabled returns, even while the others still run.
+    The load runs with the cyclic garbage collector paused
+    (_collector_paused): it allocates some 10^5 containers that hold no
+    cycles (reports, certificates, to_json dicts), and the collections
+    they trigger rescan the whole parsed document: 0.08-0.11 s of a 0.8 s
+    load of the lmax 90 / box 40 atlas on a 2-core x86 host.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _verified_atlas(doc)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _verified_atlas(doc: dict) -> AchievabilityAtlas:
     version, cfg, items = _required(doc, ("schema_version", "config", "entries"), "atlas document", (int, None, list))
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version}")
@@ -457,6 +465,7 @@ def _verified_atlas(doc: dict) -> AchievabilityAtlas:
     return atlas
 
 
+@_collector_paused
 def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
     """Resolve every (condition, shape, perimeter) cell of the config.
 
@@ -466,6 +475,10 @@ def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
     absence from the box as open, never as impossible.  Cells are walked
     perimeter by perimeter, so that the exclusion reports of one
     perimeter share one PerimeterSides.
+
+    Like the load, the build runs with the collector paused: its some 10^5
+    containers with no cycles (certificates, side multisets, reports)
+    would trigger collections that rescan the growing atlas.
     """
     atlas = AchievabilityAtlas(config)
     incenter_cells: list[Cell] = []

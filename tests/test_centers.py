@@ -7,6 +7,7 @@ import pytest
 
 from latticecenters.centers import (
     CenterCondition,
+    center_numerators,
     center_report,
     centroid,
     circumcenter,
@@ -119,11 +120,23 @@ class TestCenterReport:
 
 
 def _report_flags(t):
-    return oracles.report_flags(center_report(t))
+    """center_report's lattice flags, once its F, G and H are checked against center_numerators."""
+    rep = center_report(t)
+    for (den, (nx, ny)), p in zip(center_numerators(t), (rep.circumcenter, rep.centroid, rep.orthocenter)):
+        assert (Fraction(nx, den) + t.v0.x, Fraction(ny, den) + t.v0.y) == (p.x, p.y), t
+    return oracles.report_flags(rep)
 
 
 class TestLatticeCenters:
-    """lattice_centers against the Fraction flags of center_report."""
+    """center_numerators' values and lattice_centers' flags against the Fractions of center_report."""
+
+    def test_numerators_of_the_reference_triangle(self):
+        # F = (4, 3), G = (3, 3), H = (1, 3); cross = 54, so the denominators are 108, 3 and 54
+        assert center_numerators(triangle((0, 0), (9, 3), (0, 6))) == ((108, (432, 324)), (3, (9, 9)), (54, (54, 162)))
+        # moved by (5, 5), with v1 and v2 swapped: relative to v0, and cross changes sign
+        assert center_numerators(triangle((5, 5), (5, 11), (14, 8))) == (
+            (-108, (-432, -324)), (3, (9, 9)), (-54, (-54, -162))
+        )
 
     def test_every_small_anchored_triangle(self):
         span = range(-6, 7)

@@ -105,6 +105,18 @@ class TestConstruct:
         assert code == 0
         assert data["vertices"] == [[0, 0], [3, 0], [0, 3]]
 
+    def test_output_bytes_of_every_standard_cell_to_40(self, capsys):
+        # exit code and stdout of every standard cell with perimeter 3..40, in every format
+        h = hashlib.sha256()
+        for c in STANDARD_CONDITIONS:
+            for s in SHAPE_ORDER:
+                for ell in range(3, 41):
+                    for fmt in ("human", "json", "csv"):
+                        argv = ("construct", "--center", c.value, "--shape", s.value, "--perimeter", str(ell))
+                        code, out, _ = run(capsys, *argv, "--format", fmt)
+                        h.update(f"{code}\n{out}".encode())
+        assert h.hexdigest()[:16] == "22db76f7142e8791"
+
     def test_perimeter_cap_refuses_before_listing_side_multisets(self, capsys, monkeypatch):
         def no_listing(perimeter):
             raise AssertionError(f"listed the side multisets of perimeter {perimeter}")
@@ -221,6 +233,11 @@ class TestTableAndAtlas:
             assert (code, digest(out), err) == (0, "77ebb51da28a074b", "")
             code, out, _ = run(capsys, "incenter-scan", "--box", "20", "--lmax", "20")
             assert (code, digest(out)) == (0, "5c215f72525ef176")
+
+    def test_atlas_output_bytes(self, capsys):
+        for argv, want in ((("atlas",), "37635f35eedd52d2"), (("atlas", "--lmax", "90", "--box", "40"), "4f67e04e88248195")):
+            code, out, _ = run(capsys, *argv)
+            assert (code, digest(out)) == (0, want), argv
 
     def test_atlas_determinism_across_shards(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a1.json", tmp_path / "a2.json"

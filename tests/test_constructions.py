@@ -4,7 +4,7 @@ import random
 import pytest
 
 from latticecenters import constructions as cons
-from latticecenters.centers import CenterCondition, center_report
+from latticecenters.centers import CenterCondition, RationalPoint, center_report
 from latticecenters.constructions import (
     ACHIEVABLE,
     ConstructionError,
@@ -316,6 +316,33 @@ class TestVerification:
         monkeypatch.setattr(cons, "sheared", lambda t, k: triangle(*bad))
         with pytest.raises(ConstructionError, match=message):
             build_witness(WitnessRequest(CenterCondition.CENTROID, ShapeClass.OBTUSE, 7))
+
+    @pytest.mark.parametrize(
+        "condition, ell, table, key, wrong",
+        [
+            # the explicit acute triangle of perimeter 8 has F = (2, 1)
+            (CenterCondition.CIRCUMCENTER, 8, "_ACUTE_F_EXPLICIT", 8, (((4, 0), (3, 3)), (2, 2))),
+            # the explicit acute GH triangle of perimeter 9 has G = (3, 3) and H = (4, 4)
+            (
+                CenterCondition.CENTROID_AND_ORTHOCENTER, 9, "_ACUTE_EXPLICIT",
+                (CenterCondition.CENTROID_AND_ORTHOCENTER, 9), (((6, 3), (3, 6)), ((3, 3), (4, 5))),
+            ),
+        ],
+    )
+    def test_wrong_predicted_center_is_refused(self, monkeypatch, condition, ell, table, key, wrong):
+        monkeypatch.setitem(getattr(cons, table), key, wrong)
+        with pytest.raises(ConstructionError, match="expected"):
+            build_witness(WitnessRequest(condition, ShapeClass.ACUTE, ell))
+
+    def test_witnesses_are_built_without_fraction_centers(self, monkeypatch):
+        # every predicted center is checked in integers: no RationalPoint is made
+        def refuse(self):
+            raise AssertionError("a witness built a RationalPoint")
+
+        monkeypatch.setattr(RationalPoint, "__post_init__", refuse)
+        for (condition, shape), (achievable, _) in ACHIEVABLE.items():
+            for ell in filter(achievable, range(3, 61)):
+                build_witness(WitnessRequest(condition, shape, ell))
 
     def test_report_is_computed_on_first_read(self, monkeypatch):
         calls = []

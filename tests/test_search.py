@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecenters import feasibility
+from latticecenters import feasibility, search
 from latticecenters.constructions import ACHIEVABLE
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
@@ -829,6 +829,46 @@ class TestAtlasLoadCollector:
         gc.disable()
         try:
             atlas_from_document(doc)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestAtlasBuildCollector:
+    # the build pauses cyclic collection too, and puts back the caller's state
+    config = SearchConfig(box_radius=8, lmax=30)
+
+    def test_build_starts_no_collection(self):
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        assert gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            build_atlas(self.config)
+        finally:
+            gc.callbacks.remove(record)
+        assert "start" not in phases
+
+    def test_collection_enabled_after_a_build_and_after_a_failed_one(self, monkeypatch):
+        assert gc.isenabled()
+        build_atlas(self.config)
+        assert gc.isenabled()
+
+        def unbuilt(request):
+            raise search.UnachievableError("no construction")
+
+        monkeypatch.setattr(search, "build_witness", unbuilt)
+        with pytest.raises(ArithmeticError, match="neither built nor excluded"):
+            build_atlas(self.config)
+        assert gc.isenabled()
+
+    def test_collection_stays_disabled_for_a_caller_that_disabled_it(self):
+        gc.disable()
+        try:
+            build_atlas(self.config)
             assert not gc.isenabled()
         finally:
             gc.enable()
