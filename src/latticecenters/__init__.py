@@ -30,7 +30,7 @@ from .feasibility import (
     prop1_witness,
     prop2_witness,
 )
-from .incenter import IncenterReport, incenter_report, incenter_scan, lattice_incenter
+from .incenter import IncenterReport, incenter_report, lattice_incenter
 from .lattice import (
     DegenerateTriangleError,
     LatticePoint,
@@ -46,7 +46,7 @@ from .lattice import (
     triangle,
     twice_area,
 )
-from .search import AchievabilityAtlas, SearchConfig, build_atlas
+from .search import AchievabilityAtlas, SearchConfig, build_atlas, incenter_scan
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ from .centers import CenterCondition, RationalPoint, center_report
 from .constructions import ACHIEVABLE, UnachievableError, WitnessRequest, build_witness
 from .feasibility import SideMultiset, exclusion_report, halved_numerators, prop1_witness, prop2_witness
 from .figures import FIGURES, render_figure
-from .incenter import incenter_report, incenter_scan, lattice_incenter
+from .incenter import incenter_report, lattice_incenter
 from .lattice import (
     DegenerateTriangleError,
     LatticePoint,
@@ -36,7 +36,7 @@ from .lattice import (
     side_lengths,
     twice_area,
 )
-from .search import STANDARD_CONDITIONS, SearchConfig, _cell_sort_key, build_atlas
+from .search import STANDARD_CONDITIONS, SearchConfig, _cell_sort_key, build_atlas, incenter_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -134,19 +134,6 @@ def delta(n: int) -> int | None:
     return m if m > 1 and m % 6 == 5 else None
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 # --- orthocenter families -------------------------------------------------
 
 
@@ -274,13 +261,13 @@ def acute_G(perimeter: int) -> Witness:
         # Half the perimeter is 1 mod 3, so the halved witness exists; double it.
         inner = acute_G(ell // 2)
         return _verified(inner.triangle.scaled(2), request, "centroid/doubled")
-    # 5 mod 6: composites split off a prime factor that is 5 mod 6; the
-    # cofactor is 1 mod 6 and handled above.  Primes get direct families
-    # keyed by the residue mod 18.
-    if not _is_prime(ell):
-        p = delta(ell)
-        if p is None:
-            raise ConstructionError(f"composite {ell} = 5 mod 6 must have a 5 mod 6 prime factor")
+    # 5 mod 6: ell is prime to 6, and primes that are all 1 mod 6 multiply
+    # to 1 mod 6, so ell has a prime factor p = delta(ell) that is 5 mod 6;
+    # p is ell itself exactly when ell is prime.  A composite splits off p,
+    # and the cofactor is 1 mod 6 and handled above.  Primes get direct
+    # families keyed by the residue mod 18.
+    p = delta(ell)
+    if p != ell:
         inner = acute_G(ell // p)
         return _verified(inner.triangle.scaled(p), request, "centroid/factored")
     r = ell % 18

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .centers import RationalPoint, center_report
+from .constructions import acute_G
 from .incenter import incenter_report, lattice_incenter
 from .lattice import LatticePoint, LatticeTriangle, triangle
 
@@ -142,8 +143,6 @@ def _euler_figure() -> str:
 
 def _model_figure() -> str:
     # Generic acute triangle O, A=(z,0), B=(x,y) with lattice centroid.
-    from .constructions import acute_G
-
     w = acute_G(7)
     return triangle_diagram(w.triangle, marks=[(w.report.centroid, "G")])
 

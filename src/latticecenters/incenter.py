@@ -1,4 +1,4 @@
-"""Exact detection of lattice incenters, touch points, and empirical scans.
+"""Exact detection of lattice incenters and their touch points.
 
 The incenter is I = (aA + bB + cC)/(a + b + c) for the side lengths
 a, b, c opposite A, B, C.  It is rational exactly when those square
@@ -10,8 +10,8 @@ d(P, side_i) = d(P, side_j) is (n_i.P + c_i)^2 |n_j|^2 == (n_j.P + c_j)^2 |n_i|^
 No float is involved, whatever the size of the coordinates.
 
 Whether some perimeter admits a triangle with lattice incenter is an
-open question; scans therefore report witnesses and absences-in-a-box,
-never impossibility.
+open question; the box scan (search.incenter_scan) therefore reports
+witnesses and absences-in-a-box, never impossibility.
 """
 
 from __future__ import annotations
@@ -21,13 +21,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .centers import RationalPoint
-from .lattice import (
-    LatticePoint,
-    LatticeTriangle,
-    ShapeClass,
-    classify_shape,
-    lattice_perimeter,
-)
+from .lattice import LatticePoint, LatticeTriangle
+
 
 @dataclass(frozen=True)
 class IncenterReport:
@@ -127,50 +122,3 @@ def incenter_report(t: LatticeTriangle, center: LatticePoint | None = None) -> I
         flags.append(tp.is_lattice())
     r2 = Fraction(v0 * v0, m0)
     return IncenterReport(center, r2, tuple(touches), tuple(flags))
-
-
-@dataclass(frozen=True)
-class IncenterScanRow:
-    shape: ShapeClass
-    perimeter: int
-    triangle: LatticeTriangle
-    inradius_squared: Fraction
-
-
-@dataclass(frozen=True)
-class IncenterScan:
-    """Empirical scan output: witnesses found in a box, nothing excluded."""
-
-    box_radius: int
-    lmax: int
-    rows: tuple[IncenterScanRow, ...]
-
-
-def incenter_scan(box_radius: int, lmax: int, shard_count: int = 1) -> IncenterScan:
-    """One lattice-incenter witness per (shape, perimeter) cell in the box.
-
-    Output is conjecture data bounded by the box; absence of a row says
-    nothing beyond "not found with a vertex-anchored box of this radius".
-    """
-    from .centers import CenterCondition
-    from .search import SHAPE_ORDER, SearchConfig, search_witnesses
-
-    config = SearchConfig(
-        box_radius=box_radius,
-        lmax=lmax,
-        conditions=(CenterCondition.INCENTER,),
-        shard_count=shard_count,
-    )
-    cells = frozenset(
-        (CenterCondition.INCENTER, shape, ell)
-        for shape in SHAPE_ORDER
-        for ell in range(3, lmax + 1)
-    )
-    hits = search_witnesses(config, cells)
-    rows = []
-    for (cond, shape, ell), tri in sorted(hits.items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
-        report = incenter_report(tri)
-        if classify_shape(tri) is not shape or lattice_perimeter(tri) != ell:
-            raise ArithmeticError(f"scan witness {tri} fails its cell {shape}/{ell}")
-        rows.append(IncenterScanRow(shape, ell, tri, report.inradius_squared))
-    return IncenterScan(box_radius, lmax, tuple(rows))

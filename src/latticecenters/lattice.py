@@ -60,9 +60,6 @@ class LatticePoint:
         return (self.x, self.y)
 
 
-ORIGIN = LatticePoint(0, 0)
-
-
 @dataclass(frozen=True)
 class LatticeTriangle:
     """Ordered triple of pairwise distinct, non-collinear lattice points."""

@@ -1,4 +1,4 @@
-"""Bounded search over lattice triangles and the achievability atlas.
+"""Bounded search over lattice triangles, the incenter scan and the achievability atlas.
 
 Triangles are enumerated anchored at the origin: candidates are pairs
 (P, Q) of lattice points in the square [-B, B]^2, giving the triangle
@@ -21,12 +21,13 @@ points, one per orbit, which are the points with x <= y <= 0.  Searching is
 vectorized over chunks of (P, Q) pairs, and every lattice test is exact
 integer arithmetic.  The search serves the incenter cells only: constructions
 and exclusion certificates decide every F, G and H cell (see
-constructions.ACHIEVABLE).  A lattice incenter needs a squarefree-part
-match of the squared sides and one divisibility, so only the Q whose
-|Q|^2 has the squarefree part of |P|^2 can hit: each P sweeps that kernel
-group.  Sharding splits the swept points round-robin; per-cell results
-merge by minimal (P index, Q index), so output is independent of the
-shard count.
+constructions.ACHIEVABLE), so it sweeps for every incenter cell of its
+config, for the atlas and for incenter_scan alike.  A lattice incenter
+needs a squarefree-part match of the squared sides and one divisibility,
+so only the Q whose |Q|^2 has the squarefree part of |P|^2 can hit: each
+P sweeps that kernel group.  Sharding splits the swept points
+round-robin; per-cell results merge by minimal (P index, Q index), so
+output is independent of the shard count.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -154,8 +156,8 @@ def _incenter_mask(
 _CHUNK_PAIRS = 1 << 14
 
 
-def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[Cell]) -> dict[Cell, Candidate]:
-    """Sweep this shard's first vertices; the first hit per incenter cell is the minimal one.
+def _search_shard(config: SearchConfig, shard_id: int) -> dict[Cell, Candidate]:
+    """Sweep this shard's first vertices; the first hit per incenter cell of the config is the minimal one.
 
     A cell's witness is its anchored pair with the smallest grid indices
     (p_idx, q_idx).  The box and every cell are closed under the eight
@@ -196,10 +198,9 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
     shape_by_code = (ShapeClass.ACUTE, ShapeClass.RIGHT, ShapeClass.OBTUSE)
     shape_allowed = np.array([s in config.shapes for s in shape_by_code])
     found: dict[Cell, Candidate] = {}
-    remaining = set(cells_needed)
 
     for lo in range(0, pair_count, _CHUNK_PAIRS):
-        if not remaining:
+        if len(found) == len(config.shapes) * (lmax - 2):  # every cell of the config
             break
         pair = np.arange(lo, min(lo + _CHUNK_PAIRS, pair_count))
         p_pos = np.searchsorted(offsets, pair, side="right") - 1
@@ -222,10 +223,8 @@ def _search_shard(config: SearchConfig, shard_id: int, cells_needed: frozenset[C
         _, first = np.unique(cell_ids, return_index=True)
         for i in survivors[np.sort(first)]:
             cell = (CenterCondition.INCENTER, shape_by_code[shape_code[i]], int(perim[i]))
-            if cell not in remaining:
-                continue
-            found[cell] = (int(p_ids[i]), int(q_ids[i]), int(px[i]), int(py[i]), int(qx[i]), int(qy[i]))
-            remaining.discard(cell)
+            if cell not in found:
+                found[cell] = (int(p_ids[i]), int(q_ids[i]), int(px[i]), int(py[i]), int(qx[i]), int(qy[i]))
     return found
 
 
@@ -239,30 +238,64 @@ def _merge_candidates(results: Sequence[dict[Cell, Candidate]]) -> dict[Cell, Ca
     return merged
 
 
-def search_witnesses(config: SearchConfig, cells_needed: frozenset[Cell]) -> dict[Cell, LatticeTriangle]:
-    """Find one triangle per requested incenter cell within the box, if any exists.
+def search_witnesses(config: SearchConfig) -> dict[Cell, LatticeTriangle]:
+    """Find one triangle per incenter cell of the config within the box, if any exists.
 
+    The cells are (I, shape, perimeter) for each shape of the config and
+    perimeter 3..lmax; a config without I has none, and nothing is swept.
     Deterministic for a fixed (box_radius, lmax, shapes): the triangles
-    do not depend on shard_count.  Any other condition raises ValueError:
-    constructions and exclusion certificates decide those cells.
+    do not depend on shard_count.
     """
-    stray = next((cell for cell in cells_needed if cell[0] is not CenterCondition.INCENTER), None)
-    if stray is not None:
-        raise ValueError("the box search serves incenter cells only, not %s/%s/%s" % stray)
-    if not cells_needed:
+    if CenterCondition.INCENTER not in config.conditions:
         return {}
     # shards past the number of swept first vertices, the B (B + 3) / 2 points
     # with x <= y <= 0 other than the origin, would be empty
     box = config.box_radius
     shard_count = min(config.shard_count, box * (box + 3) // 2)
     if shard_count == 1:
-        results = [_search_shard(config, 0, cells_needed)]
+        results = [_search_shard(config, 0)]
     else:
         with ProcessPoolExecutor(max_workers=min(shard_count, os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(_search_shard, config, sid, cells_needed) for sid in range(shard_count)]
+            futures = [pool.submit(_search_shard, config, sid) for sid in range(shard_count)]
             results = [fut.result() for fut in futures]
     merged = _merge_candidates(results)
     return {cell: triangle((0, 0), (px, py), (qx, qy)) for cell, (_, _, px, py, qx, qy) in merged.items()}
+
+
+# --- the incenter scan -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IncenterScanRow:
+    shape: ShapeClass
+    perimeter: int
+    triangle: LatticeTriangle
+    inradius_squared: Fraction
+
+
+@dataclass(frozen=True)
+class IncenterScan:
+    """Empirical scan output: witnesses found in a box, nothing excluded."""
+
+    box_radius: int
+    lmax: int
+    rows: tuple[IncenterScanRow, ...]
+
+
+def incenter_scan(box_radius: int, lmax: int, shard_count: int = 1) -> IncenterScan:
+    """One lattice-incenter witness per (shape, perimeter) cell in the box.
+
+    Output is conjecture data bounded by the box; absence of a row says
+    nothing beyond "not found with a vertex-anchored box of this radius".
+    """
+    config = SearchConfig(box_radius, lmax, (CenterCondition.INCENTER,), shard_count=shard_count)
+    rows = []
+    for (_, shape, ell), tri in sorted(search_witnesses(config).items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
+        report = incenter_mod.incenter_report(tri)
+        if classify_shape(tri) is not shape or lattice_perimeter(tri) != ell:
+            raise ArithmeticError(f"scan witness {tri} fails its cell {shape}/{ell}")
+        rows.append(IncenterScanRow(shape, ell, tri, report.inradius_squared))
+    return IncenterScan(box_radius, lmax, tuple(rows))
 
 
 # --- the atlas ---------------------------------------------------------------
@@ -471,24 +504,23 @@ def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
 
     Constructions or exclusion certificates settle every F, G and H cell
     (constructions.ACHIEVABLE); one that neither settles raises
-    ArithmeticError.  The box search fills the incenter cells, recording
-    absence from the box as open, never as impossible.  Cells are walked
-    perimeter by perimeter, so that the exclusion reports of one
-    perimeter share one PerimeterSides.
+    ArithmeticError.  The box search fills every incenter cell of the
+    config, recording absence from the box as open, never as impossible.
+    Cells are walked perimeter by perimeter, so that the exclusion reports
+    of one perimeter share one PerimeterSides.
 
     Like the load, the build runs with the collector paused: its some 10^5
     containers with no cycles (certificates, side multisets, reports)
     would trigger collections that rescan the growing atlas.
     """
     atlas = AchievabilityAtlas(config)
-    incenter_cells: list[Cell] = []
     for ell in range(3, config.lmax + 1):
         sides = PerimeterSides(ell)
         for condition in config.conditions:
             for shape in config.shapes:
                 cell = (condition, shape, ell)
                 if condition is CenterCondition.INCENTER:
-                    incenter_cells.append(cell)
+                    atlas.entries[cell] = AtlasEntry(*cell, "open")  # unless the search finds a witness
                     continue
                 try:
                     witness = build_witness(WitnessRequest(condition, shape, ell))
@@ -500,13 +532,8 @@ def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
                 else:
                     atlas.entries[cell] = AtlasEntry(*cell, "witness", witness.triangle, "construction")
 
-    hits = search_witnesses(config, frozenset(incenter_cells))
-    for cell in incenter_cells:
-        hit = hits.get(cell)
-        if hit is None:
-            atlas.entries[cell] = AtlasEntry(*cell, status="open")
-        else:
-            entry = AtlasEntry(*cell, status="witness", witness=hit, source="search")
-            _verify_witness_entry(entry)
-            atlas.entries[cell] = entry
+    for cell, hit in search_witnesses(config).items():
+        entry = AtlasEntry(*cell, "witness", hit, "search")
+        _verify_witness_entry(entry)
+        atlas.entries[cell] = entry
     return atlas

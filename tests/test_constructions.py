@@ -102,6 +102,17 @@ class TestAcuteCentroid:
             "centroid/17mod18",
         } <= tags
 
+    def test_factored_exactly_at_composite_5_mod_6(self):
+        # delta(ell) is ell itself exactly when ell is prime, so an
+        # achievable ell = 5 mod 6 is split into factors exactly when a
+        # sieve finds it composite
+        limit = 2000
+        composite = [False] * limit
+        for d in range(2, math.isqrt(limit - 1) + 1):
+            composite[d * d :: d] = [True] * len(composite[d * d :: d])
+        for ell in range(17, limit, 6):
+            assert (cons.acute_G(ell).family_tag == "centroid/factored") is composite[ell], ell
+
 
 class TestObtuseAndRight:
     def test_paper_triangles(self):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from latticecenters.incenter import incenter_report, incenter_scan, lattice_incenter
+from latticecenters.incenter import incenter_report, lattice_incenter
+from latticecenters.search import incenter_scan
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, lattice_perimeter, triangle
 
 import oracles

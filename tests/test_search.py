@@ -60,21 +60,26 @@ def _in_process_pool(submitted: list, run: bool = True):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, config, shard_id, cells_needed):
+        def submit(self, fn, config, shard_id):
             submitted.append(shard_id)
             future = concurrent.futures.Future()
-            future.set_result(fn(config, shard_id, cells_needed) if run else {})
+            future.set_result(fn(config, shard_id) if run else {})
             return future
 
     return InProcessPool
 
 
-def _assert_shards_match_full_grid(config: SearchConfig, cells: frozenset) -> dict:
+def _incenter_cells(config: SearchConfig) -> frozenset:
+    # every incenter cell of an incenter-only config, the cells its sweep fills
+    return frozenset((INC, s, ell) for s in config.shapes for ell in range(3, config.lmax + 1))
+
+
+def _assert_shards_match_full_grid(config: SearchConfig) -> dict:
     # the merged candidates of 1, 2 and 3 shards equal the full-grid oracle's
-    expected = _merge_candidates([oracles.search_shard_full_grid(config, 0, cells)])
+    expected = _merge_candidates([oracles.search_shard_full_grid(config, 0, _incenter_cells(config))])
     for shards in (1, 2, 3):
         sharded = dataclasses.replace(config, shard_count=shards)
-        got = _merge_candidates([_search_shard(sharded, sid, cells) for sid in range(shards)])
+        got = _merge_candidates([_search_shard(sharded, sid) for sid in range(shards)])
         assert got == expected, shards
     return expected
 
@@ -194,8 +199,7 @@ class TestSearch:
 
     def test_search_witnesses_are_verified_cells(self):
         config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,))
-        cells = frozenset((INC, s, ell) for s in ShapeClass for ell in range(3, 11))
-        hits = search_witnesses(config, cells)
+        hits = search_witnesses(config)
         assert hits  # lattice-incenter triangles exist in range
         for (cond, shape, ell), t in hits.items():
             rep = center_report(t)
@@ -204,16 +208,9 @@ class TestSearch:
             assert rep.perimeter == ell
             assert lattice_incenter(t) is not None
 
-    def test_search_refuses_non_incenter_cells(self):
-        config = SearchConfig(box_radius=8, lmax=10, conditions=(G, INC))
-        cells = frozenset({(INC, ShapeClass.ACUTE, 8), (G, ShapeClass.OBTUSE, 6)})
-        with pytest.raises(ValueError, match="G/obtuse/6"):
-            search_witnesses(config, cells)
-
     def test_incenter_hits_have_a_lattice_incenter(self):
         config = SearchConfig(box_radius=8, lmax=12, conditions=(INC,))
-        cells = frozenset((INC, s, ell) for s in ShapeClass for ell in range(3, 13))
-        hits = search_witnesses(config, cells)
+        hits = search_witnesses(config)
         assert hits
         for t in hits.values():
             assert lattice_incenter(t) is not None
@@ -226,8 +223,7 @@ class TestSearch:
         # every shape and reachable perimeter of the box
         lmax = 4 * box + 2
         config = SearchConfig(box_radius=box, lmax=lmax, conditions=conditions)
-        cells = frozenset((c, s, ell) for c in conditions for s in SHAPE_ORDER for ell in range(3, lmax + 1))
-        expected = _assert_shards_match_full_grid(config, cells)
+        expected = _assert_shards_match_full_grid(config)
         assert box < 4 or expected  # no lattice-incenter triangle fits a box of radius 3
 
     @pytest.mark.slow
@@ -237,8 +233,7 @@ class TestSearch:
         # full-grid oracle, every shape and reachable perimeter of the box
         lmax = 4 * box + 2
         config = SearchConfig(box_radius=box, lmax=lmax, conditions=(INC,))
-        cells = frozenset((INC, s, ell) for s in SHAPE_ORDER for ell in range(3, lmax + 1))
-        expected = _assert_shards_match_full_grid(config, cells)
+        expected = _assert_shards_match_full_grid(config)
         assert box < 5 or expected
 
     def test_incenter_only_sweep_stays_in_kernel_groups(self, monkeypatch):
@@ -264,8 +259,7 @@ class TestSearch:
 
         monkeypatch.setattr(search_mod, "_incenter_mask", recording)
         config = SearchConfig(box_radius=box, lmax=4 * box + 2, conditions=(INC,))
-        cells = frozenset((INC, s, ell) for s in SHAPE_ORDER for ell in range(3, config.lmax + 1))
-        assert _search_shard(config, 0, cells)
+        assert _search_shard(config, 0)
         assert 0 < len(pairs) <= swept_pairs
         assert all(squarefree(px * px + py * py) == squarefree(qx * qx + qy * qy) for px, py, qx, qy in pairs)
 
@@ -278,14 +272,13 @@ class TestSearch:
 
         lmax = 4 * box + 2
         config = SearchConfig(box_radius=box, lmax=lmax, conditions=(INC,))
-        cells = frozenset((INC, s, ell) for s in SHAPE_ORDER for ell in range(3, lmax + 1))
-        expected = _merge_candidates([oracles.search_shard_full_grid(config, 0, cells)])
+        expected = _merge_candidates([oracles.search_shard_full_grid(config, 0, _incenter_cells(config))])
         configs = [dataclasses.replace(config, shard_count=shards) for shards in (1, 2, 3)]
-        default = [[_search_shard(c, sid, cells) for sid in range(c.shard_count)] for c in configs]
+        default = [[_search_shard(c, sid) for sid in range(c.shard_count)] for c in configs]
         for chunk in (1, 7, 64):
             monkeypatch.setattr(search_mod, "_CHUNK_PAIRS", chunk)
             for c, want in zip(configs, default):
-                got = [_search_shard(c, sid, cells) for sid in range(c.shard_count)]
+                got = [_search_shard(c, sid) for sid in range(c.shard_count)]
                 assert got == want, (chunk, c.shard_count)
                 assert _merge_candidates(got) == expected, (chunk, c.shard_count)
 
@@ -334,12 +327,11 @@ class TestSearch:
         # shard per cone point
         import latticecenters.search as search_mod
 
-        cells = frozenset({(INC, ShapeClass.RIGHT, 12)})
         for box in range(2, 61):
             submitted = []
             monkeypatch.setattr(search_mod, "ProcessPoolExecutor", _in_process_pool(submitted, run=False))
             config = SearchConfig(box_radius=box, lmax=12, conditions=(INC,), shard_count=4000)
-            assert search_witnesses(config, cells) == {}
+            assert search_witnesses(config) == {}
             assert submitted == list(range(len(cone_points(box)))), box
 
     def test_incenter_screen_keeps_every_lattice_incenter(self):
@@ -484,16 +476,31 @@ class TestAtlas:
     def test_only_incenter_cells_reach_the_search(self, monkeypatch):
         import latticecenters.search as search_mod
 
-        passed = []
+        # build_atlas searches once, with its config, and fills every I cell
+        # from the hits; a config without I never sweeps
+        passed, swept = [], []
 
-        def spy(config, cells_needed):
-            passed.append(cells_needed)
-            return search_witnesses(config, cells_needed)
+        def spy(config):
+            passed.append(config)
+            return search_witnesses(config)
+
+        def sweep(config, shard_id):
+            swept.append(config)
+            return _search_shard(config, shard_id)
 
         monkeypatch.setattr(search_mod, "search_witnesses", spy)
-        atlas = build_atlas(SearchConfig(box_radius=6, lmax=60, conditions=CONDITION_ORDER))
-        assert passed == [frozenset(cell for cell in atlas.entries if cell[0] is INC)]
-        assert len(passed[0]) == 3 * 58
+        monkeypatch.setattr(search_mod, "_search_shard", sweep)
+        config = SearchConfig(box_radius=6, lmax=60, conditions=CONDITION_ORDER)
+        atlas = build_atlas(config)
+        assert passed == swept == [config]
+        incenter = [e for cell, e in atlas.entries.items() if cell[0] is INC]
+        assert len(incenter) == 3 * 58
+        assert {e.status for e in incenter} == {"witness", "open"}
+        passed.clear()
+        swept.clear()
+        without_incenter = SearchConfig(box_radius=6, lmax=60, conditions=STANDARD_CONDITIONS)
+        build_atlas(without_incenter)
+        assert passed == [without_incenter] and swept == []
 
     def test_unsettled_standard_cell_raises(self, monkeypatch):
         # acute-H is unachievable at 7: a report that leaves it unsettled
