@@ -9,11 +9,12 @@ lattice centroid forces the side lengths to be all or none divisible
 by 3; lattice centroid plus orthocenter (or right angle plus lattice
 centroid) force every side length divisible by 3.
 
-Each rule is written once, as one row of the ordered table `RULES`: the
-center conditions it holds for, the one shape it needs (or any), and a
-test returning the detail text of a violation.  `exclusion_report` walks
-the rows that apply to a cell, and `replay` re-issues one certificate
-from the certificate's own data through the same row.
+Each rule is written once, as one row of the table `RULES`, in priority
+order: the center conditions it holds for, the one shape it needs (or
+any), whether it tests the perimeter or one side multiset, and that test,
+returning the detail text of a violation.  `exclusion_report` walks the
+rows that apply to a cell, perimeter rows first, and `replay` re-issues
+one certificate from the certificate's own data through the same row.
 
 Each exclusion is recorded as a certificate naming its rule and data,
 and a report for a perimeter is "proven impossible" only when every side
@@ -265,13 +266,17 @@ def _centroid_mod3(s: SideMultiset) -> str | None:
 class RuleRow:
     """Where one exclusion rule holds and what it tests.
 
-    test returns the detail text of a violation, or None.  EvenPerimeter
-    tests the perimeter; every other rule tests one side multiset.
+    test returns the detail text of a violation, or None.  It tests the
+    perimeter if on_perimeter holds, and one side multiset otherwise.
     """
 
     conditions: frozenset[CenterCondition]
     shape: ShapeClass | None  # the one shape the rule needs; None for any
     test: Callable[[Any], str | None]
+    on_perimeter: bool = False
+
+    def applies(self, condition: CenterCondition, shape: ShapeClass) -> bool:
+        return condition in self.conditions and self.shape in (None, shape)
 
 
 # the conditions needing each center, read from their letters
@@ -279,11 +284,11 @@ _F, _G, _H = (frozenset(c for c in CenterCondition if letter in c.value) for let
 _H |= _F  # a lattice circumcenter forces a lattice orthocenter
 _GH = _G & _H
 
-# In the order exclusion_report tries them.  The first rule tests the
-# perimeter alone; the pairwise-gcd verdicts come from PerimeterSides.
+# In priority order.  GcdLemma holds for every cell; PerimeterSides holds its verdicts.
 RULES: dict[Rule, RuleRow] = {
     Rule.EVEN_PERIMETER: RuleRow(
-        _F, None, lambda perimeter: "lattice circumcenter forces even perimeter" if perimeter % 2 else None
+        _F, None, lambda perimeter: "lattice circumcenter forces even perimeter" if perimeter % 2 else None,
+        on_perimeter=True,
     ),
     Rule.GCD_LEMMA: RuleRow(_G | _H, None, gcd_violation),
     Rule.ONE_ONE_M: RuleRow(
@@ -309,18 +314,16 @@ def replay(cert: ExclusionCertificate) -> bool:
     """Whether the certificate's rule re-issues it from the certificate's own data.
 
     The condition must be one the rule holds for, the shape the rule's
-    own, the multiset (absent for EvenPerimeter) of the stated perimeter,
-    and the detail the text the rule's test gives now.
+    own, the multiset absent for a perimeter rule and of the stated
+    perimeter for a multiset rule, and the detail the text the rule's
+    test gives now.
     """
-    row = RULES[cert.rule]
-    s = cert.multiset
-    if cert.rule is Rule.EVEN_PERIMETER:
-        subject = cert.perimeter if s is None else None
-    else:
-        subject = s if s is not None and s.perimeter == cert.perimeter else None
-    if subject is None or cert.condition not in row.conditions or cert.shape is not row.shape:
+    row, s = RULES[cert.rule], cert.multiset
+    if (s is None) is not row.on_perimeter or (s is not None and s.perimeter != cert.perimeter):
         return False
-    detail = row.test(subject)
+    if cert.condition not in row.conditions or cert.shape is not row.shape:
+        return False
+    detail = row.test(cert.perimeter if s is None else s)
     return detail is not None and detail == cert.detail
 
 
@@ -352,31 +355,36 @@ def exclusion_report(
     shape: ShapeClass,
     sides: PerimeterSides | None = None,
 ) -> ExclusionReport:
-    """Run the applicable rules of RULES, in order, on all side multisets of a perimeter.
+    """Run the rows of RULES that apply to a cell, in table order.
 
-    Each multiset gets the certificate of the first rule it violates.
+    The first perimeter row that fires settles the cell with its one
+    certificate.  Otherwise each side multiset gets the certificate of
+    the first rule it violates: the pairwise-gcd law, its verdict read
+    from PerimeterSides, then the other multiset rows.
     sides: the perimeter's PerimeterSides, when the caller shares one
     across cells; the report is the same either way, but its
     certificates are then the ones the table already issued.
     """
     if condition is CenterCondition.INCENTER:
         raise ValueError("no exclusion rules exist for the incenter; scans are empirical only")
-    if sides is not None and sides.perimeter != perimeter:
+    sides = sides or PerimeterSides(perimeter)
+    if sides.perimeter != perimeter:
         raise ValueError(f"sides of perimeter {sides.perimeter} given for perimeter {perimeter}")
-    if sides is None:
-        sides = PerimeterSides(perimeter)
-    rules = [  # (rule, its test, its shape, the certificates of it issued so far)
-        (r, row.test, row.shape, sides.issued.setdefault((condition, r), {}))
-        for r, row in RULES.items() if condition in row.conditions and row.shape in (None, shape)
-    ]
-    if rules[0][0] is Rule.EVEN_PERIMETER:
-        rule, test, rule_shape, issued = rules.pop(0)
-        detail = test(perimeter)
+    rows = {r: row for r, row in RULES.items() if row.applies(condition, shape)}
+    for rule, row in rows.items():
+        detail = row.test(perimeter) if row.on_perimeter else None
         if detail is not None:
-            cert = issued.setdefault(None, ExclusionCertificate(rule, detail, condition, rule_shape, perimeter))
+            issued = sides.issued.setdefault((condition, rule), {})
+            cert = issued.get(None)
+            if cert is None:
+                cert = issued[None] = ExclusionCertificate(rule, detail, condition, row.shape, perimeter)
             return ExclusionReport(perimeter, condition, shape, True, (cert,))
 
-    gcd_rule, *tests = rules
+    tests = {  # (rule, its test, its shape, the certificates of it issued so far)
+        r: (r, row.test, row.shape, sides.issued.setdefault((condition, r), {}))
+        for r, row in rows.items() if not row.on_perimeter
+    }
+    gcd_rule, tests = tests.pop(Rule.GCD_LEMMA), list(tests.values())  # its verdicts come from sides
     certificates: list[ExclusionCertificate] = []
     survivors: list[SideMultiset] = []
     for i, (s, detail) in enumerate(sides.sides):
@@ -393,14 +401,7 @@ def exclusion_report(
         if cert is None:
             cert = issued[i] = ExclusionCertificate(rule, detail, condition, rule_shape, perimeter, s)
         certificates.append(cert)
-    return ExclusionReport(
-        perimeter,
-        condition,
-        shape,
-        proven_impossible=not survivors,
-        certificates=tuple(certificates),
-        survivors=tuple(survivors),
-    )
+    return ExclusionReport(perimeter, condition, shape, not survivors, tuple(certificates), tuple(survivors))
 
 
 def prop1_witness(n: int) -> tuple[int, int, int] | None:

@@ -200,8 +200,6 @@ def _search_shard(config: SearchConfig, shard_id: int) -> dict[Cell, Candidate]:
     found: dict[Cell, Candidate] = {}
 
     for lo in range(0, pair_count, _CHUNK_PAIRS):
-        if len(found) == len(config.shapes) * (lmax - 2):  # every cell of the config
-            break
         pair = np.arange(lo, min(lo + _CHUNK_PAIRS, pair_count))
         p_pos = np.searchsorted(offsets, pair, side="right") - 1
         p_ids = swept[p_pos]

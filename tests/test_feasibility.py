@@ -322,9 +322,34 @@ class TestCertificates:
             dataclasses.replace(one_one_m, perimeter=99),
             dataclasses.replace(even, condition=G),
             dataclasses.replace(mid3, detail="made up"),
+            # a perimeter certificate holds no multiset, even one of its perimeter
+            dataclasses.replace(even, multiset=SideMultiset(1, 2, 6)),
+            # a multiset certificate holds a multiset, and one of its own perimeter
+            dataclasses.replace(one_one_m, multiset=None),
+            dataclasses.replace(one_one_m, multiset=SideMultiset(1, 1, 5)),
         ]
         for cert in forged:
             assert not replay(cert), cert.text()
+
+    @pytest.mark.parametrize(
+        "moved, ahead_of", [(Rule.ONE_ONE_M, Rule.GCD_LEMMA), (Rule.GCD_LEMMA, Rule.EVEN_PERIMETER)]
+    )
+    def test_reordered_rules_issue_the_same_certificates(self, monkeypatch, moved, ahead_of):
+        # the rule table is read by each row's subject and the GcdLemma row by
+        # its rule, never by a row's position in the table
+        cells = [(ell, cond, shape) for ell in range(3, 25) for cond in STANDARD_CONDITIONS for shape in SHAPE_ORDER]
+        want = {cell: exclusion_report(*cell) for cell in cells}
+        order = [r for r in RULES if r is not moved]
+        order.insert(order.index(ahead_of), moved)
+        monkeypatch.setattr(feasibility, "RULES", {r: RULES[r] for r in order})
+        assert list(feasibility.RULES) != list(RULES)
+        for cell in cells:
+            got = exclusion_report(*cell)
+            assert got.proven_impossible == want[cell].proven_impossible, cell
+            assert got.survivors == want[cell].survivors, cell
+            assert got.certificates == want[cell].certificates, cell
+            for cert in got.certificates:
+                assert replay(cert), cert.text()
 
     def test_replay_accepts_every_reported_certificate(self):
         for ell in range(3, 41):
@@ -362,9 +387,8 @@ class TestFilterSoundness:
         for cond, shape, sides in realized:
             s = SideMultiset(*sides)
             for rule, row in RULES.items():
-                if cond in row.conditions and row.shape in (None, shape):
-                    subject = s.perimeter if rule is Rule.EVEN_PERIMETER else s
-                    assert row.test(subject) is None, (rule, cond, shape, s)
+                if row.applies(cond, shape):
+                    assert row.test(s.perimeter if row.on_perimeter else s) is None, (rule, cond, shape, s)
             checked += 1
         assert checked > 50
 
