@@ -33,6 +33,7 @@ of that perimeter.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import math
@@ -59,7 +60,13 @@ class Rule(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
+def _slot_setters(cls: type) -> tuple:
+    """The __set__ of each field's slot descriptor, in field order: a frozen record's __init__ stores
+    through these, since its __setattr__ raises and object.__setattr__ looks the slot up on every call."""
+    return tuple(cls.__dict__[f.name].__set__ for f in dataclasses.fields(cls))
+
+
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class SideMultiset:
     """Non-decreasing triple of positive side lattice lengths."""
 
@@ -67,9 +74,13 @@ class SideMultiset:
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if not (0 < self.a <= self.b <= self.c):
-            raise ValueError(f"side multiset must be positive non-decreasing: {self}")
+    def __init__(self, a: int, b: int, c: int) -> None:
+        if not (0 < a <= b <= c):
+            raise ValueError(f"side multiset must be positive non-decreasing: ({a},{b},{c})")
+        set_a, set_b, set_c = _SIDE_SETTERS
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
 
     @classmethod
     def of(cls, x: int, y: int, z: int) -> "SideMultiset":
@@ -87,7 +98,10 @@ class SideMultiset:
         return f"({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True)
+_SIDE_SETTERS = _slot_setters(SideMultiset)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ExclusionCertificate:
     """One applied exclusion rule, replayable from its own fields."""
 
@@ -97,6 +111,18 @@ class ExclusionCertificate:
     shape: ShapeClass | None  # None means the rule holds for every shape
     perimeter: int
     multiset: SideMultiset | None = None
+
+    def __init__(
+        self, rule: Rule, detail: str, condition: CenterCondition, shape: ShapeClass | None, perimeter: int,
+        multiset: SideMultiset | None = None,
+    ) -> None:
+        set_rule, set_detail, set_condition, set_shape, set_perimeter, set_multiset = _CERTIFICATE_SETTERS
+        set_rule(self, rule)
+        set_detail(self, detail)
+        set_condition(self, condition)
+        set_shape(self, shape)
+        set_perimeter(self, perimeter)
+        set_multiset(self, multiset)
 
     @property
     def scope(self) -> str:
@@ -122,13 +148,20 @@ class ExclusionCertificate:
         }
 
     def json_text(self) -> str:
-        """json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")), built directly."""
+        """json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")), built directly.
+
+        The enum values and "any" are plain ASCII with nothing to escape, so they are quoted as
+        they are; only the detail goes through the JSON string encoder.
+        """
         m, shape = self.multiset, self.shape._value_ if self.shape is not None else "any"
-        return '{"condition":%s,"detail":%s,"multiset":%s,"perimeter":%d,"rule":%s,"shape":%s}' % (
-            _json_str(self.condition._value_), _json_str(self.detail),
-            "[%d,%d,%d]" % (m.a, m.b, m.c) if m is not None else "null",
-            self.perimeter, _json_str(self.rule._value_), _json_str(shape),
+        sides = f"[{m.a},{m.b},{m.c}]" if m is not None else "null"
+        return (
+            f'{{"condition":"{self.condition._value_}","detail":{_json_str(self.detail)},"multiset":{sides},'
+            f'"perimeter":{self.perimeter},"rule":"{self.rule._value_}","shape":"{shape}"}}'
         )
+
+
+_CERTIFICATE_SETTERS = _slot_setters(ExclusionCertificate)
 
 
 def partitions(perimeter: int) -> list[SideMultiset]:
@@ -154,13 +187,14 @@ def gcd_violation(s: SideMultiset) -> str | None:
         return None
     total = math.gcd(ab, c)
     x, y, g = (a, b, ab) if ab != total else (a, c, ac) if ac != total else (b, c, bc)
-    return f"gcd{(x, y)}={g} differs from gcd of all three = {total}"
+    return f"gcd({x}, {y})={g} differs from gcd of all three = {total}"
 
 
 # Largest perimeter whose side multisets are enumerated; PerimeterSides
 # raises ValueError beyond it.  A perimeter l has about l^2 / 12 of them, and
 # `construct --format json` on an unachievable cell at l = 2000 (333k
-# multisets) peaks at 0.9 GB and 12 s on a 2-core x86 host, growing as l^2.
+# multisets) peaks at 0.84 GB and takes 6-8 s in process on a 2-core x86
+# host, growing as l^2.
 MAX_PERIMETER = 2000
 
 

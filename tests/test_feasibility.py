@@ -3,7 +3,9 @@ import gc
 import itertools
 import json
 import math
+import pickle
 import random
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
@@ -258,6 +260,12 @@ class TestSharedPerimeterSides:
         cert = ExclusionCertificate(Rule.MID3, detail, F, ShapeClass.ACUTE, 10**20 + 2, SideMultiset(1, 1, 10**20))
         assert cert.json_text() == _dumps(cert)
 
+    def test_json_text_quotes_enum_values_as_json_dumps_would(self):
+        # json_text quotes these as they are, so none may need escaping
+        values = [v.value for enum in (Rule, CenterCondition, ShapeClass) for v in enum] + ["any"]
+        for value in values:
+            assert encode_basestring_ascii(value) == f'"{value}"'
+
     def test_json_text_of_a_perimeter_certificate(self):
         (cert,) = exclusion_report(7, F, ShapeClass.ACUTE).certificates
         assert (cert.rule, cert.multiset, cert.shape) == (Rule.EVEN_PERIMETER, None, None)
@@ -281,6 +289,60 @@ class TestSharedPerimeterSides:
             exclusion_report(ell, G, ShapeClass.RIGHT)
         gc.collect()
         assert not [o for o in gc.get_objects() if isinstance(o, PerimeterSides)]
+
+
+class TestRecords:
+    SIDES = SideMultiset(2, 2, 6)
+    CERT = ExclusionCertificate(Rule.MID3, "middle side length 2 < 3", F, ShapeClass.ACUTE, 10, SIDES)
+    WHOLE = ExclusionCertificate(Rule.EVEN_PERIMETER, "lattice circumcenter forces even perimeter", F, None, 7)
+
+    def test_frozen_without_dict(self):
+        for record, field in ((self.SIDES, "a"), (self.CERT, "detail"), (self.WHOLE, "multiset")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field)
+            # a name that is no field is refused too; Python 3.11 raises TypeError for it
+            with pytest.raises((AttributeError, TypeError)):
+                record.no_such_field = 1
+            assert not hasattr(record, "__dict__")
+
+    def test_equality_hash_order_and_repr(self):
+        assert self.SIDES == SideMultiset(2, 2, 6) != SideMultiset(2, 3, 5)
+        assert hash(self.SIDES) == hash((2, 2, 6))
+        assert sorted([SideMultiset(1, 2, 2), SideMultiset(1, 1, 3), SideMultiset(1, 1, 1)]) == [
+            SideMultiset(1, 1, 1), SideMultiset(1, 1, 3), SideMultiset(1, 2, 2)
+        ]
+        assert SideMultiset(1, 1, 3) < SideMultiset(1, 2, 2) <= SideMultiset(1, 2, 2)
+        assert repr(self.SIDES) == "SideMultiset(a=2, b=2, c=6)"
+        fields = (Rule.MID3, "middle side length 2 < 3", F, ShapeClass.ACUTE, 10, self.SIDES)
+        assert self.CERT == ExclusionCertificate(*fields) and hash(self.CERT) == hash(fields)
+        assert self.CERT != self.WHOLE and self.WHOLE.multiset is None
+        with pytest.raises(TypeError):
+            self.CERT < self.WHOLE  # certificates have no order
+        assert repr(self.CERT) == (
+            "ExclusionCertificate(rule=<Rule.MID3: 'Mid3'>, detail='middle side length 2 < 3', "
+            "condition=<CenterCondition.CIRCUMCENTER: 'F'>, shape=<ShapeClass.ACUTE: 'acute'>, perimeter=10, "
+            "multiset=SideMultiset(a=2, b=2, c=6))"
+        )
+
+    def test_replace_and_pickle(self):
+        assert dataclasses.replace(self.SIDES, c=7) == SideMultiset(2, 2, 7)
+        assert dataclasses.replace(self.CERT, detail="d") == ExclusionCertificate(
+            rule=Rule.MID3, detail="d", condition=F, shape=ShapeClass.ACUTE, perimeter=10, multiset=self.SIDES
+        )
+        with pytest.raises(ValueError, match="positive non-decreasing"):
+            dataclasses.replace(self.SIDES, a=3)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            for record in (self.SIDES, self.CERT, self.WHOLE):
+                again = pickle.loads(pickle.dumps(record, protocol))
+                assert again == record and type(again) is type(record)
+
+    def test_unordered_sides_refused_with_their_text(self):
+        # the message `angles 0 1 2` prints
+        with pytest.raises(ValueError) as refused:
+            SideMultiset(0, 1, 2)
+        assert str(refused.value) == "side multiset must be positive non-decreasing: (0,1,2)"
 
 
 class TestCertificates:
