@@ -4,7 +4,7 @@ Subcommands: length, centers, classify, construct, angles, table, atlas,
 incenter-scan, figure, props.  Every numeric flag is an integer and
 vertices parse as "x,y" pairs; there are no floating-point inputs
 anywhere.  Exit codes: 0 success/witness, 2 proven impossible
-(certificates printed), 3 open/unknown, 1 usage or data error.
+(certificates printed), 1 usage or data error.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .angles import pi_signs, render_table, solve_pi_triples
 from .centers import CenterCondition, RationalPoint, center_report
-from .constructions import ACHIEVABLE, UnachievableError, WitnessRequest, build_witness
-from .feasibility import SideMultiset, exclusion_report, halved_numerators, prop1_witness, prop2_witness
+from .constructions import ACHIEVABLE
+from .feasibility import ExclusionReport, SideMultiset, halved_numerators, prop1_witness, prop2_witness
 from .figures import FIGURES, render_figure
 from .incenter import incenter_report, lattice_incenter
 from .lattice import (
@@ -36,12 +36,11 @@ from .lattice import (
     side_lengths,
     twice_area,
 )
-from .search import STANDARD_CONDITIONS, SearchConfig, _cell_sort_key, build_atlas, incenter_scan
+from .search import STANDARD_CONDITIONS, SearchConfig, _cell_sort_key, build_atlas, incenter_scan, resolve_cell
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IMPOSSIBLE = 2
-EXIT_OPEN = 3
 
 # Largest `props --max-n`; larger values are refused before any row is
 # built.  The rows grow linearly: 10^5 of them take about 1 s and 160 MB
@@ -172,44 +171,25 @@ def cmd_centers(args) -> int:
 def cmd_construct(args) -> int:
     condition = CenterCondition(args.center)
     shape = args.shape
-    request = WitnessRequest(condition, shape, args.perimeter)
-    try:
-        witness = build_witness(request)
-    except UnachievableError as exc:
-        report = exclusion_report(args.perimeter, condition, shape)
-        if report.proven_impossible:
-            payload = {
-                "status": "impossible",
-                "condition": condition.value,
-                "shape": shape.value,
-                "perimeter": args.perimeter,
-                "certificates": [c.to_json() for c in report.certificates],
-            }
-            _emit(args, payload, report.text())
-            return EXIT_IMPOSSIBLE
-        payload = {
-            "status": "unknown",
-            "condition": condition.value,
-            "shape": shape.value,
-            "perimeter": args.perimeter,
-            "reason": str(exc),
-        }
-        _emit(args, payload, f"unknown: {exc}")
-        return EXIT_OPEN
-    rep = witness.report
+    cell = {"condition": condition.value, "shape": shape.value, "perimeter": args.perimeter}
+    # a standard cell: ACHIEVABLE has its row, so it resolves to a witness or a report
+    resolved = resolve_cell(condition, shape, args.perimeter)
+    if isinstance(resolved, ExclusionReport):
+        payload = {"status": "impossible", **cell, "certificates": [c.to_json() for c in resolved.certificates]}
+        _emit(args, payload, resolved.text())
+        return EXIT_IMPOSSIBLE
+    rep = resolved.report
     payload = {
         "status": "witness",
-        "condition": condition.value,
-        "shape": shape.value,
-        "perimeter": args.perimeter,
-        "vertices": [list(v.as_tuple()) for v in witness.triangle.vertices],
-        "family": witness.family_tag,
+        **cell,
+        "vertices": [list(v.as_tuple()) for v in resolved.triangle.vertices],
+        "family": resolved.family_tag,
         "circumcenter": _point_json(rep.circumcenter),
         "centroid": _point_json(rep.centroid),
         "orthocenter": _point_json(rep.orthocenter),
     }
     human = (
-        f"{witness.triangle}  [{witness.family_tag}]\n"
+        f"{resolved.triangle}  [{resolved.family_tag}]\n"
         f"  F = {rep.circumcenter}, G = {rep.centroid}, H = {rep.orthocenter}"
     )
     _emit(args, payload, human)
@@ -472,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateTriangleError, UnachievableError, ValueError, OSError) as exc:
+    except (DegenerateTriangleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -398,13 +398,14 @@ def exclusion_report(
     sides: the perimeter's PerimeterSides, when the caller shares one
     across cells; the report is the same either way, but its
     certificates are then the ones the table already issued.
+    A cell that no row applies to raises ValueError.
     """
-    if condition is CenterCondition.INCENTER:
-        raise ValueError("no exclusion rules exist for the incenter; scans are empirical only")
+    rows = {r: row for r, row in RULES.items() if row.applies(condition, shape)}
+    if not rows:
+        raise ValueError(f"no exclusion rule applies to {condition}/{shape}")
     sides = sides or PerimeterSides(perimeter)
     if sides.perimeter != perimeter:
         raise ValueError(f"sides of perimeter {sides.perimeter} given for perimeter {perimeter}")
-    rows = {r: row for r, row in RULES.items() if row.applies(condition, shape)}
     for rule, row in rows.items():
         detail = row.test(perimeter) if row.on_perimeter else None
         if detail is not None:

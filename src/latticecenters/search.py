@@ -19,10 +19,12 @@ symmetries of the square (D4), and so is every cell, so that P is the
 smallest-index point of its D4 orbit: the sweep takes P only from those
 points, one per orbit, which are the points with x <= y <= 0.  Searching is
 vectorized over chunks of (P, Q) pairs, and every lattice test is exact
-integer arithmetic.  The search serves the incenter cells only: constructions
-and exclusion certificates decide every F, G and H cell (see
-constructions.ACHIEVABLE), so it sweeps for every incenter cell of its
-config, for the atlas and for incenter_scan alike.  A lattice incenter
+integer arithmetic.  Every cell is decided in one place, resolve_cell:
+a construction where constructions.ACHIEVABLE admits its perimeter,
+else the certificates of feasibility.RULES; a cell ACHIEVABLE has no row
+for is left to the search.  The sweep tests the lattice incenter, for
+every incenter cell of its config, for the atlas and for incenter_scan
+alike; both verify each hit as the atlas loader does.  A lattice incenter
 needs a squarefree-part match of the squared sides and one divisibility,
 so only the Q whose |Q|^2 has the squarefree part of |P|^2 can hit: each
 P sweeps that kernel group.  Sharding splits the swept points
@@ -47,10 +49,11 @@ import numpy as np
 from . import incenter as incenter_mod
 from .centers import CenterCondition, lattice_centers
 from .centers import center_report  # noqa: F401 (bench/test_bench.py, its only user, imports it from here)
-from .constructions import UnachievableError, WitnessRequest, build_witness
-from .feasibility import ExclusionCertificate, PerimeterSides, exclusion_report
+from .constructions import ACHIEVABLE, UnachievableError, Witness, WitnessRequest, build_witness
+from .feasibility import ExclusionCertificate, ExclusionReport, PerimeterSides, exclusion_report
 from .feasibility import replay  # noqa: F401 (bench/test_bench.py, its only user, imports it from here)
 from .lattice import (
+    LatticePoint,
     LatticeTriangle,
     ShapeClass,
     classify_shape,
@@ -260,6 +263,21 @@ def search_witnesses(config: SearchConfig) -> dict[Cell, LatticeTriangle]:
     return {cell: triangle((0, 0), (px, py), (qx, qy)) for cell, (_, _, px, py, qx, qy) in merged.items()}
 
 
+def _verify_witness(cell: Cell, t: LatticeTriangle) -> LatticePoint | None:
+    """The one witness check, of search hits and loaded witnesses: raise ValueError unless t has the
+    cell's shape and perimeter and meets its condition.  Returns the lattice incenter it located for
+    an incenter cell (None for the others), so that no caller locates it again."""
+    condition, shape, perimeter = cell
+    if condition is CenterCondition.INCENTER:
+        center = incenter_mod.lattice_incenter(t)
+        meets = center is not None
+    else:
+        center, meets = None, condition.met_by(lattice_centers(t))
+    if not meets or classify_shape(t) is not shape or lattice_perimeter(t) != perimeter:
+        raise ValueError(f"witness {t} does not verify for {condition}/{shape}/{perimeter}")
+    return center
+
+
 # --- the incenter scan -------------------------------------------------------
 
 
@@ -288,11 +306,9 @@ def incenter_scan(box_radius: int, lmax: int, shard_count: int = 1) -> IncenterS
     """
     config = SearchConfig(box_radius, lmax, (CenterCondition.INCENTER,), shard_count=shard_count)
     rows = []
-    for (_, shape, ell), tri in sorted(search_witnesses(config).items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
-        report = incenter_mod.incenter_report(tri)
-        if classify_shape(tri) is not shape or lattice_perimeter(tri) != ell:
-            raise ArithmeticError(f"scan witness {tri} fails its cell {shape}/{ell}")
-        rows.append(IncenterScanRow(shape, ell, tri, report.inradius_squared))
+    for cell, tri in sorted(search_witnesses(config).items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
+        report = incenter_mod.incenter_report(tri, _verify_witness(cell, tri))
+        rows.append(IncenterScanRow(cell[1], cell[2], tri, report.inradius_squared))
     return IncenterScan(box_radius, lmax, tuple(rows))
 
 
@@ -360,17 +376,6 @@ class AchievabilityAtlas:
         return "".join(parts).encode()
 
 
-def _verify_witness_entry(entry: AtlasEntry) -> None:
-    t = entry.witness
-    assert t is not None
-    if entry.condition is not CenterCondition.INCENTER:
-        meets = entry.condition.met_by(lattice_centers(t))
-    else:
-        meets = incenter_mod.lattice_incenter(t) is not None
-    if not meets or classify_shape(t) is not entry.shape or lattice_perimeter(t) != entry.perimeter:
-        raise ValueError(f"witness {t} does not verify for {entry.condition}/{entry.shape}/{entry.perimeter}")
-
-
 _CONFIG_KEYS = ("box_radius", "lmax", "conditions", "shapes")
 _ENTRY_KEYS = ("condition", "shape", "perimeter", "status")
 
@@ -401,19 +406,19 @@ def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
         raise ValueError(f"atlas entry {cell} lies outside the config")
     if "certificates" in item and status != "impossible":
         raise ValueError(f"{status} entry {cell} carries certificates")
-    if status == "open" and cell[0] is not CenterCondition.INCENTER:
-        raise ValueError(f"open entry {cell}: only incenter cells may be open")
+    if status == "open" and cell[:2] in ACHIEVABLE:
+        raise ValueError(f"open entry {cell}: a construction or certificates decide its cell")
     if status != "witness":
         if "witness_vertices" in item or "source" in item:
             raise ValueError(f"{status} entry {cell} carries a witness")
         return AtlasEntry(*cell, status)
     verts, source = _required(item, ("witness_vertices", "source"), f"witness entry {cell}")
-    if source not in ("construction", "search"):
-        raise ValueError(f"witness entry {cell} has unknown source {source!r}")
+    expected = "construction" if cell[:2] in ACHIEVABLE else "search"  # as resolve_cell and build_atlas give it
+    if source != expected:
+        raise ValueError(f"witness entry {cell} has source {source!r}, not {expected!r}")
     witness = triangle(*map(tuple, _vertices(verts, f"witness entry {cell}")))
-    entry = AtlasEntry(*cell, status, witness, source)
-    _verify_witness_entry(entry)
-    return entry
+    _verify_witness(cell, witness)
+    return AtlasEntry(*cell, status, witness, source)
 
 
 def _collector_paused(step):
@@ -446,11 +451,12 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     cell, which must prove the cell impossible; the entry keeps the fresh
     certificates.  So a certificate edited, dropped or copied from
     another cell is rejected, and so are certificates or a witness on an
-    entry of another status, and an open entry on any but an incenter
-    cell (constructions and certificates settle all the others).  The
-    reports of one perimeter share one PerimeterSides, and each
-    certificate object becomes one to_json() dict for every claim it is
-    compared with.  Each of these failures,
+    entry of another status.  Where constructions.ACHIEVABLE has a row
+    for the cell, as resolve_cell reads it, the entry may not be open and
+    its witness's source must be "construction"; elsewhere the source
+    must be "search".  The reports of one perimeter share one
+    PerimeterSides, and each certificate object becomes one to_json()
+    dict for every claim it is compared with.  Each of these failures,
     and a missing or wrongly typed value anywhere, raises ValueError.
 
     The load runs with the cyclic garbage collector paused
@@ -497,16 +503,35 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     return atlas
 
 
+def resolve_cell(
+    condition: CenterCondition, shape: ShapeClass, perimeter: int, sides: PerimeterSides | None = None
+) -> Witness | ExclusionReport | None:
+    """Decide one cell from the tables: the construction's witness where constructions.ACHIEVABLE
+    admits the perimeter, else the exclusion report proving the cell impossible, and None where
+    ACHIEVABLE has no row for (condition, shape), so that only the search can fill the cell.
+
+    A cell that ACHIEVABLE refuses and no certificate settles raises ArithmeticError.
+    sides: the perimeter's PerimeterSides, when the caller shares one across cells.
+    """
+    if (condition, shape) not in ACHIEVABLE:
+        return None
+    try:
+        return build_witness(WitnessRequest(condition, shape, perimeter))
+    except UnachievableError:
+        report = exclusion_report(perimeter, condition, shape, sides)
+    if not report.proven_impossible:
+        raise ArithmeticError(f"cell {condition}/{shape}/{perimeter} is neither built nor excluded")
+    return report
+
+
 @_collector_paused
 def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
-    """Resolve every (condition, shape, perimeter) cell of the config.
+    """Resolve every (condition, shape, perimeter) cell of the config through resolve_cell.
 
-    Constructions or exclusion certificates settle every F, G and H cell
-    (constructions.ACHIEVABLE); one that neither settles raises
-    ArithmeticError.  The box search fills every incenter cell of the
-    config, recording absence from the box as open, never as impossible.
-    Cells are walked perimeter by perimeter, so that the exclusion reports
-    of one perimeter share one PerimeterSides.
+    A cell it leaves to the search holds the search's witness, or open for
+    absence from the box, never impossible.  Cells are walked perimeter by
+    perimeter, so that the exclusion reports of one perimeter share one
+    PerimeterSides.
 
     Like the load, the build runs with the collector paused: its some 10^5
     containers with no cycles (certificates, side multisets, reports)
@@ -518,21 +543,14 @@ def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
         for condition in config.conditions:
             for shape in config.shapes:
                 cell = (condition, shape, ell)
-                if condition is CenterCondition.INCENTER:
+                resolved = resolve_cell(condition, shape, ell, sides)
+                if resolved is None:
                     atlas.entries[cell] = AtlasEntry(*cell, "open")  # unless the search finds a witness
-                    continue
-                try:
-                    witness = build_witness(WitnessRequest(condition, shape, ell))
-                except UnachievableError:
-                    report = exclusion_report(ell, condition, shape, sides)
-                    if not report.proven_impossible:
-                        raise ArithmeticError(f"cell {condition}/{shape}/{ell} is neither built nor excluded")
-                    atlas.entries[cell] = AtlasEntry(*cell, "impossible", certificates=report.certificates)
+                elif isinstance(resolved, ExclusionReport):
+                    atlas.entries[cell] = AtlasEntry(*cell, "impossible", certificates=resolved.certificates)
                 else:
-                    atlas.entries[cell] = AtlasEntry(*cell, "witness", witness.triangle, "construction")
-
+                    atlas.entries[cell] = AtlasEntry(*cell, "witness", resolved.triangle, "construction")
     for cell, hit in search_witnesses(config).items():
-        entry = AtlasEntry(*cell, "witness", hit, "search")
-        _verify_witness_entry(entry)
-        atlas.entries[cell] = entry
+        _verify_witness(cell, hit)
+        atlas.entries[cell] = AtlasEntry(*cell, "witness", hit, "search")
     return atlas

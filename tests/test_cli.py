@@ -73,6 +73,12 @@ class TestBasicCommands:
         code, _, err = run(capsys, "centers", "0,0", "1,1", "2,2")
         assert code == 1 and "error" in err
 
+    def test_module_docstring_lists_exactly_the_exit_codes(self):
+        # "Exit codes: 0 success/witness, 2 ..., 1 usage or data error." against the EXIT_* constants
+        listed = " ".join(cli.__doc__.split()).split("Exit codes: ", 1)[1].split(".", 1)[0]
+        codes = [int(item.split(" ", 1)[0]) for item in listed.split(", ")]
+        assert sorted(codes) == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--center", "Q", "--shape", "acute", "--perimeter", "9"])
@@ -235,7 +241,13 @@ class TestTableAndAtlas:
             assert (code, digest(out)) == (0, "5c215f72525ef176")
 
     def test_atlas_output_bytes(self, capsys):
-        for argv, want in ((("atlas",), "37635f35eedd52d2"), (("atlas", "--lmax", "90", "--box", "40"), "4f67e04e88248195")):
+        mixed = ("atlas", "--box", "8", "--lmax", "10", "--conditions", "F,G,H,GH,FGH,I", "--shards")
+        for argv, want in (
+            (("atlas",), "37635f35eedd52d2"),
+            (("atlas", "--lmax", "90", "--box", "40"), "4f67e04e88248195"),
+            ((*mixed, "1"), "d59b2d2dcc95205b"),
+            ((*mixed, "2"), "d59b2d2dcc95205b"),
+        ):
             code, out, _ = run(capsys, *argv)
             assert (code, digest(out)) == (0, want), argv
 

@@ -186,7 +186,7 @@ class TestExclusionReports:
         assert any(c.rule is Rule.RIGHT_CENTROID_MOD3 for c in rep.certificates)
 
     def test_incenter_has_no_exclusions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no exclusion rule applies to I/acute"):
             exclusion_report(10, CenterCondition.INCENTER, ShapeClass.ACUTE)
 
 

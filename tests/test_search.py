@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecenters import feasibility, search
+from latticecenters import cli, feasibility, search
 from latticecenters.constructions import ACHIEVABLE
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
@@ -517,9 +517,20 @@ class TestAtlas:
         with pytest.raises(ArithmeticError, match="H/acute/7"):
             build_atlas(SearchConfig(box_radius=5, lmax=10, conditions=(G, H)))
 
+    def test_refused_cell_without_certificates_fails_alike_in_build_and_construct(self, monkeypatch):
+        # acute-H refusing 8, which no certificate settles: the build and
+        # construct decide the cell through resolve_cell, and fail alike
+        admits, words = ACHIEVABLE[(H, ShapeClass.ACUTE)]
+        monkeypatch.setitem(ACHIEVABLE, (H, ShapeClass.ACUTE), (lambda ell: ell != 8 and admits(ell), words))
+        with pytest.raises(ArithmeticError) as built:
+            build_atlas(SearchConfig(lmax=8, conditions=(H,)))
+        with pytest.raises(ArithmeticError) as constructed:
+            cli.main(["construct", "--center", "H", "--shape", "acute", "--perimeter", "8"])
+        assert str(built.value) == str(constructed.value) == "cell H/acute/8 is neither built nor excluded"
+
 
 def _small_document(lmax: int = 14) -> dict:
-    return json.loads(build_atlas(SearchConfig(box_radius=5, lmax=lmax, conditions=(G, H))).to_json_bytes())
+    return json.loads(build_atlas(SearchConfig(box_radius=5, lmax=lmax, conditions=(G, H, INC))).to_json_bytes())
 
 
 def _find(doc: dict, condition: CenterCondition, shape: ShapeClass, perimeter: int) -> dict:
@@ -589,6 +600,16 @@ def _open_acute_h8(doc: dict) -> None:
     entry.update(condition="H", shape="acute", perimeter=8, status="open")
 
 
+def _search_source_on_construction_cell(doc: dict) -> None:
+    # ACHIEVABLE has a row for acute-H, so its witnesses are constructions
+    _find(doc, H, ShapeClass.ACUTE, 12)["source"] = "search"
+
+
+def _construction_source_on_incenter_cell(doc: dict) -> None:
+    # ACHIEVABLE has no incenter row: only the search fills those cells
+    next(e for e in doc["entries"] if e["condition"] == "I" and e["status"] == "witness")["source"] = "construction"
+
+
 def _two_vertices(doc: dict) -> None:
     _find(doc, H, ShapeClass.ACUTE, 12)["witness_vertices"].pop()
 
@@ -618,8 +639,8 @@ def _bool_schema_version(doc: dict) -> None:
 
 
 def _string_conditions(doc: dict) -> None:
-    assert doc["config"]["conditions"] == ["G", "H"]
-    doc["config"]["conditions"] = "GH"  # the name of one condition, not a list of two
+    assert doc["config"]["conditions"] == ["G", "H", "I"]
+    doc["config"]["conditions"] = "GH"  # the name of one condition, not a list
 
 
 class TestAtlasLoaderRejects:
@@ -634,7 +655,9 @@ class TestAtlasLoaderRejects:
             (_edit_certificate_detail, "certificates"),
             (_move_witness_to_other_condition, "does not verify for H/acute"),
             (_move_witness_to_other_shape, "does not verify for G/obtuse"),
-            (_open_acute_h8, "only incenter cells may be open"),
+            (_open_acute_h8, "a construction or certificates decide its cell"),
+            (_search_source_on_construction_cell, "has source 'search', not 'construction'"),
+            (_construction_source_on_incenter_cell, "has source 'construction', not 'search'"),
         ],
     )
     def test_forged_document(self, forge, message):
