@@ -36,7 +36,7 @@ from latticecenters.feasibility import (
     partitions,
     subtriangle_multisets,
 )
-from latticecenters.incenter import IncenterReport, _is_lattice_incenter, _side_lines, lattice_incenter
+from latticecenters.incenter import _incenter_offsets, _side_lines
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
 from latticecenters.search import (
     SCHEMA_VERSION,
@@ -443,52 +443,50 @@ def lattice_incenter_brackets(t: LatticeTriangle) -> LatticePoint | None:
     that candidate faces the exact integer equidistance test, and the
     incenter is the only interior point that can pass it.
     """
-    # side i is opposite vertex i, and |n_i|^2 is its squared length
-    lo, hi = zip(*(_scaled_sqrt_bracket(nx * nx + ny * ny) for nx, ny, _, _, _ in _side_lines(t)))
+    # side i is opposite vertex i, and m_i = |n_i|^2 is its squared length
+    lines = _side_lines(t)
+    lo, hi = zip(*(_scaled_sqrt_bracket(m) for _, _, _, m, _, _ in lines))
     for x in _axis_candidates((t.v0.x, t.v1.x, t.v2.x), lo, hi):
         for y in _axis_candidates((t.v0.y, t.v1.y, t.v2.y), lo, hi):
-            if _is_lattice_incenter(t, LatticePoint(x, y)):
+            if _incenter_offsets(t, lines, LatticePoint(x, y)) is not None:
                 return LatticePoint(x, y)
     return None
 
 
-def incenter_report_fractions(t: LatticeTriangle, center: LatticePoint | None = None) -> IncenterReport:
-    """The incenter report with every check done in Fractions.
+def incenter_report_fractions(
+    t: LatticeTriangle, center: LatticePoint | None = None
+) -> tuple[LatticePoint, Fraction, tuple[RationalPoint, ...], tuple[bool, ...]]:
+    """The four values incenter_report gives, derived with Fractions.
 
-    The touch point on each side is the foot of the perpendicular from
-    the incenter, I - (n.I + c)/|n|^2 * n, a rational point lying within
-    the closed side segment; distances and positions along the side are
-    compared as Fractions.
+    Returns (incenter, inradius_squared, touch_points, touch_on_lattice).
+    A missing center is located by lattice_incenter_brackets.  The touch
+    point on side pq is the projection p + s (q - p) of the incenter,
+    s = (I - p).(q - p) / |q - p|^2, which must fall within the closed
+    segment (0 <= s <= 1); the incenter must lie strictly on the side of
+    each edge that holds the opposite vertex, and its squared distance
+    to the three projections, a Fraction, must be one value.
     """
     if center is None:
-        center = lattice_incenter(t)
+        center = lattice_incenter_brackets(t)
         if center is None:
             raise ValueError(f"{t} has no lattice incenter")
-    elif not _is_lattice_incenter(t, center):
-        raise ValueError(f"{center} is not the incenter of {t}")
-
-    lines = _side_lines(t)
-    vals = [nx * center.x + ny * center.y + c for nx, ny, c, _, _ in lines]
-    radii = {Fraction(v * v, nx * nx + ny * ny) for v, (nx, ny, _, _, _) in zip(vals, lines)}
-    if len(radii) != 1:
-        raise ArithmeticError(f"unequal side distances from {center} in {t}")
-    r2 = radii.pop()
-
+    radii = set()
     touches = []
-    flags = []
-    for v, (nx, ny, c, p, q) in zip(vals, lines):
-        norm = nx * nx + ny * ny
-        tp = RationalPoint(center.x - Fraction(v * nx, norm), center.y - Fraction(v * ny, norm))
-        d2 = (tp.x - center.x) ** 2 + (tp.y - center.y) ** 2
-        if d2 != r2:
-            raise ArithmeticError(f"touch point {tp} not at inradius from {center}")
-        along = (tp.x - p.x) * (q.x - p.x) + (tp.y - p.y) * (q.y - p.y)
-        span = Fraction((q.x - p.x) ** 2 + (q.y - p.y) ** 2)
-        if not 0 <= along <= span:
-            raise ArithmeticError(f"touch point {tp} outside its side segment")
+    for p, q, opposite in ((t.v1, t.v2, t.v0), (t.v2, t.v0, t.v1), (t.v0, t.v1, t.v2)):
+        dx, dy = q.x - p.x, q.y - p.y
+        here = dx * (center.y - p.y) - dy * (center.x - p.x)
+        there = dx * (opposite.y - p.y) - dy * (opposite.x - p.x)
+        if here == 0 or (here > 0) != (there > 0):
+            raise ValueError(f"{center} is not the incenter of {t}")
+        s = Fraction((center.x - p.x) * dx + (center.y - p.y) * dy, dx * dx + dy * dy)
+        if not 0 <= s <= 1:
+            raise ArithmeticError(f"touch point outside the side {p}{q}")
+        tp = RationalPoint(p.x + s * dx, p.y + s * dy)
+        radii.add((tp.x - center.x) ** 2 + (tp.y - center.y) ** 2)
         touches.append(tp)
-        flags.append(tp.is_lattice())
-    return IncenterReport(center, r2, tuple(touches), tuple(flags))
+    if len(radii) != 1:
+        raise ValueError(f"{center} is not the incenter of {t}")
+    return center, radii.pop(), tuple(touches), tuple(tp.is_lattice() for tp in touches)
 
 
 def incenter_screen(px: int, py: int, qx: np.ndarray, qy: np.ndarray, box_radius: int) -> np.ndarray:

@@ -57,6 +57,18 @@ class TestBasicCommands:
         assert data["incenter"]["point"] == [8, 4]
         assert data["incenter"]["inradius_squared"] == "8"
 
+    def test_centers_output_bytes(self, capsys):
+        # triangles with a lattice incenter, whose touch points the json output lists
+        pinned = {
+            ("0,0", "14,2", "8,8"): ("20141154a658799f", "a54d813888e5dd7e", "11c90605bb233b6f"),
+            ("0,0", "14,2", "21,51"): ("a6440e521e4cf931", "9dd3030a874703a2", "caa1234e1cff4375"),
+            ("0,0", "4,0", "4,3"): ("dc2a0639b538a9b5", "8555f89c0ef1d881", "5c912d843ecae114"),
+        }
+        for verts, wants in pinned.items():
+            for fmt, want in zip(("human", "json", "csv"), wants):
+                code, out, _ = run(capsys, "centers", *verts, "--format", fmt)
+                assert (code, digest(out)) == (0, want), (verts, fmt)
+
     def test_centers_beyond_float_range(self, capsys):
         k = 10**310
         code, out, _ = run(capsys, "centers", "0,0", f"{14 * k},{2 * k}", f"{8 * k},{8 * k}")
@@ -398,12 +410,16 @@ class TestScanFigureProps:
             assert (code, out) == (1, "") and "box_radius must be at most 1000" in err, argv
 
     def test_figures_render(self, capsys, tmp_path):
+        # the incircle figures mark the touch points; their bytes are pinned
+        pinned = {"incircle-345": "e145f695ae691c36", "incircle": "deaaa5f8f91acf7b"}
         for name in ("euler", "model", "incircle-345", "incircle"):
             out_file = tmp_path / f"{name}.svg"
             code, _, _ = run(capsys, "figure", name, "--out", str(out_file))
             assert code == 0
             body = out_file.read_text()
             assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
+            if name in pinned:
+                assert digest(body) == pinned[name], name
 
     def test_props(self, capsys):
         code, out, _ = run(capsys, "props", "--max-n", "12", "--format", "json")

@@ -200,6 +200,15 @@ class TestIncenterReport:
                 assert 0 <= along <= dx * dx + dy * dy
         assert checked >= 8
 
+    @staticmethod
+    def _assert_matches_fractions(t, hit=None):
+        rep = incenter_report(t, hit)
+        incenter, r2, touches, flags = oracles.incenter_report_fractions(t, hit)
+        assert rep.incenter == incenter, t
+        assert rep.inradius_squared == r2, t
+        assert rep.touch_points == touches, t
+        assert rep.touch_on_lattice == flags, t
+
     def test_matches_fraction_report(self):
         span = range(-6, 7)
         checked = 0
@@ -213,7 +222,7 @@ class TestIncenterReport:
                         hit = lattice_incenter(t)
                         if hit is None:
                             continue
-                        assert incenter_report(t, hit) == oracles.incenter_report_fractions(t, hit), t
+                        self._assert_matches_fractions(t, hit)
                         checked += 1
         assert checked > 50
         bases = (((0, 0), (14, 2), (8, 8)), ((0, 0), (14, 2), (21, 51)), ((0, 0), (4, 0), (4, 3)))
@@ -221,7 +230,15 @@ class TestIncenterReport:
             for k in (1, 7, 10**5, 10**15, 3 * 10**17 + 1, 10**30):
                 big = triangle(*base).scaled(k)
                 for t in (big, big.translated(LatticePoint(-(10**29), 3))):
-                    assert incenter_report(t) == oracles.incenter_report_fractions(t), t
+                    self._assert_matches_fractions(t)
+
+    def test_touch_points_built_lazily_and_once(self):
+        for t in (triangle((0, 0), (14, 2), (21, 51)), triangle((0, 0), (4, 0), (4, 3)).scaled(10**20)):
+            rep = incenter_report(t)
+            assert "touch_points" not in rep.__dict__
+            first = rep.touch_points
+            assert rep.touch_points is first
+            assert first == oracles.incenter_report_fractions(t)[2]
 
     def test_wrong_center_rejected(self):
         t = triangle((0, 0), (14, 2), (8, 8))
