@@ -19,6 +19,7 @@ angle-sum / pi ratios; it never feeds back into the exact comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -122,19 +123,12 @@ def _atan_taylor_bounds(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     return (min(s_prev, s), max(s_prev, s))
 
 
-_pi_bounds_cache: dict[int, tuple[Fraction, Fraction]] = {}
-
-
+@functools.cache
 def pi_bounds(terms: int) -> tuple[Fraction, Fraction]:
     """Rational enclosure of pi from 16*arctan(1/5) - 4*arctan(1/239)."""
-    cached = _pi_bounds_cache.get(terms)
-    if cached is not None:
-        return cached
     lo1, hi1 = _atan_taylor_bounds(Fraction(1, 5), terms)
     lo2, hi2 = _atan_taylor_bounds(Fraction(1, 239), terms)
-    result = (16 * lo1 - 4 * hi2, 16 * hi1 - 4 * lo2)
-    _pi_bounds_cache[terms] = result
-    return result
+    return (16 * lo1 - 4 * hi2, 16 * hi1 - 4 * lo2)
 
 
 def arctan_bounds(x: Rational, terms: int) -> tuple[Fraction, Fraction]:

@@ -11,9 +11,9 @@ against their defining properties (altitude perpendicularity for H,
 equidistance from the vertices for F).
 
 center_numerators is the one integer derivation of the three centers,
-with the same cross-checks scaled to integers: lattice_centers decides
-lattice membership from it by divisibility, and the construction
-families check the centers they predict against it.  center_report
+with the same cross-checks scaled to integers: lattice_flags decides
+lattice membership from it by divisibility, and check_witness reads the
+centers a construction family predicts off the same numerators.  center_report
 keeps Fractions for the values it reports, deriving each center once.
 """
 
@@ -194,7 +194,12 @@ def center_numerators(t: LatticeTriangle) -> tuple[tuple[int, tuple[int, int]], 
 
 def lattice_centers(t: LatticeTriangle) -> tuple[bool, bool, bool]:
     """Whether F, G and H (in that order) are lattice points: center_numerators' divisibility tests."""
-    (cf, (fx, fy)), (_, (gx, gy)), (ch, (hx, hy)) = center_numerators(t)
+    return lattice_flags(center_numerators(t))
+
+
+def lattice_flags(numerators: tuple[tuple[int, tuple[int, int]], ...]) -> tuple[bool, bool, bool]:
+    """Whether each center of center_numerators, v0 + (nx, ny) / den, is a lattice point: den | nx, ny."""
+    (cf, (fx, fy)), (_, (gx, gy)), (ch, (hx, hy)) = numerators
     return (fx % cf == 0 and fy % cf == 0, gx % 3 == 0 and gy % 3 == 0, hx % ch == 0 and hy % ch == 0)
 
 

@@ -1,14 +1,13 @@
-"""Deterministic witness factories for achievable perimeters.
+"""Deterministic witness factories for achievable perimeters, and the one witness check.
 
 Each factory produces a lattice triangle of the requested shape and
-perimeter whose required centers land on the lattice, and re-verifies
-everything (shape, perimeter, center flags, and any closed-form center
-the family predicts) before returning, all in integers: the flags by
-centers.lattice_centers, each predicted center against the numerators
-of centers.center_numerators.  A witness computes its Fraction center
-report only when it is read.  Requests for a perimeter the cell does not
-admit raise UnachievableError; the feasibility module can then explain
-why with certificates.
+perimeter whose required centers land on the lattice, and passes it,
+with any closed-form center the family predicts, through check_witness
+before returning.  That check, all in integers, is also the one the
+search and the atlas loader make.  A witness computes its Fraction
+center report only when it is read.  Requests for a perimeter the cell
+does not admit raise UnachievableError; the feasibility module can then
+explain why with certificates.
 
 ACHIEVABLE states, once, which perimeters each (condition, shape) cell
 admits; build_witness refuses the others, and the factories assume
@@ -17,8 +16,8 @@ their perimeter is admitted.
 Only F, G and H have families of their own.  Tripling a triangle keeps
 F and H on the lattice and puts G there too, so a G-and-H (F, G, H)
 witness of perimeter l is 3 times the H (F) witness of perimeter l/3,
-of the same shape.  The exceptions are seven acute cells whose l/3 has
-no acute witness, built from one table of explicit triangles.
+of the same shape.  The ten acute cells that no family and no tripling
+reaches are built from one table of explicit triangles.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .centers import CenterCondition, CenterReport, center_numerators, center_report, lattice_centers
+from . import incenter as incenter_mod
+from .centers import CenterCondition, CenterReport, center_numerators, center_report, lattice_flags
 from .lattice import LatticePoint, LatticeTriangle, ShapeClass, classify_shape, lattice_perimeter, triangle
 
 _SHEAR_CAP = 64
@@ -90,24 +90,45 @@ class Witness:
         return center_report(self.triangle)
 
 
-def _verified(tri: LatticeTriangle, request: WitnessRequest, tag: str) -> Witness:
-    shape = classify_shape(tri)
-    if shape is not request.shape:
-        raise ConstructionError(f"{tag}: {tri} is {shape}, wanted {request.shape}")
-    perimeter = lattice_perimeter(tri)
-    if perimeter != request.perimeter:
-        raise ConstructionError(f"{tag}: {tri} has perimeter {perimeter}, wanted {request.perimeter}")
-    if not request.condition.met_by(lattice_centers(tri)):
-        raise ConstructionError(f"{tag}: {tri} misses lattice condition {request.condition}")
+def check_witness(
+    tri: LatticeTriangle, condition: CenterCondition, shape: ShapeClass, perimeter: int, **centers: tuple[int, int]
+) -> LatticePoint | None:
+    """Raise ValueError, with its reason, unless tri has the shape and perimeter and meets the condition.
+
+    The flags and each center predicted in centers (letter -> lattice point) are read off one
+    center_numerators.  For I, returns the lattice incenter, located once; None otherwise.
+    """
+    if condition is CenterCondition.INCENTER:
+        center = incenter_mod.lattice_incenter(tri)
+        meets = center is not None
+    else:
+        center, numerators = None, center_numerators(tri)
+        meets = condition.met_by(lattice_flags(numerators))
+    found, length = classify_shape(tri), lattice_perimeter(tri)
+    if found is not shape:
+        reason = f"is {found}, wanted {shape}"
+    elif length != perimeter:
+        reason = f"has perimeter {length}, wanted {perimeter}"
+    elif not meets:
+        reason = f"misses lattice condition {condition}"
+    else:
+        for letter, (x, y) in centers.items():
+            den, (nx, ny) = numerators["FGH".index(letter)]
+            if (nx, ny) != (den * (x - tri.v0.x), den * (y - tri.v0.y)):
+                reason = f"has {letter} = {tri.v0.as_tuple()} + ({nx},{ny})/{den}, expected {(x, y)}"
+                break
+        else:
+            return center
+    raise ValueError(f"witness {tri} does not verify for {condition}/{shape}/{perimeter}: it {reason}")
+
+
+def _verified(tri: LatticeTriangle, request: WitnessRequest, tag: str, **centers: tuple[int, int]) -> Witness:
+    """tri as the family's Witness once check_witness passes it; a refusal leads with the family tag."""
+    try:
+        check_witness(tri, request.condition, request.shape, request.perimeter, **centers)
+    except ValueError as refusal:
+        raise ConstructionError(f"{tag}: {refusal}") from refusal
     return Witness(tri, tag)
-
-
-def _expect(tri: LatticeTriangle, letter: str, coords: tuple[int, int], what: str) -> None:
-    # the center the letter (F, G or H) names must be coords: den * (coords - v0) == its numerator
-    den, (nx, ny) = center_numerators(tri)["FGH".index(letter)]
-    x, y = coords
-    if (nx, ny) != (den * (x - tri.v0.x), den * (y - tri.v0.y)):
-        raise ConstructionError(f"{what}: got {letter} = {tri.v0.as_tuple()} + ({nx},{ny})/{den}, expected {coords}")
 
 
 def sheared(t: LatticeTriangle, k: int) -> LatticeTriangle:
@@ -143,16 +164,12 @@ def acute_H(perimeter: int) -> Witness:
     request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.ACUTE, ell)
     if ell % 2 == 0:
         n = ell // 2
-        tri = triangle((0, 0), (n, 0), (1, n - 1))
-        _expect(tri, "H", (1, 1), "even-perimeter orthocenter family")
-        return _verified(tri, request, "orthocenter/even")
+        return _verified(triangle((0, 0), (n, 0), (1, n - 1)), request, "orthocenter/even", H=(1, 1))
     if ell % 4 == 1:
         tri = triangle((0, 0), ((ell + 1) // 2, 0), (2, (ell - 3) // 2))
-        _expect(tri, "H", (2, 2), "1 mod 4 orthocenter family")
-        return _verified(tri, request, "orthocenter/odd-1mod4")
+        return _verified(tri, request, "orthocenter/odd-1mod4", H=(2, 2))
     tri = triangle((0, 0), ((ell + 3) // 2, 0), (6, 3 * (ell - 9) // 2))
-    _expect(tri, "H", (6, 2), "3 mod 4 orthocenter family")
-    return _verified(tri, request, "orthocenter/odd-3mod4")
+    return _verified(tri, request, "orthocenter/odd-3mod4", H=(6, 2))
 
 
 def obtuse_H(perimeter: int) -> Witness:
@@ -160,62 +177,45 @@ def obtuse_H(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.OBTUSE, ell)
     tri = triangle((0, 0), (1, 0), (2 - ell, ell - 2))
-    _expect(tri, "H", (2 - ell, 1 - ell), "obtuse orthocenter family")
-    return _verified(tri, request, "orthocenter/obtuse")
+    return _verified(tri, request, "orthocenter/obtuse", H=(2 - ell, 1 - ell))
 
 
 def right_H(perimeter: int) -> Witness:
     """Right triangle; the orthocenter sits at the right-angle vertex."""
     ell = perimeter
     request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.RIGHT, ell)
-    tri = triangle((0, 0), (ell - 2, 0), (0, 1))
-    _expect(tri, "H", (0, 0), "right orthocenter family")
-    return _verified(tri, request, "orthocenter/right")
+    return _verified(triangle((0, 0), (ell - 2, 0), (0, 1)), request, "orthocenter/right", H=(0, 0))
 
 
 # --- circumcenter families ------------------------------------------------
-
-_ACUTE_F_EXPLICIT = {
-    8: (((4, 0), (3, 3)), (2, 1)),
-    14: (((8, 0), (3, 5)), (4, 1)),
-    16: (((8, 0), (1, 7)), (4, 3)),
-}
-
 
 def acute_F(perimeter: int) -> Witness:
     """Acute triangle with lattice circumcenter."""
     ell = perimeter
     request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.ACUTE, ell)
-    if ell in _ACUTE_F_EXPLICIT:
-        (a, b), f = _ACUTE_F_EXPLICIT[ell]
-        tri = triangle((0, 0), a, b)
-        _expect(tri, "F", f, f"explicit circumcenter case {ell}")
-        return _verified(tri, request, "circumcenter/explicit")
+    explicit = _acute_explicit(request, "circumcenter")
+    if explicit is not None:
+        return explicit
     r = ell % 8
     if r == 4:
         n = (ell - 4) // 8
         tri = triangle((0, 0), (4 * n + 2, 0), (4, 8 * n - 4))
-        _expect(tri, "F", (2 * n + 1, 4 * n - 3), "4 mod 8 circumcenter family")
-        return _verified(tri, request, "circumcenter/4mod8")
+        return _verified(tri, request, "circumcenter/4mod8", F=(2 * n + 1, 4 * n - 3))
     if r == 6:
         n = (ell - 6) // 8
         tri = triangle((0, 0), (2 * n + 1, 1), (0, 6 * n + 4))
-        _expect(tri, "F", (n - 1, 3 * n + 2), "6 mod 8 circumcenter family")
-        return _verified(tri, request, "circumcenter/6mod8")
+        return _verified(tri, request, "circumcenter/6mod8", F=(n - 1, 3 * n + 2))
     # 0 or 2 mod 8: one family covers both, via the parity of n.
     n = (ell - 2) // 4 if r == 2 else (ell - 4) // 4
     tri = triangle((0, 0), (2 * n + 2, 0), (4, 2 * n - 2))
-    _expect(tri, "F", (n + 1, n - 3), "0/2 mod 8 circumcenter family")
-    return _verified(tri, request, "circumcenter/0or2mod8")
+    return _verified(tri, request, "circumcenter/0or2mod8", F=(n + 1, n - 3))
 
 
 def obtuse_F(perimeter: int) -> Witness:
     """Obtuse triangle with lattice circumcenter."""
     ell = perimeter
     request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.OBTUSE, ell)
-    tri = triangle((0, 0), (2, 0), (3 - ell, ell - 3))
-    _expect(tri, "F", (1, ell - 2), "obtuse circumcenter family")
-    return _verified(tri, request, "circumcenter/obtuse")
+    return _verified(triangle((0, 0), (2, 0), (3 - ell, ell - 3)), request, "circumcenter/obtuse", F=(1, ell - 2))
 
 
 def right_F(perimeter: int) -> Witness:
@@ -223,8 +223,7 @@ def right_F(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.RIGHT, ell)
     tri = triangle((0, 0), (1, 1), (3 - ell, ell - 3))
-    _expect(tri, "F", ((4 - ell) // 2, (ell - 2) // 2), "right circumcenter family")
-    return _verified(tri, request, "circumcenter/right")
+    return _verified(tri, request, "circumcenter/right", F=((4 - ell) // 2, (ell - 2) // 2))
 
 
 # --- centroid families ----------------------------------------------------
@@ -247,9 +246,7 @@ def acute_G(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.ACUTE, ell)
     if ell == 3:
-        tri = triangle((0, 0), (1, 2), (2, 1))
-        _expect(tri, "G", (1, 1), "perimeter-3 centroid triangle")
-        return _verified(tri, request, "centroid/base-3")
+        return _verified(triangle((0, 0), (1, 2), (2, 1)), request, "centroid/base-3", G=(1, 1))
     if ell % 3 == 0:
         base = acute_G(3).triangle
         return _verified(base.scaled(ell // 3), request, "centroid/scaled-base")
@@ -284,9 +281,7 @@ def obtuse_G(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.OBTUSE, ell)
     if ell == 3:
-        tri = triangle((0, 0), (1, 0), (-1, 3))
-        _expect(tri, "G", (0, 1), "perimeter-3 obtuse centroid triangle")
-        return _verified(tri, request, "centroid/obtuse-3")
+        return _verified(triangle((0, 0), (1, 0), (-1, 3)), request, "centroid/obtuse-3", G=(0, 1))
     base = acute_G(ell).triangle
     for k in range(1, _SHEAR_CAP + 1):
         tri = sheared(base, k)
@@ -300,9 +295,7 @@ def right_G(perimeter: int) -> Witness:
     ell = perimeter
     request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.RIGHT, ell)
     n = (ell - 6) // 3
-    tri = triangle((0, 0), (3 * n, 0), (0, 3))
-    _expect(tri, "G", (n, 1), "right centroid family")
-    return _verified(tri, request, "centroid/right")
+    return _verified(triangle((0, 0), (3 * n, 0), (0, 3)), request, "centroid/right", G=(n, 1))
 
 
 # --- combined conditions --------------------------------------------------
@@ -316,31 +309,38 @@ _TRIPLED = {
     CenterCondition.ALL_THREE: (CenterCondition.CIRCUMCENTER, "all-centers"),
 }
 
-# The acute cells tripling cannot reach, as ell / 3 has no acute H (F) witness:
-# (condition, perimeter) -> ((P, Q), the lattice centers the condition's letters name)
+# The acute cells no family reaches, F at 8, 14 and 16 and GH (FGH) where ell / 3 has no acute H (F)
+# witness: (condition, perimeter) -> ((P, Q) of the triangle O, P, Q, its lattice centers)
 _ACUTE_EXPLICIT = {
-    (CenterCondition.CENTROID_AND_ORTHOCENTER, 9): (((6, 3), (3, 6)), ((3, 3), (4, 4))),
-    (CenterCondition.CENTROID_AND_ORTHOCENTER, 12): (((6, 0), (3, 9)), ((3, 3), (3, 1))),
-    (CenterCondition.CENTROID_AND_ORTHOCENTER, 15): (((9, 0), (3, 9)), ((4, 3), (3, 2))),
-    (CenterCondition.CENTROID_AND_ORTHOCENTER, 21): (((15, 0), (3, 9)), ((6, 3), (3, 4))),
-    (CenterCondition.ALL_THREE, 12): (((6, 0), (3, 9)), ((3, 4), (3, 3), (3, 1))),
-    (CenterCondition.ALL_THREE, 18): (((12, 6), (6, 12)), ((5, 5), (6, 6), (8, 8))),
-    (CenterCondition.ALL_THREE, 30): (((18, 0), (6, 18)), ((9, 7), (8, 6), (6, 4))),
+    (CenterCondition.CIRCUMCENTER, 8): (((4, 0), (3, 3)), dict(F=(2, 1))),
+    (CenterCondition.CIRCUMCENTER, 14): (((8, 0), (3, 5)), dict(F=(4, 1))),
+    (CenterCondition.CIRCUMCENTER, 16): (((8, 0), (1, 7)), dict(F=(4, 3))),
+    (CenterCondition.CENTROID_AND_ORTHOCENTER, 9): (((6, 3), (3, 6)), dict(G=(3, 3), H=(4, 4))),
+    (CenterCondition.CENTROID_AND_ORTHOCENTER, 12): (((6, 0), (3, 9)), dict(G=(3, 3), H=(3, 1))),
+    (CenterCondition.CENTROID_AND_ORTHOCENTER, 15): (((9, 0), (3, 9)), dict(G=(4, 3), H=(3, 2))),
+    (CenterCondition.CENTROID_AND_ORTHOCENTER, 21): (((15, 0), (3, 9)), dict(G=(6, 3), H=(3, 4))),
+    (CenterCondition.ALL_THREE, 12): (((6, 0), (3, 9)), dict(F=(3, 4), G=(3, 3), H=(3, 1))),
+    (CenterCondition.ALL_THREE, 18): (((12, 6), (6, 12)), dict(F=(5, 5), G=(6, 6), H=(8, 8))),
+    (CenterCondition.ALL_THREE, 30): (((18, 0), (6, 18)), dict(F=(9, 7), G=(8, 6), H=(6, 4))),
 }
+
+
+def _acute_explicit(request: WitnessRequest, tag: str) -> Witness | None:
+    # the table's witness, tagged tag/explicit, where the table lists the request's cell
+    explicit = _ACUTE_EXPLICIT.get((request.condition, request.perimeter))
+    if explicit is None or request.shape is not ShapeClass.ACUTE:
+        return None
+    (p, q), centers = explicit
+    return _verified(triangle((0, 0), p, q), request, f"{tag}/explicit", **centers)
+
 
 def _tripled(request: WitnessRequest) -> Witness:
     inner_condition, tag = _TRIPLED[request.condition]
-    ell = request.perimeter
-    explicit = _ACUTE_EXPLICIT.get((request.condition, ell)) if request.shape is ShapeClass.ACUTE else None
-    if explicit is not None:
-        (a, b), centers = explicit
-        tri = triangle((0, 0), a, b)
-        for letter, coords in zip(request.condition.value, centers):
-            _expect(tri, letter, coords, f"explicit {tag} case {ell}")
-        return _verified(tri, request, f"{tag}/explicit")
-    # ACHIEVABLE admits ell only where ell / 3 lies in the inner cell's set
-    inner = _FACTORIES[(inner_condition, request.shape)](ell // 3)
-    return _verified(inner.triangle.scaled(3), request, f"{tag}/tripled")
+    inner = _FACTORIES[(inner_condition, request.shape)]
+    # ACHIEVABLE admits ell only where the table lists the cell or ell / 3 lies in the inner cell's set
+    return _acute_explicit(request, tag) or _verified(
+        inner(request.perimeter // 3).triangle.scaled(3), request, f"{tag}/tripled"
+    )
 
 
 _FACTORIES = {

@@ -24,10 +24,12 @@ a construction where constructions.ACHIEVABLE admits its perimeter,
 else the certificates of feasibility.RULES; a cell ACHIEVABLE has no row
 for is left to the search.  The sweep tests the lattice incenter, for
 every incenter cell of its config, for the atlas and for incenter_scan
-alike; both verify each hit as the atlas loader does.  A lattice incenter
-needs a squarefree-part match of the squared sides and one divisibility,
-so only the Q whose |Q|^2 has the squarefree part of |P|^2 can hit: each
-P sweeps that kernel group.  Sharding splits the swept points
+alike, and search_witnesses hands on each hit checked by
+constructions.check_witness, the check the families and the atlas loader
+make, with the incenter that check located.  A lattice incenter needs a
+squarefree-part match of the squared sides and one divisibility, so only
+the Q whose |Q|^2 has the squarefree part of |P|^2 can hit: each P
+sweeps that kernel group.  Sharding splits the swept points
 round-robin; per-cell results merge by minimal (P index, Q index), so
 output is independent of the shard count.
 """
@@ -47,19 +49,12 @@ from typing import Sequence
 import numpy as np
 
 from . import incenter as incenter_mod
-from .centers import CenterCondition, lattice_centers
+from .centers import CenterCondition
 from .centers import center_report  # noqa: F401 (bench/test_bench.py, its only user, imports it from here)
-from .constructions import ACHIEVABLE, UnachievableError, Witness, WitnessRequest, build_witness
+from .constructions import ACHIEVABLE, UnachievableError, Witness, WitnessRequest, build_witness, check_witness
 from .feasibility import ExclusionCertificate, ExclusionReport, PerimeterSides, exclusion_report
 from .feasibility import replay  # noqa: F401 (bench/test_bench.py, its only user, imports it from here)
-from .lattice import (
-    LatticePoint,
-    LatticeTriangle,
-    ShapeClass,
-    classify_shape,
-    lattice_perimeter,
-    triangle,
-)
+from .lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
 
 SCHEMA_VERSION = 1
 
@@ -239,13 +234,15 @@ def _merge_candidates(results: Sequence[dict[Cell, Candidate]]) -> dict[Cell, Ca
     return merged
 
 
-def search_witnesses(config: SearchConfig) -> dict[Cell, LatticeTriangle]:
+def search_witnesses(config: SearchConfig) -> dict[Cell, tuple[LatticeTriangle, LatticePoint]]:
     """Find one triangle per incenter cell of the config within the box, if any exists.
 
     The cells are (I, shape, perimeter) for each shape of the config and
     perimeter 3..lmax; a config without I has none, and nothing is swept.
-    Deterministic for a fixed (box_radius, lmax, shapes): the triangles
-    do not depend on shard_count.
+    Each hit comes checked by constructions.check_witness, as (triangle,
+    the lattice incenter the check located); a hit it refuses raises its
+    ValueError.  Deterministic for a fixed (box_radius, lmax, shapes):
+    the triangles do not depend on shard_count.
     """
     if CenterCondition.INCENTER not in config.conditions:
         return {}
@@ -260,22 +257,8 @@ def search_witnesses(config: SearchConfig) -> dict[Cell, LatticeTriangle]:
             futures = [pool.submit(_search_shard, config, sid) for sid in range(shard_count)]
             results = [fut.result() for fut in futures]
     merged = _merge_candidates(results)
-    return {cell: triangle((0, 0), (px, py), (qx, qy)) for cell, (_, _, px, py, qx, qy) in merged.items()}
-
-
-def _verify_witness(cell: Cell, t: LatticeTriangle) -> LatticePoint | None:
-    """The one witness check, of search hits and loaded witnesses: raise ValueError unless t has the
-    cell's shape and perimeter and meets its condition.  Returns the lattice incenter it located for
-    an incenter cell (None for the others), so that no caller locates it again."""
-    condition, shape, perimeter = cell
-    if condition is CenterCondition.INCENTER:
-        center = incenter_mod.lattice_incenter(t)
-        meets = center is not None
-    else:
-        center, meets = None, condition.met_by(lattice_centers(t))
-    if not meets or classify_shape(t) is not shape or lattice_perimeter(t) != perimeter:
-        raise ValueError(f"witness {t} does not verify for {condition}/{shape}/{perimeter}")
-    return center
+    hits = {cell: triangle((0, 0), (px, py), (qx, qy)) for cell, (_, _, px, py, qx, qy) in merged.items()}
+    return {cell: (t, check_witness(t, *cell)) for cell, t in hits.items()}
 
 
 # --- the incenter scan -------------------------------------------------------
@@ -306,9 +289,8 @@ def incenter_scan(box_radius: int, lmax: int, shard_count: int = 1) -> IncenterS
     """
     config = SearchConfig(box_radius, lmax, (CenterCondition.INCENTER,), shard_count=shard_count)
     rows = []
-    for cell, tri in sorted(search_witnesses(config).items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
-        report = incenter_mod.incenter_report(tri, _verify_witness(cell, tri))
-        rows.append(IncenterScanRow(cell[1], cell[2], tri, report.inradius_squared))
+    for cell, (tri, center) in sorted(search_witnesses(config).items(), key=lambda kv: (kv[0][2], kv[0][1].value)):
+        rows.append(IncenterScanRow(cell[1], cell[2], tri, incenter_mod.incenter_report(tri, center).inradius_squared))
     return IncenterScan(box_radius, lmax, tuple(rows))
 
 
@@ -417,7 +399,7 @@ def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
     if source != expected:
         raise ValueError(f"witness entry {cell} has source {source!r}, not {expected!r}")
     witness = triangle(*map(tuple, _vertices(verts, f"witness entry {cell}")))
-    _verify_witness(cell, witness)
+    check_witness(witness, *cell)
     return AtlasEntry(*cell, status, witness, source)
 
 
@@ -446,10 +428,10 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     """Parse an atlas document, re-verifying every claim it makes.
 
     The entries must be the cells of the document's config, each exactly
-    once.  Every witness is verified.  An impossible entry's certificates
-    must equal, dict for dict, those of a fresh exclusion_report for its
-    cell, which must prove the cell impossible; the entry keeps the fresh
-    certificates.  So a certificate edited, dropped or copied from
+    once.  Every witness must pass constructions.check_witness for its
+    cell.  An impossible entry's certificates must equal, dict for dict,
+    those of a fresh exclusion_report for its cell, which must prove the
+    cell impossible; the entry keeps the fresh certificates.  So a certificate edited, dropped or copied from
     another cell is rejected, and so are certificates or a witness on an
     entry of another status.  Where constructions.ACHIEVABLE has a row
     for the cell, as resolve_cell reads it, the entry may not be open and
@@ -550,7 +532,6 @@ def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
                     atlas.entries[cell] = AtlasEntry(*cell, "impossible", certificates=resolved.certificates)
                 else:
                     atlas.entries[cell] = AtlasEntry(*cell, "witness", resolved.triangle, "construction")
-    for cell, hit in search_witnesses(config).items():
-        _verify_witness(cell, hit)
+    for cell, (hit, _) in search_witnesses(config).items():
         atlas.entries[cell] = AtlasEntry(*cell, "witness", hit, "search")
     return atlas

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from latticecenters import centers as centers_mod
 from latticecenters import constructions as cons
 from latticecenters.centers import CenterCondition, RationalPoint, center_report
 from latticecenters.constructions import (
@@ -329,21 +330,43 @@ class TestVerification:
             build_witness(WitnessRequest(CenterCondition.CENTROID, ShapeClass.OBTUSE, 7))
 
     @pytest.mark.parametrize(
-        "condition, ell, table, key, wrong",
+        "condition, ell, wrong",
         [
             # the explicit acute triangle of perimeter 8 has F = (2, 1)
-            (CenterCondition.CIRCUMCENTER, 8, "_ACUTE_F_EXPLICIT", 8, (((4, 0), (3, 3)), (2, 2))),
+            (CenterCondition.CIRCUMCENTER, 8, (((4, 0), (3, 3)), dict(F=(2, 2)))),
             # the explicit acute GH triangle of perimeter 9 has G = (3, 3) and H = (4, 4)
-            (
-                CenterCondition.CENTROID_AND_ORTHOCENTER, 9, "_ACUTE_EXPLICIT",
-                (CenterCondition.CENTROID_AND_ORTHOCENTER, 9), (((6, 3), (3, 6)), ((3, 3), (4, 5))),
-            ),
+            (CenterCondition.CENTROID_AND_ORTHOCENTER, 9, (((6, 3), (3, 6)), dict(G=(3, 3), H=(4, 5)))),
         ],
     )
-    def test_wrong_predicted_center_is_refused(self, monkeypatch, condition, ell, table, key, wrong):
-        monkeypatch.setitem(getattr(cons, table), key, wrong)
+    def test_wrong_predicted_center_is_refused(self, monkeypatch, condition, ell, wrong):
+        monkeypatch.setitem(cons._ACUTE_EXPLICIT, (condition, ell), wrong)
         with pytest.raises(ConstructionError, match="expected"):
             build_witness(WitnessRequest(condition, ShapeClass.ACUTE, ell))
+
+    def test_each_checked_triangle_derives_its_centers_once(self, monkeypatch):
+        # every triangle a family checks, inner ones included, becomes one
+        # Witness; its check derives center_numerators once, for the flags
+        # and the predicted centers alike
+        derived, checked = [], []
+        real_numerators, real_witness = centers_mod.center_numerators, cons.Witness
+
+        def numerators(t):
+            derived.append(t)
+            return real_numerators(t)
+
+        def witness(t, tag):
+            checked.append(t)
+            return real_witness(t, tag)
+
+        monkeypatch.setattr(centers_mod, "center_numerators", numerators)
+        monkeypatch.setattr(cons, "center_numerators", numerators)
+        monkeypatch.setattr(cons, "Witness", witness)
+        for (condition, shape), (achievable, _) in ACHIEVABLE.items():
+            for ell in filter(achievable, range(3, 61)):
+                derived.clear()
+                checked.clear()
+                build_witness(WitnessRequest(condition, shape, ell))
+                assert checked and derived == checked, (condition, shape, ell)
 
     def test_witnesses_are_built_without_fraction_centers(self, monkeypatch):
         # every predicted center is checked in integers: no RationalPoint is made

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecenters import cli, feasibility, search
-from latticecenters.constructions import ACHIEVABLE
+from latticecenters import constructions as cons
+from latticecenters.constructions import ACHIEVABLE, ConstructionError, WitnessRequest, build_witness, check_witness
 from latticecenters.centers import CenterCondition, center_report
 from latticecenters.lattice import LatticePoint, LatticeTriangle, ShapeClass, triangle
 from latticecenters.incenter import lattice_incenter
@@ -36,6 +37,7 @@ from oracles import canonical_key, cone_points, grid_points, iter_canonical_tria
 F = CenterCondition.CIRCUMCENTER
 G = CenterCondition.CENTROID
 H = CenterCondition.ORTHOCENTER
+GH = CenterCondition.CENTROID_AND_ORTHOCENTER
 INC = CenterCondition.INCENTER
 
 
@@ -201,7 +203,7 @@ class TestSearch:
         config = SearchConfig(box_radius=8, lmax=10, conditions=(INC,))
         hits = search_witnesses(config)
         assert hits  # lattice-incenter triangles exist in range
-        for (cond, shape, ell), t in hits.items():
+        for (cond, shape, ell), (t, _) in hits.items():
             rep = center_report(t)
             assert cond is INC
             assert rep.shape is shape
@@ -212,8 +214,24 @@ class TestSearch:
         config = SearchConfig(box_radius=8, lmax=12, conditions=(INC,))
         hits = search_witnesses(config)
         assert hits
-        for t in hits.values():
+        for t, _ in hits.values():
             assert lattice_incenter(t) is not None
+
+    def test_search_hits_come_with_the_incenter_their_check_located(self, monkeypatch):
+        # every hit is returned as (triangle, incenter), the incenter being
+        # what the one shared check returned for that triangle and cell
+        checked = {}
+
+        def recording(t, *cell):
+            checked[cell] = (t, check_witness(t, *cell))
+            return checked[cell][1]
+
+        monkeypatch.setattr(search, "check_witness", recording)
+        hits = search_witnesses(SearchConfig(box_radius=8, lmax=14, conditions=(INC,)))
+        assert hits and hits == checked
+        for (cond, shape, ell), (t, center) in hits.items():
+            assert center == lattice_incenter(t) is not None
+            assert check_witness(t, cond, shape, ell) == center
 
     @pytest.mark.parametrize(
         "box, conditions",
@@ -711,6 +729,65 @@ class TestAtlasLoaderRejects:
         atlas = atlas_from_document(doc)
         entry = atlas.entry(G, ShapeClass.RIGHT, 10)
         assert entry.certificates == feasibility.exclusion_report(10, G, ShapeClass.RIGHT).certificates
+
+
+# forged witness -> (vertices, the cell it is checked against, the shared
+# reason it is refused for); each fails that cell in exactly one way
+_FORGED = {
+    # obtuse, the tripled obtuse H witness of perimeter 3: G and H on the lattice
+    "wrong shape": (((0, 0), (3, 0), (-3, 3)), (GH, ShapeClass.ACUTE, 9), "is obtuse, wanted acute"),
+    # the explicit acute GH triangle of perimeter 12
+    "wrong perimeter": (((0, 0), (6, 0), (3, 9)), (GH, ShapeClass.ACUTE, 9), "has perimeter 12, wanted 9"),
+    # the acute H witness of perimeter 9: H = (2, 2), G = (7/3, 1)
+    "G off the lattice": (((0, 0), (5, 0), (2, 3)), (GH, ShapeClass.ACUTE, 9), "misses lattice condition GH"),
+    # the same triangle, sides 5, sqrt(13) and sqrt(18)
+    "no lattice incenter": (((0, 0), (5, 0), (2, 3)), (INC, ShapeClass.ACUTE, 9), "misses lattice condition I"),
+}
+
+
+def _refused_by_family(monkeypatch, verts, cell):
+    # the explicit table's triangle for the cell, with no predicted center
+    monkeypatch.setitem(cons._ACUTE_EXPLICIT, (cell[0], cell[2]), (verts[1:], {}))
+    with pytest.raises(ConstructionError) as refusal:
+        build_witness(WitnessRequest(*cell))
+    return refusal.value
+
+
+def _refused_by_search(monkeypatch, verts, cell):
+    # the sweep's only hit is the forged triangle
+    (px, py), (qx, qy) = verts[1:]
+    monkeypatch.setattr(search, "_search_shard", lambda config, shard_id: {cell: (0, 0, px, py, qx, qy)})
+    with pytest.raises(ValueError) as refusal:
+        search_witnesses(SearchConfig(box_radius=5, lmax=12, conditions=(INC,)))
+    return refusal.value
+
+
+def _refused_by_loader(monkeypatch, verts, cell):
+    doc = json.loads(build_atlas(SearchConfig(box_radius=5, lmax=12, conditions=(GH, INC))).to_json_bytes())
+    source = "search" if cell[0] is INC else "construction"
+    _find(doc, *cell).update(status="witness", source=source, witness_vertices=[list(v) for v in verts])
+    with pytest.raises(ValueError) as refusal:
+        atlas_from_document(doc)
+    return refusal.value
+
+
+@pytest.mark.parametrize(
+    "refuse, forgery",
+    [
+        pytest.param(refuse, forgery, id=f"{refuse.__name__}-{forgery}")
+        for refuse in (_refused_by_family, _refused_by_search, _refused_by_loader)
+        for forgery, (_, cell, _) in _FORGED.items()
+        if not (refuse is _refused_by_family and cell[0] is INC)  # no family builds an incenter cell
+    ],
+)
+def test_forged_witness_is_refused_alike_everywhere(monkeypatch, refuse, forgery):
+    # families, the search and the loader refuse a forged witness through
+    # the one shared check, each with its reason; a family leads with its tag
+    verts, (condition, shape, perimeter), reason = _FORGED[forgery]
+    message = str(refuse(monkeypatch, verts, (condition, shape, perimeter)))
+    shared = f"witness {triangle(*verts)} does not verify for {condition}/{shape}/{perimeter}: it {reason}"
+    assert message.endswith(shared)
+    assert message.startswith("centroid+orthocenter/explicit: witness" if refuse is _refused_by_family else "witness")
 
 
 def test_atlas_shares_each_perimeters_sides(monkeypatch):
