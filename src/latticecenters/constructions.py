@@ -4,10 +4,10 @@ Each factory produces a lattice triangle of the requested shape and
 perimeter whose required centers land on the lattice, and passes it,
 with any closed-form center the family predicts, through check_witness
 before returning.  That check, all in integers, is also the one the
-search and the atlas loader make.  A witness computes its Fraction
-center report only when it is read.  Requests for a perimeter the cell
-does not admit raise UnachievableError; the feasibility module can then
-explain why with certificates.
+search makes (the atlas loader rebuilds what it loads).  A witness
+computes its Fraction center report only when it is read.  Requests for
+a perimeter the cell does not admit raise UnachievableError; the
+feasibility module can then explain why with certificates.
 
 ACHIEVABLE states, once, which perimeters each (condition, shape) cell
 admits; build_witness refuses the others, and the factories assume

@@ -21,8 +21,8 @@ and a report for a perimeter is "proven impossible" only when every side
 multiset is killed by some certificate.  Surviving multisets yield an
 honest "unknown": realizability beyond these rules is the business of
 the construction and search modules.  The report is a deterministic
-function of its cell, so a stored certificate list is checked by
-re-deriving the report and comparing (see search.atlas_from_document).
+function of its cell, so an atlas document's certificates are checked
+by rebuilding its atlas and comparing (search.atlas_from_document).
 
 A perimeter's side multisets and their pairwise-gcd verdicts do not
 depend on the center condition or the shape.  `PerimeterSides` holds

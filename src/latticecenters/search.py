@@ -22,11 +22,11 @@ vectorized over chunks of (P, Q) pairs, and every lattice test is exact
 integer arithmetic.  Every cell is decided in one place, resolve_cell:
 a construction where constructions.ACHIEVABLE admits its perimeter,
 else the certificates of feasibility.RULES; a cell ACHIEVABLE has no row
-for is left to the search.  The sweep tests the lattice incenter, for
-every incenter cell of its config, for the atlas and for incenter_scan
-alike, and search_witnesses hands on each hit checked by
-constructions.check_witness, the check the families and the atlas loader
-make, with the incenter that check located.  A lattice incenter needs a
+for is left to the search.  An atlas document loads only if it is
+exactly the atlas its config builds.  The sweep tests the lattice
+incenter for every incenter cell of its config, and search_witnesses
+hands on each hit checked by constructions.check_witness, the families'
+check, with the incenter that check located.  A lattice incenter needs a
 squarefree-part match of the squared sides and one divisibility, so only
 the Q whose |Q|^2 has the squarefree part of |P|^2 can hit: each P
 sweeps that kernel group.  Sharding splits the swept points
@@ -307,10 +307,6 @@ class AtlasEntry:
     source: str | None = None  # "construction" | "search" for witnesses
     certificates: tuple[ExclusionCertificate, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.status not in ("witness", "impossible", "open"):
-            raise ValueError(f"unknown atlas entry status {self.status!r}")
-
     def fields(self) -> dict:  # the entry's JSON object without its certificates
         out: dict = {
             "condition": self.condition.value,
@@ -359,7 +355,7 @@ class AchievabilityAtlas:
 
 
 _CONFIG_KEYS = ("box_radius", "lmax", "conditions", "shapes")
-_ENTRY_KEYS = ("condition", "shape", "perimeter", "status")
+_DOCUMENT_KEYS = ("schema_version", "config", "entries")
 
 
 def _required(mapping, keys: tuple[str, ...], where: str, kinds: tuple = ()) -> list:
@@ -375,32 +371,15 @@ def _required(mapping, keys: tuple[str, ...], where: str, kinds: tuple = ()) -> 
     return [mapping[k] for k in keys]
 
 
-def _vertices(verts, where: str) -> list:
-    if type(verts) is not list or [type(v) is list and list(map(type, v)) for v in verts] != [[int, int]] * 3:
-        raise ValueError(f"{where} needs three [int, int] vertices, not {verts!r}")
-    return verts
-
-
-def _parse_entry(item, config: SearchConfig) -> AtlasEntry:
-    condition, shape, perimeter, status = _required(item, _ENTRY_KEYS, "atlas entry", (None, None, int))
-    cell = (CenterCondition(condition), ShapeClass(shape), perimeter)
-    if cell[0] not in config.conditions or cell[1] not in config.shapes or not 3 <= cell[2] <= config.lmax:
-        raise ValueError(f"atlas entry {cell} lies outside the config")
-    if "certificates" in item and status != "impossible":
-        raise ValueError(f"{status} entry {cell} carries certificates")
-    if status == "open" and cell[:2] in ACHIEVABLE:
-        raise ValueError(f"open entry {cell}: a construction or certificates decide its cell")
-    if status != "witness":
-        if "witness_vertices" in item or "source" in item:
-            raise ValueError(f"{status} entry {cell} carries a witness")
-        return AtlasEntry(*cell, status)
-    verts, source = _required(item, ("witness_vertices", "source"), f"witness entry {cell}")
-    expected = "construction" if cell[:2] in ACHIEVABLE else "search"  # as resolve_cell and build_atlas give it
-    if source != expected:
-        raise ValueError(f"witness entry {cell} has source {source!r}, not {expected!r}")
-    witness = triangle(*map(tuple, _vertices(verts, f"witness entry {cell}")))
-    check_witness(witness, *cell)
-    return AtlasEntry(*cell, status, witness, source)
+def _same(where: str, claimed, expected: dict) -> None:
+    # ValueError unless claimed == expected, naming the first key that differs in reverse sorted order
+    # (so a witness's vertices come before its status and cell) and claimed's value, a certificate list aside
+    if claimed != expected:
+        _required(claimed, (), where)
+        keys = sorted({*claimed, *expected}, reverse=True)
+        key = next(k for k in keys if k not in claimed or k not in expected or claimed[k] != expected[k])
+        found = "is missing" if key not in claimed else "differ" if key == "certificates" else f"is {claimed[key]!r}"
+        raise ValueError(f"{where} is not what its config builds: {key!r} {found}")
 
 
 def _collector_paused(step):
@@ -425,63 +404,42 @@ def _collector_paused(step):
 
 @_collector_paused
 def atlas_from_document(doc: dict) -> AchievabilityAtlas:
-    """Parse an atlas document, re-verifying every claim it makes.
+    """Load an atlas document, which loads only if it is exactly the atlas its config builds.
 
-    The entries must be the cells of the document's config, each exactly
-    once.  Every witness must pass constructions.check_witness for its
-    cell.  An impossible entry's certificates must equal, dict for dict,
-    those of a fresh exclusion_report for its cell, which must prove the
-    cell impossible; the entry keeps the fresh certificates.  So a certificate edited, dropped or copied from
-    another cell is rejected, and so are certificates or a witness on an
-    entry of another status.  Where constructions.ACHIEVABLE has a row
-    for the cell, as resolve_cell reads it, the entry may not be open and
-    its witness's source must be "construction"; elsewhere the source
-    must be "search".  The reports of one perimeter share one
-    PerimeterSides, and each certificate object becomes one to_json()
-    dict for every claim it is compared with.  Each of these failures,
-    and a missing or wrongly typed value anywhere, raises ValueError.
+    After the type checks on the document and its config, a document whose
+    entry count is not its config's cell count is refused before anything
+    is built.  Then the config and each entry must equal what
+    build_atlas(config).to_json_bytes() writes, as JSON values compared by
+    == (numbers by value: 5.0 equals 5, true equals 1), and that rebuilt
+    atlas is returned.  A failure raises ValueError naming the cell
+    (H/acute/12), the first key that differs and the document's value.
 
-    The load runs with the cyclic garbage collector paused
-    (_collector_paused): it allocates some 10^5 containers that hold no
-    cycles (reports, certificates, to_json dicts), and the collections
-    they trigger rescan the whole parsed document: 0.05-0.10 s of a
-    0.29-0.35 s load (json.loads included) of the lmax 90 / box 40 atlas,
-    in process on a 2-core x86 host.
+    Loading a document with I cells reruns their sweep, as long as the
+    build (0.63-0.66 s at box 300 / lmax 160 on a 2-core x86 host).  Each
+    certificate becomes one to_json() dict per perimeter.
     """
-    version, cfg, items = _required(doc, ("schema_version", "config", "entries"), "atlas document", (int, None, list))
+    version, cfg, items = _required(doc, _DOCUMENT_KEYS, "atlas document", (int, None, list))
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version}")
+    if len(doc) != len(_DOCUMENT_KEYS):
+        raise ValueError(f"atlas document has keys other than {_DOCUMENT_KEYS}: {sorted(doc)}")
     box_radius, lmax, conditions, shapes = _required(cfg, _CONFIG_KEYS, "atlas config", (int, int, list, list))
-    config = SearchConfig(
-        box_radius=box_radius,
-        lmax=lmax,
-        conditions=tuple(CenterCondition(c) for c in conditions),
-        shapes=tuple(ShapeClass(s) for s in shapes),
-    )
-    atlas = AchievabilityAtlas(config)
-    claims: dict[int, list[tuple[Cell, object]]] = {}  # impossible cells by perimeter
-    for item in items:
-        entry = _parse_entry(item, config)
-        cell = (entry.condition, entry.shape, entry.perimeter)
-        if cell in atlas.entries:
-            raise ValueError(f"atlas cell {cell} appears twice")
-        atlas.entries[cell] = entry
-        if entry.status == "impossible":
-            claims.setdefault(entry.perimeter, []).append((cell, item.get("certificates")))
-    if len(atlas.entries) < len(config.conditions) * len(config.shapes) * (config.lmax - 2):
-        # every entry is a distinct cell of the config, so some cell has none
-        cells = ((c, s, ell) for c in config.conditions for s in config.shapes for ell in range(3, config.lmax + 1))
-        missing = next(cell for cell in cells if cell not in atlas.entries)
-        raise ValueError(f"atlas document has no entry for cell {missing}")
-    for perimeter, cells in claims.items():
-        sides = PerimeterSides(perimeter)
-        fresh: dict[int, dict] = {}  # id(certificate) -> its to_json(), made once per object
-        for cell, claimed in cells:
-            report = exclusion_report(perimeter, cell[0], cell[1], sides)
-            expected = [fresh.get(id(c)) or fresh.setdefault(id(c), c.to_json()) for c in report.certificates]
-            if not report.proven_impossible or expected != claimed:
-                raise ValueError(f"certificates of {cell} differ from its exclusion report")
-            atlas.entries[cell] = AtlasEntry(*cell, "impossible", certificates=report.certificates)
+    config = SearchConfig(box_radius, lmax, tuple(map(CenterCondition, conditions)), tuple(map(ShapeClass, shapes)))
+    _same("atlas config", cfg, config.document_echo())
+    cells = len(config.conditions) * len(config.shapes) * (config.lmax - 2)
+    if len(items) != cells:
+        raise ValueError(f"atlas document has {len(items)} entries, not the {cells} cells of its config")
+    atlas = build_atlas(config)
+    written = sorted(atlas.entries, key=_cell_sort_key)  # perimeters 3..lmax for each (condition, shape)
+    for first in range(config.lmax - 2):  # one perimeter at a time
+        fresh: dict[int, dict] = {}  # id(certificate) -> its to_json()
+        for cell, item in zip(written[first :: config.lmax - 2], items[first :: config.lmax - 2]):
+            entry = atlas.entries[cell]
+            expected = entry.fields()
+            certificates = entry.certificates
+            if certificates:
+                expected["certificates"] = [fresh.get(id(c)) or fresh.setdefault(id(c), c.to_json()) for c in certificates]
+            _same(f"atlas entry {cell[0]}/{cell[1]}/{cell[2]}", item, expected)
     return atlas
 
 
@@ -511,13 +469,11 @@ def build_atlas(config: SearchConfig) -> AchievabilityAtlas:
     """Resolve every (condition, shape, perimeter) cell of the config through resolve_cell.
 
     A cell it leaves to the search holds the search's witness, or open for
-    absence from the box, never impossible.  Cells are walked perimeter by
-    perimeter, so that the exclusion reports of one perimeter share one
-    PerimeterSides.
-
-    Like the load, the build runs with the collector paused: its some 10^5
-    containers with no cycles (certificates, side multisets, reports)
-    would trigger collections that rescan the growing atlas.
+    absence from the box, never impossible.  This is the atlas policy, and
+    atlas_from_document loads a document by running it again.  Cells are
+    walked perimeter by perimeter, so that the exclusion reports of one
+    perimeter share one PerimeterSides.  The build runs with the cyclic
+    collector paused: its some 10^5 new containers hold no cycles.
     """
     atlas = AchievabilityAtlas(config)
     for ell in range(3, config.lmax + 1):

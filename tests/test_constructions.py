@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latticecenters import centers as centers_mod
 from latticecenters import constructions as cons
@@ -16,7 +18,9 @@ from latticecenters.constructions import (
     sheared,
 )
 from latticecenters.feasibility import exclusion_report
-from latticecenters.lattice import ShapeClass, lattice_perimeter, side_lengths, triangle
+from latticecenters.incenter import lattice_incenter
+from latticecenters.lattice import LatticePoint, ShapeClass, classify_shape, lattice_perimeter, side_lengths, triangle
+from latticecenters.search import SearchConfig, search_witnesses
 
 import oracles
 
@@ -232,6 +236,53 @@ class TestScaleAndShear:
         assert any(
             center_report(sheared(t, k)).shape is ShapeClass.OBTUSE for k in range(1, 20)
         )
+
+
+# witnesses with lattice centers (every family cell to perimeter 24, and the
+# lattice-incenter triangles of a small box), so that the lemmas below meet
+# triangles with lattice F, G, H and I, not only random ones without
+_CENTERED = [
+    build_witness(WitnessRequest(condition, shape, ell)).triangle
+    for (condition, shape), (achievable, _) in ACHIEVABLE.items()
+    for ell in filter(achievable, range(3, 25))
+] + [t for t, _ in search_witnesses(SearchConfig(6, 24, (CenterCondition.INCENTER,))).values()]
+
+_coords = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+_lattice_triangles = st.one_of(
+    st.tuples(_coords, _coords, _coords)
+    .filter(lambda vs: (vs[1][0] - vs[0][0]) * (vs[2][1] - vs[0][1]) != (vs[1][1] - vs[0][1]) * (vs[2][0] - vs[0][0]))
+    .map(lambda vs: triangle(*vs)),
+    st.builds(lambda t, d: t.translated(LatticePoint(*d)), st.sampled_from(_CENTERED), _coords),
+)
+
+
+class TestScalingLemmas:
+    # _tripled (GH, FGH), centroid/scaled-base and centroid/doubled build a
+    # witness as k times a smaller one, and rely on these lemmas for every l
+
+    @given(_lattice_triangles, st.integers(1, 12))
+    def test_scaling_keeps_shape_and_every_lattice_center(self, t, k):
+        big = t.scaled(k)
+        assert classify_shape(big) is classify_shape(t)
+        assert lattice_perimeter(big) == k * lattice_perimeter(t)
+        rep, big_rep = center_report(t), center_report(big)
+        for name in ("circumcenter", "centroid", "orthocenter"):
+            center = getattr(rep, name)
+            assert getattr(big_rep, name) == RationalPoint(k * center.x, k * center.y)
+            assert getattr(big_rep, f"{name}_on_lattice") >= getattr(rep, f"{name}_on_lattice")
+        incenter = lattice_incenter(t)
+        if incenter is not None:
+            assert lattice_incenter(big) == incenter.scaled(k)
+
+    @given(_lattice_triangles)
+    def test_tripling_puts_the_centroid_on_the_lattice(self, t):
+        assert center_report(t.scaled(3)).centroid_on_lattice
+
+    def test_the_witnesses_cover_every_center(self):
+        reports = [center_report(t) for t in _CENTERED]
+        assert all(any(getattr(r, f"{n}_on_lattice") for r in reports) for n in ("circumcenter", "orthocenter"))
+        assert any(not r.centroid_on_lattice for r in reports)
+        assert any(lattice_incenter(t) is not None for t in _CENTERED)
 
 
 class TestDelta:

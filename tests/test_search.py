@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -662,20 +663,32 @@ def _string_conditions(doc: dict) -> None:
 
 
 class TestAtlasLoaderRejects:
+    # each id names the forgery; the loader refuses it by naming the first key
+    # that differs from the rebuilt atlas, or the entry count
+    _REBUILT = "is not what its config builds:"
+
     @pytest.mark.parametrize(
         "forge, message",
         [
-            (_forge_acute_h12, "certificates"),
-            (_drop_g5, "no entry"),
-            (_duplicate_entry, "twice"),
-            (_add_out_of_config_perimeter, "outside"),
-            (_certificates_on_witness, "carries certificates"),
+            pytest.param(_forge_acute_h12, rf"H/acute/12 {_REBUILT} 'witness_vertices' is missing",
+                         id="_forge_acute_h12-certificates"),
+            pytest.param(_drop_g5, "105 entries, not the 108 cells", id="_drop_g5-no entry"),
+            pytest.param(_duplicate_entry, "109 entries, not the 108 cells", id="_duplicate_entry-twice"),
+            pytest.param(_add_out_of_config_perimeter, "109 entries, not the 108 cells",
+                         id="_add_out_of_config_perimeter-outside"),
+            pytest.param(_certificates_on_witness, rf"H/acute/12 {_REBUILT} 'certificates' differ",
+                         id="_certificates_on_witness-carries certificates"),
             (_edit_certificate_detail, "certificates"),
-            (_move_witness_to_other_condition, "does not verify for H/acute"),
-            (_move_witness_to_other_shape, "does not verify for G/obtuse"),
-            (_open_acute_h8, "a construction or certificates decide its cell"),
-            (_search_source_on_construction_cell, "has source 'search', not 'construction'"),
-            (_construction_source_on_incenter_cell, "has source 'construction', not 'search'"),
+            pytest.param(_move_witness_to_other_condition, rf"H/acute/\d+ {_REBUILT} 'witness_vertices' is \[\[",
+                         id="_move_witness_to_other_condition-does not verify for H/acute"),
+            pytest.param(_move_witness_to_other_shape, rf"G/obtuse/\d+ {_REBUILT} 'witness_vertices' is \[\[",
+                         id="_move_witness_to_other_shape-does not verify for G/obtuse"),
+            pytest.param(_open_acute_h8, rf"H/acute/8 {_REBUILT} 'witness_vertices' is missing",
+                         id="_open_acute_h8-a construction or certificates decide its cell"),
+            pytest.param(_search_source_on_construction_cell, rf"H/acute/12 {_REBUILT} 'source' is 'search'",
+                         id="_search_source_on_construction_cell-has source 'search', not 'construction'"),
+            pytest.param(_construction_source_on_incenter_cell, rf"I/\w+/\d+ {_REBUILT} 'source' is 'construction'",
+                         id="_construction_source_on_incenter_cell-has source 'construction', not 'search'"),
         ],
     )
     def test_forged_document(self, forge, message):
@@ -708,11 +721,14 @@ class TestAtlasLoaderRejects:
     @pytest.mark.parametrize(
         "forge, message",
         [
-            (_two_vertices, "three"),
-            (_null_vertex, "three"),
-            (_float_coordinate, "three"),
-            (_float_perimeter, "perimeter is not int"),
-            (_string_perimeter, "perimeter is not int"),
+            pytest.param(_two_vertices, r"'witness_vertices' is \[\[0, 0\], \[6, 0\]\]$", id="_two_vertices-three"),
+            pytest.param(_null_vertex, r"'witness_vertices' is \[\[0, 0\], None, ", id="_null_vertex-three"),
+            pytest.param(_float_coordinate, r"'witness_vertices' is \[\[0, 0\], \[6.5, 0\], ",
+                         id="_float_coordinate-three"),
+            pytest.param(_float_perimeter, r"G/right/5 .* 'perimeter' is 5.5$",
+                         id="_float_perimeter-perimeter is not int"),
+            pytest.param(_string_perimeter, r"G/right/5 .* 'perimeter' is '5'$",
+                         id="_string_perimeter-perimeter is not int"),
             (_string_lmax, "lmax is not int"),
             (_string_conditions, "conditions is not list"),
             (_bool_schema_version, "schema_version is not int"),
@@ -723,6 +739,61 @@ class TestAtlasLoaderRejects:
         forge(doc)
         with pytest.raises(ValueError, match=message):
             atlas_from_document(doc)
+
+    def test_open_cells_hiding_the_search_witnesses(self):
+        # an I atlas with every witness rewritten as open: only the sweep tells
+        doc = json.loads(build_atlas(SearchConfig(box_radius=6, lmax=14, conditions=(INC,))).to_json_bytes())
+        hidden = [e for e in doc["entries"] if e["status"] == "witness"]
+        assert hidden
+        for entry in hidden:
+            del entry["witness_vertices"], entry["source"]
+            entry["status"] = "open"
+        with pytest.raises(ValueError, match=rf"I/\w+/\d+ {self._REBUILT} 'witness_vertices' is missing"):
+            atlas_from_document(doc)
+
+    @pytest.mark.parametrize("condition, shift", [(INC, (5, 7)), (H, (3, -2))])
+    def test_translated_witness(self, condition, shift):
+        # the translate still meets its cell, but no family builds it, and
+        # the sweep reports only triangles with a vertex at the origin
+        doc = _small_document()
+        entry = next(e for e in doc["entries"] if (e["condition"], e["shape"], e["status"])
+                     == (condition.value, "right", "witness"))
+        moved = triangle(*map(tuple, entry["witness_vertices"])).translated(LatticePoint(*shift))
+        check_witness(moved, condition, ShapeClass.RIGHT, entry["perimeter"])
+        entry["witness_vertices"] = [list(v.as_tuple()) for v in moved.vertices]
+        cell = f"{condition}/right/{entry['perimeter']}"
+        refusal = f"{cell} {self._REBUILT} 'witness_vertices' is {entry['witness_vertices']}"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            atlas_from_document(doc)
+
+    @pytest.mark.parametrize("conditions", [["G", "G", "H", "I"], ["H", "G", "I"]])
+    def test_config_that_is_not_its_echo(self, conditions):
+        # the same SearchConfig, written as the writer never writes it
+        doc = _small_document()
+        doc["config"]["conditions"] = conditions
+        with pytest.raises(ValueError, match=re.escape(f"atlas config {self._REBUILT} 'conditions' is {conditions}")):
+            atlas_from_document(doc)
+
+    def test_entry_count_is_checked_before_anything_is_built(self, monkeypatch):
+        # lmax 10**6 with the entries of lmax 14: refused with no cell resolved
+        calls = collections.Counter()
+
+        def counted(name, original):
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+            return counting
+
+        for owner, name in ((search, "resolve_cell"), (search, "build_witness"), (cons, "build_witness")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        doc = _small_document()
+        atlas_from_document(doc)
+        assert calls["resolve_cell"] and calls["build_witness"]  # the counters see a load
+        calls.clear()
+        doc["config"]["lmax"] = 10**6
+        with pytest.raises(ValueError, match="has 108 entries, not the 8999982 cells of its config"):
+            atlas_from_document(doc)
+        assert not calls
 
     def test_loaded_entries_hold_fresh_certificates(self):
         doc = _small_document()
@@ -785,6 +856,11 @@ def test_forged_witness_is_refused_alike_everywhere(monkeypatch, refuse, forgery
     # the one shared check, each with its reason; a family leads with its tag
     verts, (condition, shape, perimeter), reason = _FORGED[forgery]
     message = str(refuse(monkeypatch, verts, (condition, shape, perimeter)))
+    if refuse is _refused_by_loader:
+        # the loader checks no witness: it rebuilds the atlas and names the key that differs
+        where = f"atlas entry {condition}/{shape}/{perimeter}"
+        assert message == f"{where} is not what its config builds: 'witness_vertices' is {[list(v) for v in verts]}"
+        return
     shared = f"witness {triangle(*verts)} does not verify for {condition}/{shape}/{perimeter}: it {reason}"
     assert message.endswith(shared)
     assert message.startswith("centroid+orthocenter/explicit: witness" if refuse is _refused_by_family else "witness")
@@ -876,6 +952,11 @@ class TestAtlasWriter:
         atlas = build_atlas(config)
         assert {x for e in atlas.entries.values() for x in (e.status, e.source) if x} == shows
         assert atlas.to_json_bytes() == oracles.atlas_json_bytes(atlas)
+
+    @pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+    def test_loaded_document_writes_its_bytes(self, case):
+        blob = build_atlas(_WRITER_CASES[case][0]).to_json_bytes()
+        assert atlas_from_document(json.loads(blob)).to_json_bytes() == blob
 
     def test_certificates_become_dicts_once_per_object_on_load(self, monkeypatch):
         # writing uses json_text only; loading compares the claims of every
