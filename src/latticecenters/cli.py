@@ -5,6 +5,9 @@ incenter-scan, figure, props.  Every numeric flag is an integer and
 vertices parse as "x,y" pairs; there are no floating-point inputs
 anywhere.  Exit codes: 0 success/witness, 2 proven impossible
 (certificates printed), 1 usage or data error.
+
+Each call builds only the parser of the command it names (build_parser),
+not all ten.
 """
 
 from __future__ import annotations
@@ -365,74 +368,87 @@ def cmd_props(args) -> int:
     return EXIT_OK
 
 
-def _add_format(parser: argparse.ArgumentParser, default: str = "human") -> None:
-    parser.add_argument("--format", choices=("human", "json", "csv"), default=default)
-
-
-@functools.cache  # built once per process: main reuses it on every call
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="latticecenters", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("length", help="lattice length of a segment")
+def _length_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("points", type=_point, nargs=2, metavar="x,y")
-    _add_format(p)
-    p.set_defaults(func=cmd_length)
 
-    p = sub.add_parser("classify", help="shape, side lengths, perimeter, genus")
+
+def _vertices_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("vertices", type=_point, nargs=3, metavar="x,y")
-    _add_format(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("centers", help="exact centers and lattice flags")
-    p.add_argument("vertices", type=_point, nargs=3, metavar="x,y")
-    _add_format(p)
-    p.set_defaults(func=cmd_centers)
 
-    p = sub.add_parser("construct", help="witness triangle for a condition/shape/perimeter")
+def _construct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--center", required=True, choices=[c.value for c in STANDARD_CONDITIONS])
     p.add_argument("--shape", required=True, type=lambda s: _shape(s))
     p.add_argument("--perimeter", required=True, type=int)
-    _add_format(p)
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("angles", help="arctangent-sum analysis of a side multiset")
+
+def _angles_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("lengths", type=int, nargs=3, metavar="L")
-    _add_format(p)
-    p.set_defaults(func=cmd_angles)
 
-    p = sub.add_parser("table", help="the achievable perimeters, every cell to --lmax verified")
+
+def _table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lmax", type=int, default=24)
-    _add_format(p)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("atlas", help="build and serialize the achievability atlas")
+
+def _atlas_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--box", type=int, default=40)
     p.add_argument("--lmax", type=int, default=30)
     p.add_argument("--conditions", default="F,G,H,GH,FGH")
     p.add_argument("--shapes", type=_shapes, default="acute,obtuse,right")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--out")
-    _add_format(p, default="json")
-    p.set_defaults(func=cmd_atlas)
 
-    p = sub.add_parser("incenter-scan", help="empirical lattice-incenter scan")
+
+def _incenter_scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--box", type=int, default=20)
     p.add_argument("--lmax", type=int, default=20)
     p.add_argument("--shards", type=int, default=1)
-    _add_format(p, default="csv")
-    p.set_defaults(func=cmd_incenter_scan)
 
-    p = sub.add_parser("figure", help="emit an SVG diagram")
+
+def _figure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=sorted(FIGURES))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_figure)
 
-    p = sub.add_parser("props", help="coprime sum decompositions")
+
+def _props_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=int, default=60)
-    _add_format(p)
-    p.set_defaults(func=cmd_props)
 
+
+# name -> (help, handler, argument adder, --format default or None for no --format),
+# in the order the full parser lists them
+_COMMANDS = {
+    "length": ("lattice length of a segment", cmd_length, _length_args, "human"),
+    "classify": ("shape, side lengths, perimeter, genus", cmd_classify, _vertices_args, "human"),
+    "centers": ("exact centers and lattice flags", cmd_centers, _vertices_args, "human"),
+    "construct": ("witness triangle for a condition/shape/perimeter", cmd_construct, _construct_args, "human"),
+    "angles": ("arctangent-sum analysis of a side multiset", cmd_angles, _angles_args, "human"),
+    "table": ("the achievable perimeters, every cell to --lmax verified", cmd_table, _table_args, "human"),
+    "atlas": ("build and serialize the achievability atlas", cmd_atlas, _atlas_args, "json"),
+    "incenter-scan": ("empirical lattice-incenter scan", cmd_incenter_scan, _incenter_scan_args, "csv"),
+    "figure": ("emit an SVG diagram", cmd_figure, _figure_args, None),
+    "props": ("coprime sum decompositions", cmd_props, _props_args, "human"),
+}
+
+
+@functools.cache  # built once per process and command: main reuses it on every call
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with a command the top-level parser holding that command's subparser alone.
+
+    A narrow parser's own usage errors (unrecognized arguments) are the
+    full parser's, so they print the usage that lists every command.
+    """
+    # the help text is the module docstring but for its last paragraph, on how the parser is built
+    parser = _Parser(prog="latticecenters", description=__doc__.rsplit("\n\n", 1)[0])
+    if command is not None:
+        parser.error = lambda message: build_parser(None).error(message)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_arguments, format_default) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            if format_default:
+                p.add_argument("--format", choices=("human", "json", "csv"), default=format_default)
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -447,9 +463,10 @@ def _shapes(text: str) -> tuple[ShapeClass, ...]:
     return tuple(_shape(tok) for tok in text.split(","))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a call naming a command parses with that command's parser alone
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (DegenerateTriangleError, ValueError, OSError) as exc:

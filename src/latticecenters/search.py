@@ -29,7 +29,9 @@ hands on each hit checked by constructions.check_witness, the families'
 check, with the incenter that check located.  A lattice incenter needs a
 squarefree-part match of the squared sides and one divisibility, so only
 the Q whose |Q|^2 has the squarefree part of |P|^2 can hit: each P
-sweeps that kernel group.  Sharding splits the swept points
+sweeps that kernel group.  Each pair is tested in two stages: the match
+for |P - Q|^2 on every pair, then the divisibility only on the pairs
+that pass it.  Sharding splits the swept points
 round-robin; per-cell results merge by minimal (P index, Q index), so
 output is independent of the shard count.
 """
@@ -131,26 +133,39 @@ def _incenter_kernels(qx: np.ndarray, qy: np.ndarray, box_radius: int) -> tuple[
     return sq_root, norm // sq_root[norm] ** 2
 
 
-def _incenter_mask(
+def _squarefree_match(
+    px: int | np.ndarray, py: int | np.ndarray, qx: np.ndarray, qy: np.ndarray, kernel: int | np.ndarray, sq_root: np.ndarray
+) -> np.ndarray:
+    # The first stage of the incenter test.  O, P, Q has a lattice incenter
+    # only if its squared sides share one squarefree part k, so that the
+    # sides are a, b, c times sqrt(k) (see incenter.lattice_incenter).
+    # kernel is k of |P|^2, and of |Q|^2 too, as every Q comes from its P's
+    # kernel group; so only |P - Q|^2 = k a^2 is tested, with no division,
+    # and k a^2 <= 16 B^4 fits int64.  P is a point or one per Q.
+    n_pq = (px - qx) ** 2 + (py - qy) ** 2
+    return n_pq == kernel * sq_root[n_pq] ** 2
+
+
+def _incenter_divides(
     px: int | np.ndarray, py: int | np.ndarray, qx: np.ndarray, qy: np.ndarray, sq_root: np.ndarray
 ) -> np.ndarray:
-    # O, P, Q has a lattice incenter exactly when its squared sides share
-    # one squarefree part k, so that the sides are a, b, c times sqrt(k),
-    # and (b P + c Q) / (a + b + c) is a lattice point (see
-    # incenter.lattice_incenter); every Q comes from its P's kernel group,
-    # so only |P - Q|^2 is compared, and every intermediate stays within
-    # 8 B^2.  P is a point or one per Q.
-    n_p = px * px + py * py
-    c = sq_root[n_p]
-    n_pq = (px - qx) ** 2 + (py - qy) ** 2
-    a, b = sq_root[n_pq], sq_root[qx * qx + qy * qy]
+    # The second stage, for pairs that pass the first: the incenter
+    # (b P + c Q) / (a + b + c) is a lattice point.  Every intermediate stays
+    # within 8 B^2.  P is a point or one per Q.
+    a = sq_root[(px - qx) ** 2 + (py - qy) ** 2]
+    b = sq_root[qx * qx + qy * qy]
+    c = sq_root[px * px + py * py]
     total = a + b + c
-    return (n_pq // (a * a) == n_p // (c * c)) & ((b * px + c * qx) % total == 0) & ((b * py + c * qy) % total == 0)
+    return ((b * px + c * qx) % total == 0) & ((b * py + c * qy) % total == 0)
 
 
-# Pairs tested at once: bounds the sweep's working arrays (some twenty int64
-# arrays of this length) whatever the box.  Chunks of 2^16 pairs were no
-# faster at boxes 20 to 300 and raised a 100/60 sweep's peak by 6 MB.
+# Pairs tested at once: bounds the sweep's working arrays whatever the box.
+# The first stage, _squarefree_match, runs on every pair of a chunk, with
+# some ten int64 arrays of this length; the second, _incenter_divides, and
+# the rest only on the pairs that pass it, a quarter of them at box 20 and a
+# tenth at box 300.  Chunks of 2^16 pairs were no faster at box 20 (one
+# chunk), a sixth faster at boxes 100 and 300, and raised a 100/60 sweep's
+# peak from 36 to 40 MB.
 _CHUNK_PAIRS = 1 << 14
 
 
@@ -165,11 +180,13 @@ def _search_shard(config: SearchConfig, shard_id: int) -> dict[Cell, Candidate]:
     ascending index order (x descending, then y descending), each with
     the Q of its kernel group in index order; shards take every
     shard_count-th of them.  The swept pairs, in that order, are tested
-    in chunks of at most _CHUNK_PAIRS, and a cell's first hit in a chunk
-    is the first occurrence of its cell id there.  An earlier pair cannot
-    hit the cell (it would be smaller), so the first hit per cell in the
-    shard holding the minimum is the minimum, and merging shards by
-    index gives it whatever the shard count.
+    in chunks of at most _CHUNK_PAIRS, in two stages: every pair by
+    _squarefree_match, then only the pairs that pass it by
+    _incenter_divides and for a nonzero cross product.  A cell's first
+    hit in a chunk is the first occurrence of its cell id there.  An
+    earlier pair cannot hit the cell (it would be smaller), so the first
+    hit per cell in the shard holding the minimum is the minimum, and
+    merging shards by index gives it whatever the shard count.
     """
     box = config.box_radius
     side = 2 * box + 1
@@ -185,12 +202,15 @@ def _search_shard(config: SearchConfig, shard_id: int) -> dict[Cell, Candidate]:
     swept = np.flatnonzero((grid_x < 0) & (grid_x <= grid_y) & (grid_y <= 0))[shard_id :: config.shard_count]
     swept = swept[grid_gcd[swept] + 2 <= lmax]  # else the partial perimeter is over budget
     # each P's kernel group is a run of `order`; the pairs of the shard are
-    # numbered in sweep order, P's from offsets[i] on
+    # numbered in sweep order, those of the i-th P from offsets[i] on, and
+    # pair number j of that P has Q = order[shift[i] + j]
     order = np.argsort(kernel, kind="stable")
     sorted_kernel = kernel[order]
     group = kernel[swept]
     start = np.searchsorted(sorted_kernel, group, side="left")
     offsets = np.concatenate(([0], np.cumsum(np.searchsorted(sorted_kernel, group, side="right") - start)))
+    shift = start - offsets[:-1]
+    per_p = np.stack((swept, grid_x[swept], grid_y[swept], group, shift))  # a row per P attribute, repeated per pair
     pair_count = int(offsets[-1])
 
     shape_by_code = (ShapeClass.ACUTE, ShapeClass.RIGHT, ShapeClass.OBTUSE)
@@ -198,15 +218,20 @@ def _search_shard(config: SearchConfig, shard_id: int) -> dict[Cell, Candidate]:
     found: dict[Cell, Candidate] = {}
 
     for lo in range(0, pair_count, _CHUNK_PAIRS):
-        pair = np.arange(lo, min(lo + _CHUNK_PAIRS, pair_count))
-        p_pos = np.searchsorted(offsets, pair, side="right") - 1
-        p_ids = swept[p_pos]
-        q_ids = order[start[p_pos] + pair - offsets[p_pos]]
-        px, py, qx, qy = grid_x[p_ids], grid_y[p_ids], grid_x[q_ids], grid_y[q_ids]
-        hits = np.flatnonzero(_incenter_mask(px, py, qx, qy, sq_root) & (px * qy != py * qx))
+        hi = min(lo + _CHUNK_PAIRS, pair_count)
+        # the chunk's first vertices are swept[p_lo:p_hi], each repeated over its pairs in [lo, hi)
+        p_lo, p_hi = np.searchsorted(offsets, lo, side="right") - 1, np.searchsorted(offsets, hi, side="left")
+        repeats = np.diff(np.clip(offsets[p_lo : p_hi + 1], lo, hi))
+        p_ids, px, py, p_kernel, shifts = np.repeat(per_p[:, p_lo:p_hi], repeats, axis=1)
+        q_ids = order[shifts + np.arange(lo, hi)]
+        qx, qy = grid_x[q_ids], grid_y[q_ids]
+        keep = np.flatnonzero(_squarefree_match(px, py, qx, qy, p_kernel, sq_root))
+        px, py, qx, qy = px[keep], py[keep], qx[keep], qy[keep]
+        hits = np.flatnonzero(_incenter_divides(px, py, qx, qy, sq_root) & (px * qy != py * qx))
         if not hits.size:
             continue
-        p_ids, q_ids, px, py, qx, qy = p_ids[hits], q_ids[hits], px[hits], py[hits], qx[hits], qy[hits]
+        keep = keep[hits]
+        p_ids, q_ids, px, py, qx, qy = p_ids[keep], q_ids[keep], px[hits], py[hits], qx[hits], qy[hits]
 
         perim = grid_gcd[p_ids] + grid_gcd[q_ids] + np.gcd(np.abs(px - qx), np.abs(py - qy))
         d0 = px * qx + py * qy
@@ -415,7 +440,7 @@ def atlas_from_document(doc: dict) -> AchievabilityAtlas:
     (H/acute/12), the first key that differs and the document's value.
 
     Loading a document with I cells reruns their sweep, as long as the
-    build (0.63-0.66 s at box 300 / lmax 160 on a 2-core x86 host).  Each
+    build (0.28-0.30 s at box 300 / lmax 160 on a 2-core x86 host).  Each
     certificate becomes one to_json() dict per perimeter.
     """
     version, cfg, items = _required(doc, _DOCUMENT_KEYS, "atlas document", (int, None, list))

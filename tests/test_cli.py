@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -443,3 +444,76 @@ class TestScanFigureProps:
     def test_props_csv_without_rows_is_a_header(self, capsys):
         code, out, _ = run(capsys, "props", "--max-n", "0", "--format", "csv")
         assert (code, out) == (0, "n,distinct_coprime,coprime_no_3\r\n")
+
+
+class TestParser:
+    def _subcommands(self, parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    def test_narrow_parser_holds_its_command_alone(self):
+        assert self._subcommands(cli.build_parser("incenter-scan")) == ["incenter-scan"]
+        assert self._subcommands(cli.build_parser()) == list(cli._COMMANDS)
+        assert len(cli._COMMANDS) == 10
+
+    def test_top_level_help_bytes(self, capsys, monkeypatch):
+        # the description is the module docstring without its last paragraph
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert (exc.value.code, digest(capsys.readouterr().out)) == (0, "f5e8a397773d8dc3")
+
+    def test_main_with_sys_argv_takes_the_narrow_path(self, capsys, monkeypatch):
+        built, real = [], cli.build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return real(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        monkeypatch.setattr(sys, "argv", ["latticecenters", "length", "0,0", "9,3"])
+        assert (main(), capsys.readouterr().out) == (0, "lattice length = 3\n")
+        assert built == ["length"]
+
+    def test_every_argv_matches_the_full_parser(self, capsys, monkeypatch, tmp_path):
+        # stdout, stderr and exit code of main, which parses with the named
+        # command's parser alone, against main parsing every argv with the full parser
+        svg = str(tmp_path / "model.svg")
+        argvs = [
+            ["length", "0,0", "9,3"],
+            ["classify", "0,0", "9,3", "0,6", "--format", "json"],
+            ["centers", "0,0", "14,2", "8,8"],
+            ["construct", "--center", "H", "--shape", "acute", "--perimeter", "12"],
+            ["construct", "--center", "H", "--shape", "acute", "--perimeter", "7"],
+            ["angles", "1", "4", "5", "--format", "csv"],
+            ["table", "--lmax", "8"],
+            ["atlas", "--box", "4", "--lmax", "6", "--format", "csv"],
+            ["incenter-scan", "--box", "8", "--lmax", "12"],
+            ["figure", "model", "--out", svg],
+            ["props", "--max-n", "8"],
+            ["-h"],
+            *([name, "-h"] for name in cli._COMMANDS),
+            [],
+            ["nope"],
+            ["--format", "json", "table"],
+            ["table", "--lmax", "x"],
+            ["construct", "--center", "Q", "--shape", "acute", "--perimeter", "9"],
+            ["table", "extra"],
+            ["props", "--bad"],
+            ["incenter-scan", "--box", "8", "--lmax"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        narrow = [outcome(argv) for argv in argvs]
+        full = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+        assert [outcome(argv) for argv in argvs] == narrow
+        assert {code for code, _, _ in narrow} == {0, 1, 2}
+        assert sum("unrecognized arguments" in err for _, _, err in narrow) == 2

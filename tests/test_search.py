@@ -266,21 +266,33 @@ class TestSearch:
         group_size = collections.Counter(kernel.tolist())
         assert max(group_size.values()) < len(grid_x) // 4
         swept_pairs = sum(group_size[int(kernel[(box - x) * (2 * box + 1) + box - y])] for x, y in cone_points(box))
-        pairs = []
-        real = search_mod._incenter_mask
+        # every pair the first stage tests; the second stage tests only pairs
+        # that passed the first, each once
+        pairs, passed, second = [], set(), []
+        first_stage, second_stage = search_mod._squarefree_match, search_mod._incenter_divides
 
-        def recording(px, py, qx, qy, *rest):
-            pairs.extend(zip(px.tolist(), py.tolist(), qx.tolist(), qy.tolist()))
-            return real(px, py, qx, qy, *rest)
+        def recording_first(px, py, qx, qy, *rest):
+            mask = first_stage(px, py, qx, qy, *rest)
+            tested = list(zip(px.tolist(), py.tolist(), qx.tolist(), qy.tolist()))
+            pairs.extend(tested)
+            passed.update(pair for pair, ok in zip(tested, mask.tolist()) if ok)
+            return mask
+
+        def recording_second(px, py, qx, qy, *rest):
+            second.extend(zip(px.tolist(), py.tolist(), qx.tolist(), qy.tolist()))
+            return second_stage(px, py, qx, qy, *rest)
 
         def squarefree(n):
             return n // int(sq_root[n]) ** 2
 
-        monkeypatch.setattr(search_mod, "_incenter_mask", recording)
+        monkeypatch.setattr(search_mod, "_squarefree_match", recording_first)
+        monkeypatch.setattr(search_mod, "_incenter_divides", recording_second)
         config = SearchConfig(box_radius=box, lmax=4 * box + 2, conditions=(INC,))
         assert _search_shard(config, 0)
         assert 0 < len(pairs) <= swept_pairs
         assert all(squarefree(px * px + py * py) == squarefree(qx * qx + qy * qy) for px, py, qx, qy in pairs)
+        assert 0 < len(second) == len(set(second)) == len(passed) < len(pairs)
+        assert set(second) == passed
 
     @pytest.mark.parametrize("box", range(6, 13))
     def test_chunk_edges_do_not_change_the_sweep(self, monkeypatch, box):
@@ -393,12 +405,13 @@ class TestSearch:
         assert checked == 3 * 8 * 3
 
     def test_incenter_mask_at_the_largest_box(self):
-        # the sweep's int64 incenter test against lattice_incenter at B =
-        # MAX_BOX_RADIUS, on random corner-heavy pairs and on planted ones:
-        # triangles with commensurable sides, scaled to span the box (so
-        # that some incenters are lattice points and some are not), under
-        # D4 and anchored at each vertex.  A Q outside P's kernel group
-        # never has a lattice incenter; the sweep skips it unmasked.
+        # the sweep's two int64 incenter stages, composed, against
+        # lattice_incenter at B = MAX_BOX_RADIUS, on random corner-heavy
+        # pairs and on planted ones: triangles with commensurable sides,
+        # scaled to span the box (so that some incenters are lattice points
+        # and some are not), under D4 and anchored at each vertex.  A Q
+        # outside P's kernel group never has a lattice incenter; the sweep
+        # skips it untested.
         import latticecenters.search as search_mod
 
         box = MAX_BOX_RADIUS
@@ -431,10 +444,13 @@ class TestSearch:
             if kernel(px * px + py * py) != kernel(qx * qx + qy * qy):
                 assert not want, (px, py, qx, qy)
                 continue
-            mask = search_mod._incenter_mask(px, py, np.array([qx], dtype=np.int64), np.array([qy], dtype=np.int64), sq_root)
-            assert bool(mask[0]) is want, (px, py, qx, qy)
+            q = np.array([qx], dtype=np.int64), np.array([qy], dtype=np.int64)
+            first = bool(search_mod._squarefree_match(px, py, *q, kernel(px * px + py * py), sq_root)[0])
+            assert (first and bool(search_mod._incenter_divides(px, py, *q, sq_root)[0])) is want, (px, py, qx, qy)
             seen[want] += 1
+            seen["first stage refused"] += not first
         assert seen[True] >= 3 * 8 * 3 * 2 and seen[False] >= 8 * 3, seen
+        assert 0 < seen["first stage refused"] < seen[False], seen  # each stage refuses some pair
 
     def test_box_radius_limit(self):
         SearchConfig(box_radius=MAX_BOX_RADIUS)
