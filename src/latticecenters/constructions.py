@@ -1,23 +1,29 @@
-"""Deterministic witness factories for achievable perimeters, and the one witness check.
+"""Deterministic witness constructions for achievable perimeters, and the one witness check.
 
-Each factory produces a lattice triangle of the requested shape and
-perimeter whose required centers land on the lattice, and passes it,
-with any closed-form center the family predicts, through check_witness
-before returning.  That check, all in integers, is also the one the
-search makes (the atlas loader rebuilds what it loads).  A witness
-computes its Fraction center report only when it is read.  Requests for
-a perimeter the cell does not admit raise UnachievableError; the
-feasibility module can then explain why with certificates.
+Every witness passes check_witness, with any closed-form center its
+construction predicts, before it is returned.  That check, all in
+integers, is also the one the search makes (the atlas loader rebuilds
+what it loads).  A witness computes its Fraction center report only when
+it is read.  Requests for a perimeter the cell does not admit raise
+UnachievableError; the feasibility module can then explain why with
+certificates.
 
 ACHIEVABLE states, once, which perimeters each (condition, shape) cell
-admits; build_witness refuses the others, and the factories assume
-their perimeter is admitted.
+admits; build_witness refuses the others, and the constructions assume
+their perimeter is admitted.  An admitted request is built by the first
+of these that applies:
 
-Only F, G and H have families of their own.  Tripling a triangle keeps
-F and H on the lattice and puts G there too, so a G-and-H (F, G, H)
-witness of perimeter l is 3 times the H (F) witness of perimeter l/3,
-of the same shape.  The ten acute cells that no family and no tripling
-reaches are built from one table of explicit triangles.
+- the explicit table, _ACUTE_EXPLICIT: one triangle for each of the ten
+  acute cells (F at 8, 14 and 16, four GH and three FGH) that nothing
+  below reaches;
+- the affine table, _AFFINE: the F and H families and right G, twelve
+  rows in all.  A row serves the perimeters l = step*j + r, and its
+  vertices and predicted centers are affine in j;
+- the G recursions, acute_G and obtuse_G: parametric heights 3^k,
+  doubling, scaling by a prime factor that is 5 mod 6, and shears;
+- tripling: tripling a triangle keeps F and H on the lattice and puts G
+  there too, so a GH (FGH) witness of perimeter l is 3 times the H (F)
+  witness of perimeter l/3, of the same shape.
 """
 
 from __future__ import annotations
@@ -155,75 +161,56 @@ def delta(n: int) -> int | None:
     return m if m > 1 and m % 6 == 5 else None
 
 
-# --- orthocenter families -------------------------------------------------
+# --- affine families ------------------------------------------------------
+
+# The F and H families and right G: (condition, shape) -> rows (step, r, tag, P, Q, centers).  A row
+# serves the perimeters l = step*j + r (0 <= r < step); its witness is O, P(j), Q(j) with the lattice
+# centers(j) it predicts, each point written (base, slope) for base + j*slope.  Rows of a cell have
+# distinct residues and, with the explicit table, cover every perimeter ACHIEVABLE admits.
+_AFFINE = {
+    (_C.ORTHOCENTER, _S.ACUTE): (
+        (2, 0, "orthocenter/even", ((0, 0), (1, 0)), ((1, -1), (0, 1)), {"H": ((1, 1), (0, 0))}),
+        (4, 1, "orthocenter/odd-1mod4", ((1, 0), (2, 0)), ((2, -1), (0, 2)), {"H": ((2, 2), (0, 0))}),
+        (4, 3, "orthocenter/odd-3mod4", ((3, 0), (2, 0)), ((6, -9), (0, 6)), {"H": ((6, 2), (0, 0))}),
+    ),
+    (_C.ORTHOCENTER, _S.OBTUSE): (
+        (1, 0, "orthocenter/obtuse", ((1, 0), (0, 0)), ((2, -2), (-1, 1)), {"H": ((2, 1), (-1, -1))}),
+    ),
+    (_C.ORTHOCENTER, _S.RIGHT): (
+        (1, 0, "orthocenter/right", ((-2, 0), (1, 0)), ((0, 1), (0, 0)), {"H": ((0, 0), (0, 0))}),
+    ),
+    (_C.CIRCUMCENTER, _S.ACUTE): (
+        # 0 and 2 mod 8 are one family, (0,0), (2n+2,0), (4,2n-2) with F = (n+1,n-3), at l = 4n+4 and 4n+2
+        (8, 0, "circumcenter/0or2mod8", ((0, 0), (4, 0)), ((4, -4), (0, 4)), {"F": ((0, -4), (2, 2))}),
+        (8, 2, "circumcenter/0or2mod8", ((2, 0), (4, 0)), ((4, -2), (0, 4)), {"F": ((1, -3), (2, 2))}),
+        (8, 4, "circumcenter/4mod8", ((2, 0), (4, 0)), ((4, -4), (0, 8)), {"F": ((1, -3), (2, 4))}),
+        (8, 6, "circumcenter/6mod8", ((1, 1), (2, 0)), ((0, 4), (0, 6)), {"F": ((-1, 2), (1, 3))}),
+    ),
+    (_C.CIRCUMCENTER, _S.OBTUSE): (
+        (2, 0, "circumcenter/obtuse", ((2, 0), (0, 0)), ((3, -3), (-2, 2)), {"F": ((1, -2), (0, 2))}),
+    ),
+    (_C.CIRCUMCENTER, _S.RIGHT): (
+        (2, 0, "circumcenter/right", ((1, 1), (0, 0)), ((3, -3), (-2, 2)), {"F": ((2, -1), (-1, 1))}),
+    ),
+    (_C.CENTROID, _S.RIGHT): (
+        (3, 0, "centroid/right", ((-6, 0), (3, 0)), ((0, 3), (0, 0)), {"G": ((-2, 1), (1, 0))}),
+    ),
+}
 
 
-def acute_H(perimeter: int) -> Witness:
-    """Acute triangle with lattice orthocenter."""
-    ell = perimeter
-    request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.ACUTE, ell)
-    if ell % 2 == 0:
-        n = ell // 2
-        return _verified(triangle((0, 0), (n, 0), (1, n - 1)), request, "orthocenter/even", H=(1, 1))
-    if ell % 4 == 1:
-        tri = triangle((0, 0), ((ell + 1) // 2, 0), (2, (ell - 3) // 2))
-        return _verified(tri, request, "orthocenter/odd-1mod4", H=(2, 2))
-    tri = triangle((0, 0), ((ell + 3) // 2, 0), (6, 3 * (ell - 9) // 2))
-    return _verified(tri, request, "orthocenter/odd-3mod4", H=(6, 2))
+def _at(point: tuple[tuple[int, int], tuple[int, int]], j: int) -> tuple[int, int]:
+    (x, y), (dx, dy) = point
+    return x + j * dx, y + j * dy
 
 
-def obtuse_H(perimeter: int) -> Witness:
-    """Obtuse triangle with lattice orthocenter."""
-    ell = perimeter
-    request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.OBTUSE, ell)
-    tri = triangle((0, 0), (1, 0), (2 - ell, ell - 2))
-    return _verified(tri, request, "orthocenter/obtuse", H=(2 - ell, 1 - ell))
-
-
-def right_H(perimeter: int) -> Witness:
-    """Right triangle; the orthocenter sits at the right-angle vertex."""
-    ell = perimeter
-    request = WitnessRequest(CenterCondition.ORTHOCENTER, ShapeClass.RIGHT, ell)
-    return _verified(triangle((0, 0), (ell - 2, 0), (0, 1)), request, "orthocenter/right", H=(0, 0))
-
-
-# --- circumcenter families ------------------------------------------------
-
-def acute_F(perimeter: int) -> Witness:
-    """Acute triangle with lattice circumcenter."""
-    ell = perimeter
-    request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.ACUTE, ell)
-    explicit = _acute_explicit(request, "circumcenter")
-    if explicit is not None:
-        return explicit
-    r = ell % 8
-    if r == 4:
-        n = (ell - 4) // 8
-        tri = triangle((0, 0), (4 * n + 2, 0), (4, 8 * n - 4))
-        return _verified(tri, request, "circumcenter/4mod8", F=(2 * n + 1, 4 * n - 3))
-    if r == 6:
-        n = (ell - 6) // 8
-        tri = triangle((0, 0), (2 * n + 1, 1), (0, 6 * n + 4))
-        return _verified(tri, request, "circumcenter/6mod8", F=(n - 1, 3 * n + 2))
-    # 0 or 2 mod 8: one family covers both, via the parity of n.
-    n = (ell - 2) // 4 if r == 2 else (ell - 4) // 4
-    tri = triangle((0, 0), (2 * n + 2, 0), (4, 2 * n - 2))
-    return _verified(tri, request, "circumcenter/0or2mod8", F=(n + 1, n - 3))
-
-
-def obtuse_F(perimeter: int) -> Witness:
-    """Obtuse triangle with lattice circumcenter."""
-    ell = perimeter
-    request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.OBTUSE, ell)
-    return _verified(triangle((0, 0), (2, 0), (3 - ell, ell - 3)), request, "circumcenter/obtuse", F=(1, ell - 2))
-
-
-def right_F(perimeter: int) -> Witness:
-    """Right triangle with lattice circumcenter."""
-    ell = perimeter
-    request = WitnessRequest(CenterCondition.CIRCUMCENTER, ShapeClass.RIGHT, ell)
-    tri = triangle((0, 0), (1, 1), (3 - ell, ell - 3))
-    return _verified(tri, request, "circumcenter/right", F=((4 - ell) // 2, (ell - 2) // 2))
+def _affine(rows, request: WitnessRequest) -> Witness:
+    """The witness of the first row whose residue matches the perimeter, built at j = perimeter // step."""
+    ell = request.perimeter
+    for step, r, tag, p, q, centers in rows:
+        if ell % step == r:
+            j = ell // step
+            tri = triangle((0, 0), _at(p, j), _at(q, j))
+            return _verified(tri, request, tag, **{letter: _at(c, j) for letter, c in centers.items()})
 
 
 # --- centroid families ----------------------------------------------------
@@ -290,24 +277,13 @@ def obtuse_G(perimeter: int) -> Witness:
     raise ConstructionError(f"no shear up to {_SHEAR_CAP} made {base} obtuse")
 
 
-def right_G(perimeter: int) -> Witness:
-    """Right triangle with lattice centroid."""
-    ell = perimeter
-    request = WitnessRequest(CenterCondition.CENTROID, ShapeClass.RIGHT, ell)
-    n = (ell - 6) // 3
-    return _verified(triangle((0, 0), (3 * n, 0), (0, 3)), request, "centroid/right", G=(n, 1))
-
-
-# --- combined conditions --------------------------------------------------
+# --- combined conditions and dispatch ------------------------------------
 
 # Tripling a triangle triples its perimeter, keeps F and H on the lattice
 # and puts G there too (the vertex sums become multiples of 3).  So a GH
 # (FGH) witness of perimeter ell is the tripled H (F) witness of ell / 3:
-# combined condition -> (inner condition, tag prefix).
-_TRIPLED = {
-    CenterCondition.CENTROID_AND_ORTHOCENTER: (CenterCondition.ORTHOCENTER, "centroid+orthocenter"),
-    CenterCondition.ALL_THREE: (CenterCondition.CIRCUMCENTER, "all-centers"),
-}
+# combined condition -> inner condition.
+_TRIPLED = {_C.CENTROID_AND_ORTHOCENTER: _C.ORTHOCENTER, _C.ALL_THREE: _C.CIRCUMCENTER}
 
 # The acute cells no family reaches, F at 8, 14 and 16 and GH (FGH) where ell / 3 has no acute H (F)
 # witness: (condition, perimeter) -> ((P, Q) of the triangle O, P, Q, its lattice centers)
@@ -324,40 +300,38 @@ _ACUTE_EXPLICIT = {
     (CenterCondition.ALL_THREE, 30): (((18, 0), (6, 18)), dict(F=(9, 7), G=(8, 6), H=(6, 4))),
 }
 
-
-def _acute_explicit(request: WitnessRequest, tag: str) -> Witness | None:
-    # the table's witness, tagged tag/explicit, where the table lists the request's cell
-    explicit = _ACUTE_EXPLICIT.get((request.condition, request.perimeter))
-    if explicit is None or request.shape is not ShapeClass.ACUTE:
-        return None
-    (p, q), centers = explicit
-    return _verified(triangle((0, 0), p, q), request, f"{tag}/explicit", **centers)
-
-
-def _tripled(request: WitnessRequest) -> Witness:
-    inner_condition, tag = _TRIPLED[request.condition]
-    inner = _FACTORIES[(inner_condition, request.shape)]
-    # ACHIEVABLE admits ell only where the table lists the cell or ell / 3 lies in the inner cell's set
-    return _acute_explicit(request, tag) or _verified(
-        inner(request.perimeter // 3).triangle.scaled(3), request, f"{tag}/tripled"
-    )
-
-
-_FACTORIES = {
-    (CenterCondition.ORTHOCENTER, ShapeClass.ACUTE): acute_H,
-    (CenterCondition.ORTHOCENTER, ShapeClass.OBTUSE): obtuse_H,
-    (CenterCondition.ORTHOCENTER, ShapeClass.RIGHT): right_H,
-    (CenterCondition.CIRCUMCENTER, ShapeClass.ACUTE): acute_F,
-    (CenterCondition.CIRCUMCENTER, ShapeClass.OBTUSE): obtuse_F,
-    (CenterCondition.CIRCUMCENTER, ShapeClass.RIGHT): right_F,
-    (CenterCondition.CENTROID, ShapeClass.ACUTE): acute_G,
-    (CenterCondition.CENTROID, ShapeClass.OBTUSE): obtuse_G,
-    (CenterCondition.CENTROID, ShapeClass.RIGHT): right_G,
+# the tag prefix of the explicit and tripled witnesses of each condition that has them
+_TAG_PREFIX = {
+    _C.CIRCUMCENTER: "circumcenter", _C.CENTROID_AND_ORTHOCENTER: "centroid+orthocenter", _C.ALL_THREE: "all-centers"
 }
 
 
+def _tripled(request: WitnessRequest) -> Witness:
+    # ACHIEVABLE admits ell only where the explicit table lists the cell or ell / 3 lies in the inner cell's set
+    inner = _build(WitnessRequest(_TRIPLED[request.condition], request.shape, request.perimeter // 3))
+    return _verified(inner.triangle.scaled(3), request, f"{_TAG_PREFIX[request.condition]}/tripled")
+
+
+# (condition, shape) -> the factory that builds an admitted request the explicit table does not list
+_FACTORIES: dict[tuple[CenterCondition, ShapeClass], Callable[[WitnessRequest], Witness]] = {
+    **{key: functools.partial(_affine, rows) for key, rows in _AFFINE.items()},
+    (_C.CENTROID, _S.ACUTE): lambda request: acute_G(request.perimeter),
+    (_C.CENTROID, _S.OBTUSE): lambda request: obtuse_G(request.perimeter),
+    **{(condition, shape): _tripled for condition in _TRIPLED for shape in ShapeClass},
+}
+
+
+def _build(request: WitnessRequest) -> Witness:
+    # the explicit table's witness where it lists the request, else the cell's factory's
+    explicit = request.shape is ShapeClass.ACUTE and _ACUTE_EXPLICIT.get((request.condition, request.perimeter))
+    if not explicit:
+        return _FACTORIES[(request.condition, request.shape)](request)
+    (p, q), centers = explicit
+    return _verified(triangle((0, 0), p, q), request, f"{_TAG_PREFIX[request.condition]}/explicit", **centers)
+
+
 def build_witness(request: WitnessRequest) -> Witness:
-    """Check the perimeter against ACHIEVABLE, then build and verify the family's witness."""
+    """Check the perimeter against ACHIEVABLE, then build and verify the cell's witness."""
     key = (request.condition, request.shape)
     if key not in ACHIEVABLE:
         raise ValueError(f"no construction family for {request.condition}/{request.shape}")
@@ -367,5 +341,4 @@ def build_witness(request: WitnessRequest) -> Witness:
             f"no {request.shape} triangle meets lattice condition {request.condition} "
             f"at perimeter {request.perimeter}; achievable: {expression}"
         )
-    factory = _FACTORIES.get(key)
-    return factory(request.perimeter) if factory is not None else _tripled(request)
+    return _build(request)

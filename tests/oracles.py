@@ -224,14 +224,6 @@ def random_triangle(rng: random.Random, radius: int) -> LatticeTriangle:
             continue
 
 
-def arctan_sum_float(tangents, dps: int = 30) -> "object":
-    """High-precision (>= 60 bit) floating sum of arctans, via mpmath."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        return sum(mpmath.atan(mpmath.mpf(t.numerator) / t.denominator) for t in map(Fraction, tangents))
-
-
 def pi_triple_solutions_bruteforce(numerators, bound: int) -> set:
     """All denominator triples up to the bound whose arctans sum to pi.
 

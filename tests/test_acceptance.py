@@ -44,6 +44,10 @@ G = CenterCondition.CENTROID
 H = CenterCondition.ORTHOCENTER
 
 
+def built(condition, shape, ell):
+    return cons.build_witness(cons.WitnessRequest(condition, shape, ell))
+
+
 def report(name: str) -> None:
     print(f"PASS  {name}")
 
@@ -58,7 +62,7 @@ def test_criterion_1_reference_centers_exact():
 
 def test_criterion_2_orthocenter_theorem():
     for ell in [6] + list(range(8, 301)):
-        w = cons.acute_H(ell)
+        w = built(H, ShapeClass.ACUTE, ell)
         assert w.report.shape is ShapeClass.ACUTE
         assert w.report.perimeter == ell
         assert w.report.orthocenter_on_lattice
@@ -73,7 +77,7 @@ def test_criterion_2_orthocenter_theorem():
 
 def test_criterion_3_circumcenter_theorem():
     for ell in [8] + list(range(12, 301, 2)):
-        w = cons.acute_F(ell)
+        w = built(F, ShapeClass.ACUTE, ell)
         assert w.report.shape is ShapeClass.ACUTE
         assert w.report.perimeter == ell
         assert w.report.circumcenter_on_lattice

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -29,6 +30,14 @@ def verts(w):
     return tuple(v.as_tuple() for v in w.triangle.vertices)
 
 
+F, G, H = CenterCondition.CIRCUMCENTER, CenterCondition.CENTROID, CenterCondition.ORTHOCENTER
+ACUTE, OBTUSE, RIGHT = ShapeClass.ACUTE, ShapeClass.OBTUSE, ShapeClass.RIGHT
+
+
+def built(condition, shape, ell):
+    return build_witness(WitnessRequest(condition, shape, ell))
+
+
 def refused(condition, shape, ell):
     with pytest.raises(UnachievableError):
         build_witness(WitnessRequest(condition, shape, ell))
@@ -36,9 +45,9 @@ def refused(condition, shape, ell):
 
 class TestAcuteOrthocenter:
     def test_paper_triangles(self):
-        assert verts(cons.acute_H(6)) == ((0, 0), (3, 0), (1, 2))
-        assert verts(cons.acute_H(9)) == ((0, 0), (5, 0), (2, 3))
-        assert verts(cons.acute_H(11)) == ((0, 0), (7, 0), (6, 3))
+        assert verts(built(H, ACUTE, 6)) == ((0, 0), (3, 0), (1, 2))
+        assert verts(built(H, ACUTE, 9)) == ((0, 0), (5, 0), (2, 3))
+        assert verts(built(H, ACUTE, 11)) == ((0, 0), (7, 0), (6, 3))
 
     def test_rejections(self):
         for ell in (3, 4, 5, 7):
@@ -46,7 +55,7 @@ class TestAcuteOrthocenter:
 
     def test_coverage(self):
         for ell in [6] + list(range(8, 121)):
-            w = cons.acute_H(ell)
+            w = built(H, ACUTE, ell)
             assert w.report.perimeter == ell
             assert w.report.shape is ShapeClass.ACUTE
             assert w.report.orthocenter_on_lattice
@@ -54,11 +63,11 @@ class TestAcuteOrthocenter:
 
 class TestAcuteCircumcenter:
     def test_family_and_explicit_values(self):
-        assert verts(cons.acute_F(12)) == ((0, 0), (6, 0), (4, 4))
-        assert cons.acute_F(12).report.circumcenter.as_lattice_point().as_tuple() == (3, 1)
-        assert verts(cons.acute_F(22)) == ((0, 0), (5, 1), (0, 16))
-        assert cons.acute_F(22).report.circumcenter.as_lattice_point().as_tuple() == (1, 8)
-        assert verts(cons.acute_F(16)) == ((0, 0), (8, 0), (1, 7))
+        assert verts(built(F, ACUTE, 12)) == ((0, 0), (6, 0), (4, 4))
+        assert built(F, ACUTE, 12).report.circumcenter.as_lattice_point().as_tuple() == (3, 1)
+        assert verts(built(F, ACUTE, 22)) == ((0, 0), (5, 1), (0, 16))
+        assert built(F, ACUTE, 22).report.circumcenter.as_lattice_point().as_tuple() == (1, 8)
+        assert verts(built(F, ACUTE, 16)) == ((0, 0), (8, 0), (1, 7))
 
     def test_rejections(self):
         for ell in (4, 6, 10, 9):
@@ -66,7 +75,7 @@ class TestAcuteCircumcenter:
 
     def test_coverage(self):
         for ell in [8] + list(range(12, 121, 2)):
-            w = cons.acute_F(ell)
+            w = built(F, ACUTE, ell)
             assert w.report.perimeter == ell
             assert w.report.shape is ShapeClass.ACUTE
             assert w.report.circumcenter_on_lattice
@@ -121,11 +130,11 @@ class TestAcuteCentroid:
 
 class TestObtuseAndRight:
     def test_paper_triangles(self):
-        assert verts(cons.obtuse_H(3)) == ((0, 0), (1, 0), (-1, 1))
-        assert cons.obtuse_H(3).report.orthocenter.as_lattice_point().as_tuple() == (-1, -2)
-        assert verts(cons.right_F(4)) == ((0, 0), (1, 1), (-1, 1))
-        assert cons.right_F(4).report.circumcenter.as_lattice_point().as_tuple() == (0, 1)
-        assert verts(cons.right_G(9)) == ((0, 0), (3, 0), (0, 3))
+        assert verts(built(H, OBTUSE, 3)) == ((0, 0), (1, 0), (-1, 1))
+        assert built(H, OBTUSE, 3).report.orthocenter.as_lattice_point().as_tuple() == (-1, -2)
+        assert verts(built(F, RIGHT, 4)) == ((0, 0), (1, 1), (-1, 1))
+        assert built(F, RIGHT, 4).report.circumcenter.as_lattice_point().as_tuple() == (0, 1)
+        assert verts(built(G, RIGHT, 9)) == ((0, 0), (3, 0), (0, 3))
 
     def test_obtuse_centroid_is_sheared_acute(self):
         w = cons.obtuse_G(7)
@@ -139,15 +148,44 @@ class TestObtuseAndRight:
         refused(CenterCondition.CENTROID, ShapeClass.RIGHT, 6)
         refused(CenterCondition.CIRCUMCENTER, ShapeClass.OBTUSE, 7)
         for ell in range(3, 61):
-            cons.obtuse_H(ell)
-            cons.right_H(ell)
+            built(H, OBTUSE, ell)
+            built(H, RIGHT, ell)
             if ell % 2 == 0 and ell >= 4:
-                cons.obtuse_F(ell)
-                cons.right_F(ell)
+                built(F, OBTUSE, ell)
+                built(F, RIGHT, ell)
             if ell % 3 == 0 and ell >= 9:
-                cons.right_G(ell)
+                built(G, RIGHT, ell)
             if ell not in (5, 11):
                 cons.obtuse_G(ell)
+
+
+class TestAffineTable:
+    def test_rows_tile_each_cells_admitted_perimeters(self):
+        # every admitted perimeter the explicit table does not list is served by exactly
+        # one row, that row's tag is the witness's, and no row is dead or shadowed
+        assert len(cons._AFFINE) == 7 and sum(map(len, cons._AFFINE.values())) == 12
+        for (condition, shape), rows in cons._AFFINE.items():
+            achievable, _ = ACHIEVABLE[(condition, shape)]
+            assert all(0 <= r < step for step, r, *_ in rows)
+            served = set()
+            for ell in filter(achievable, range(3, 401)):
+                if shape is ACUTE and (condition, ell) in cons._ACUTE_EXPLICIT:
+                    continue
+                matches = [i for i, (step, r, *_) in enumerate(rows) if ell % step == r]
+                assert len(matches) == 1, (condition, shape, ell, matches)
+                assert built(condition, shape, ell).family_tag == rows[matches[0]][2]
+                served.update(matches)
+            assert served == set(range(len(rows))), (condition, shape)
+
+    def test_family_witnesses_to_1000_are_pinned(self):
+        # vertices and tag of every admitted perimeter <= 1000 of the seven table cells;
+        # the digest was recorded from the hand-written factories the table replaced
+        h = hashlib.sha256()
+        for condition, shape in [(H, s) for s in ShapeClass] + [(F, s) for s in ShapeClass] + [(G, RIGHT)]:
+            for ell in filter(ACHIEVABLE[(condition, shape)][0], range(3, 1001)):
+                w = built(condition, shape, ell)
+                h.update(f"{condition.value} {shape.value} {ell} {verts(w)} {w.family_tag}\n".encode())
+        assert h.hexdigest() == "a03aad4629596598818becfefbb564eac9ba5a9684083e956d038b0671a71df7"
 
 
 GH, FGH = CenterCondition.CENTROID_AND_ORTHOCENTER, CenterCondition.ALL_THREE
@@ -208,7 +246,7 @@ class TestScaleAndShear:
         assert base.scaled(1) == base
 
     def test_tripled_orthocenter_witness_gains_lattice_centroid(self):
-        w = cons.acute_H(8)
+        w = built(H, ACUTE, 8)
         tripled = w.triangle.scaled(3)
         rep = center_report(tripled)
         assert rep.centroid_on_lattice and rep.orthocenter_on_lattice
