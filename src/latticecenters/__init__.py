@@ -3,8 +3,9 @@
 Computes circumcenter, centroid, orthocenter and incenter of integer
 lattice triangles in exact arithmetic, decides which lattice perimeters
 are achievable when a center must itself be a lattice point, and
-provides construction families, exclusion certificates, a bounded
-search, and a command-line interface.
+provides construction families and exclusion certificates.  The bounded
+search and atlas (`latticecenters.search`) and the command-line interface
+(`latticecenters.cli`) are not imported here, so this loads without numpy.
 """
 
 from .angles import render_table, solve_pi_triples
@@ -46,12 +47,10 @@ from .lattice import (
     triangle,
     twice_area,
 )
-from .search import AchievabilityAtlas, SearchConfig, build_atlas, incenter_scan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AchievabilityAtlas",
     "CenterCondition",
     "CenterReport",
     "DegenerateTriangleError",
@@ -62,12 +61,10 @@ __all__ = [
     "LatticeTriangle",
     "Parity",
     "RationalPoint",
-    "SearchConfig",
     "ShapeClass",
     "SideMultiset",
     "Witness",
     "WitnessRequest",
-    "build_atlas",
     "build_witness",
     "center_numerators",
     "center_report",
@@ -77,7 +74,6 @@ __all__ = [
     "exclusion_report",
     "genus",
     "incenter_report",
-    "incenter_scan",
     "lattice_centers",
     "lattice_incenter",
     "lattice_length",
