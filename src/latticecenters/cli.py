@@ -241,7 +241,7 @@ def cmd_table(args) -> int:
     # ACHIEVABLE admits the perimeter: so every row's wording holds to lmax
     atlas = build_atlas(SearchConfig(lmax=args.lmax))
     rows = [
-        {"condition": c.value, "shape": s.value, "achievable": ACHIEVABLE[(c, s)][1]}
+        {"condition": c.value, "shape": s.value, "achievable": ACHIEVABLE[(c, s)].words}
         for c in atlas.config.conditions
         for s in atlas.config.shapes
     ]

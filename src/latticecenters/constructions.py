@@ -9,8 +9,9 @@ UnachievableError; the feasibility module can then explain why with
 certificates.
 
 ACHIEVABLE states, once, which perimeters each (condition, shape) cell
-admits; build_witness refuses the others, and the constructions assume
-their perimeter is admitted.  An admitted request is built by the first
+admits, as a PerimeterSet: three numbers that give both the predicate
+and its words.  build_witness refuses the others, and the constructions
+assume their perimeter is admitted.  An admitted request is built by the first
 of these that applies:
 
 - the explicit table, _ACUTE_EXPLICIT: one triangle for each of the ten
@@ -48,29 +49,44 @@ class UnachievableError(ValueError):
     """The requested perimeter lies outside the cell's achievable set."""
 
 
-_C, _S = CenterCondition, ShapeClass
-_EVEN_FROM_4 = (lambda l: l % 2 == 0 and l >= 4, "even perimeters >= 4")
-_NOT_5_11 = (lambda l: l >= 3 and l not in (5, 11), "all perimeters except 5 and 11")
-_ALL = (lambda l: l >= 3, "all perimeters")
-_GH = (lambda l: l % 3 == 0 and l >= 9, "multiples of 3 except 3 and 6")
-_FGH = (lambda l: l % 6 == 0 and l >= 12, "multiples of 6 except 6")
+@dataclass(frozen=True)
+class PerimeterSet:
+    """The perimeters l >= least that modulus divides, except the finitely many exceptions.
 
-# The paper's characterisation: (condition, shape) -> (whether perimeter l is
-# achievable, that set in words).  GH and FGH admit the same set for every shape.
-ACHIEVABLE: dict[tuple[CenterCondition, ShapeClass], tuple[Callable[[int], bool], str]] = {
-    (_C.CIRCUMCENTER, _S.ACUTE): (
-        lambda l: l % 2 == 0 and (l == 8 or l >= 12), "even perimeters except 2, 4, 6 and 10"
-    ),
-    (_C.CIRCUMCENTER, _S.OBTUSE): _EVEN_FROM_4,
-    (_C.CIRCUMCENTER, _S.RIGHT): _EVEN_FROM_4,
-    (_C.CENTROID, _S.ACUTE): _NOT_5_11,
-    (_C.CENTROID, _S.OBTUSE): _NOT_5_11,
-    (_C.CENTROID, _S.RIGHT): (lambda l: l % 3 == 0 and l >= 9, "multiples of 3, at least 9"),
-    (_C.ORTHOCENTER, _S.ACUTE): (lambda l: l == 6 or l >= 8, "6 and everything >= 8"),
-    (_C.ORTHOCENTER, _S.OBTUSE): _ALL,
-    (_C.ORTHOCENTER, _S.RIGHT): _ALL,
-    **{(_C.CENTROID_AND_ORTHOCENTER, s): _GH for s in _S},
-    **{(_C.ALL_THREE, s): _FGH for s in _S},
+    Each set of the paper's characterisation has this form, so admits (the predicate) and words (the
+    phrase) both read these three numbers.  A row is written canonically (least is the set's least
+    member, exceptions ascend and lie above it in the modulus's class), so equal sets print equal words.
+    """
+
+    modulus: int
+    least: int
+    exceptions: tuple[int, ...] = ()
+
+    def admits(self, perimeter: int) -> bool:
+        return perimeter >= self.least and perimeter % self.modulus == 0 and perimeter not in self.exceptions
+
+    @property
+    def words(self) -> str:
+        noun = {1: "all perimeters", 2: "even perimeters"}.get(self.modulus, f"multiples of {self.modulus}")
+        text = f"{noun} >= {self.least}"
+        return f"{text} except {' and '.join(map(str, self.exceptions))}" if self.exceptions else text
+
+
+_C, _S = CenterCondition, ShapeClass
+
+# The paper's characterisation: (condition, shape) -> the perimeters it admits.
+ACHIEVABLE: dict[tuple[CenterCondition, ShapeClass], PerimeterSet] = {
+    (_C.CIRCUMCENTER, _S.ACUTE): PerimeterSet(2, 8, (10,)),
+    (_C.CIRCUMCENTER, _S.OBTUSE): PerimeterSet(2, 4),
+    (_C.CIRCUMCENTER, _S.RIGHT): PerimeterSet(2, 4),
+    (_C.CENTROID, _S.ACUTE): PerimeterSet(1, 3, (5, 11)),
+    (_C.CENTROID, _S.OBTUSE): PerimeterSet(1, 3, (5, 11)),
+    (_C.CENTROID, _S.RIGHT): PerimeterSet(3, 9),
+    (_C.ORTHOCENTER, _S.ACUTE): PerimeterSet(1, 6, (7,)),
+    (_C.ORTHOCENTER, _S.OBTUSE): PerimeterSet(1, 3),
+    (_C.ORTHOCENTER, _S.RIGHT): PerimeterSet(1, 3),
+    **{(_C.CENTROID_AND_ORTHOCENTER, s): PerimeterSet(3, 9) for s in _S},
+    **{(_C.ALL_THREE, s): PerimeterSet(6, 12) for s in _S},
 }
 
 
@@ -166,7 +182,8 @@ def delta(n: int) -> int | None:
 # The F and H families and right G: (condition, shape) -> rows (step, r, tag, P, Q, centers).  A row
 # serves the perimeters l = step*j + r (0 <= r < step); its witness is O, P(j), Q(j) with the lattice
 # centers(j) it predicts, each point written (base, slope) for base + j*slope.  Rows of a cell have
-# distinct residues and, with the explicit table, cover every perimeter ACHIEVABLE admits.
+# distinct residues and, with the explicit table, cover every perimeter ACHIEVABLE admits; the tests
+# check that tiling, and each row's witness at every j, by finite checks that cover every l.
 _AFFINE = {
     (_C.ORTHOCENTER, _S.ACUTE): (
         (2, 0, "orthocenter/even", ((0, 0), (1, 0)), ((1, -1), (0, 1)), {"H": ((1, 1), (0, 0))}),
@@ -308,6 +325,7 @@ _TAG_PREFIX = {
 
 def _tripled(request: WitnessRequest) -> Witness:
     # ACHIEVABLE admits ell only where the explicit table lists the cell or ell / 3 lies in the inner cell's set
+    # (tests/test_constructions.py checks this for every ell)
     inner = _build(WitnessRequest(_TRIPLED[request.condition], request.shape, request.perimeter // 3))
     return _verified(inner.triangle.scaled(3), request, f"{_TAG_PREFIX[request.condition]}/tripled")
 
@@ -335,10 +353,10 @@ def build_witness(request: WitnessRequest) -> Witness:
     key = (request.condition, request.shape)
     if key not in ACHIEVABLE:
         raise ValueError(f"no construction family for {request.condition}/{request.shape}")
-    achievable, expression = ACHIEVABLE[key]
-    if not achievable(request.perimeter):
+    admitted = ACHIEVABLE[key]
+    if not admitted.admits(request.perimeter):
         raise UnachievableError(
             f"no {request.shape} triangle meets lattice condition {request.condition} "
-            f"at perimeter {request.perimeter}; achievable: {expression}"
+            f"at perimeter {request.perimeter}; achievable: {admitted.words}"
         )
     return _build(request)

@@ -149,7 +149,7 @@ def test_criterion_6_summary_table():
     assert len(keys) == 15 and set(keys) == set(cons.ACHIEVABLE)
     assert set(atlas.entries) == {(c, s, ell) for c, s in keys for ell in range(3, 25)}
     for (condition, shape, ell), entry in atlas.entries.items():
-        if cons.ACHIEVABLE[(condition, shape)][0](ell):
+        if cons.ACHIEVABLE[(condition, shape)].admits(ell):
             assert entry.status == "witness", (condition, shape, ell)
         else:
             assert entry.status == "impossible" and entry.certificates, (condition, shape, ell)

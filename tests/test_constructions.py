@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pathlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from latticecenters.constructions import (
     UnachievableError,
     WitnessRequest,
     build_witness,
+    check_witness,
     delta,
     sheared,
 )
@@ -159,17 +161,67 @@ class TestObtuseAndRight:
                 cons.obtuse_G(ell)
 
 
+def _explicit(condition, shape, ell):
+    return shape is ACUTE and (condition, ell) in cons._ACUTE_EXPLICIT
+
+
+def _served(cell, ell):
+    # whether the cell's family rows must serve l: it is admitted and the explicit table does not list it
+    return ACHIEVABLE[cell].admits(ell) and not _explicit(*cell, ell)
+
+
+def _periodic_above(condition, shape):
+    """T: the largest of the cell's least member, its exceptions and its explicit perimeters.
+
+    Above T the cell admits l exactly where its modulus divides l, and the explicit table lists none."""
+    admitted = ACHIEVABLE[(condition, shape)]
+    explicit = [ell for c, ell in cons._ACUTE_EXPLICIT if c is condition and shape is ACUTE]
+    return max([admitted.least, *admitted.exceptions, *explicit])
+
+
+def _coefficients(u, v, form):
+    # form(u0 + j*u1, v0 + j*v1) for a bilinear form, as its coefficients in j, constant first
+    (u0, u1), (v0, v1) = u, v
+    return form(u0, v0), form(u0, v1) + form(u1, v0), form(u1, v1)
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _det(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _minus(u, v):
+    # u - v for points written (base, slope)
+    return tuple((a[0] - b[0], a[1] - b[1]) for a, b in zip(u, v))
+
+
+def _sign_from(coefficients):
+    """(J, s): for every integer j >= J the polynomial has sign s, its leading coefficient's.
+
+    Every real root x has |x| < 1 + max|lower coefficient| / |leading| (Cauchy's bound)."""
+    *lower, lead = coefficients
+    while lower and not lead:
+        *lower, lead = lower
+    return (1 - (-max(map(abs, lower)) // abs(lead)) if lower else 0), (lead > 0) - (lead < 0)
+
+
 class TestAffineTable:
     def test_rows_tile_each_cells_admitted_perimeters(self):
         # every admitted perimeter the explicit table does not list is served by exactly
-        # one row, that row's tag is the witness's, and no row is dead or shadowed
+        # one row, that row's tag is the witness's, and no row is dead or shadowed.  Above
+        # T the admitted set and the rows' residues both repeat with period P, the lcm of
+        # the modulus and the steps, so walking l from 3 to T + P covers every l
         assert len(cons._AFFINE) == 7 and sum(map(len, cons._AFFINE.values())) == 12
         for (condition, shape), rows in cons._AFFINE.items():
-            achievable, _ = ACHIEVABLE[(condition, shape)]
+            admitted = ACHIEVABLE[(condition, shape)]
             assert all(0 <= r < step for step, r, *_ in rows)
+            period = math.lcm(admitted.modulus, *(step for step, *_ in rows))
             served = set()
-            for ell in filter(achievable, range(3, 401)):
-                if shape is ACUTE and (condition, ell) in cons._ACUTE_EXPLICIT:
+            for ell in range(3, _periodic_above(condition, shape) + period + 1):
+                if not _served((condition, shape), ell):
                     continue
                 matches = [i for i, (step, r, *_) in enumerate(rows) if ell % step == r]
                 assert len(matches) == 1, (condition, shape, ell, matches)
@@ -177,12 +229,50 @@ class TestAffineTable:
                 served.update(matches)
             assert served == set(range(len(rows))), (condition, shape)
 
+    @pytest.mark.parametrize("cell", list(cons._AFFINE), ids=lambda cell: f"{cell[0]}-{cell[1]}")
+    def test_rows_hold_for_every_j(self, cell):
+        # a row's witness O, P(j), Q(j) passes check_witness, with the centers it predicts, at every
+        # j of its domain (l = step*j + r admitted and not listed explicitly), by three finite checks:
+        # - centers: with v0 = O, the residuals nx - den*x of center_numerators are polynomials in j
+        #   of degree <= 3 (nx is built from cross and dot, which are quadratic, times an affine
+        #   coordinate; den is 2*cross, 3 or cross, and x is affine), so four values of j where
+        #   they vanish prove them zero for every j;
+        # - shape: the vertex dot products and cross(P, Q) are quadratics in j, each of one sign
+        #   from Cauchy's root bound on, where their signs must give the cell's shape;
+        # - perimeter: a side A + j*B has lattice length |a + j*b| (A = a*w, B = b*w) when
+        #   det(A, B) = 0, linear in j once a + j*b keeps its sign; otherwise gcd(A + j*B, det(A, B)),
+        #   which repeats with period |det(A, B)|.  So from J on, perimeter - step*j repeats with
+        #   period L, and one period of checks, j = J..J + L, fixes it at r
+        condition, shape = cell
+        admitted = ACHIEVABLE[cell]
+        for step, r, tag, p, q, centers in cons._AFFINE[cell]:
+            # the row serves only the cell's modulus class, so above T every j is in its domain
+            assert step % admitted.modulus == 0 == r % admitted.modulus, tag
+            assert set(condition.value) <= set(centers), tag
+            o = ((0, 0), (0, 0))
+            corners = ((p, q), (_minus(o, p), _minus(q, p)), (_minus(o, q), _minus(p, q)))
+            bounds, signs = zip(*(_sign_from(_coefficients(u, v, _dot)) for u, v in corners))
+            area_from, area_sign = _sign_from(_coefficients(p, q, _det))
+            assert area_sign != 0, tag
+            eventual = ACUTE if all(s > 0 for s in signs) else RIGHT if 0 in signs else OBTUSE
+            assert eventual is shape, tag
+            sides = (p, q, _minus(q, p))
+            linear_from = max((1 + max(map(abs, a)) for a, b in sides if _det(a, b) == 0), default=0)
+            period = math.lcm(*(abs(_det(a, b)) for a, b in sides if _det(a, b)))
+            start = max(*bounds, area_from, linear_from, _periodic_above(*cell) // step + 1)
+            end = start + max(period, 3)  # a full period, and four values of j for the centers
+            domain = [j for j in range(end + 1) if _served(cell, step * j + r)]
+            assert domain[start - end - 1 :] == list(range(start, end + 1)), tag
+            for j in domain:
+                tri = triangle((0, 0), cons._at(p, j), cons._at(q, j))
+                check_witness(tri, condition, shape, step * j + r, **{k: cons._at(c, j) for k, c in centers.items()})
+
     def test_family_witnesses_to_1000_are_pinned(self):
         # vertices and tag of every admitted perimeter <= 1000 of the seven table cells;
         # the digest was recorded from the hand-written factories the table replaced
         h = hashlib.sha256()
         for condition, shape in [(H, s) for s in ShapeClass] + [(F, s) for s in ShapeClass] + [(G, RIGHT)]:
-            for ell in filter(ACHIEVABLE[(condition, shape)][0], range(3, 1001)):
+            for ell in filter(ACHIEVABLE[(condition, shape)].admits, range(3, 1001)):
                 w = built(condition, shape, ell)
                 h.update(f"{condition.value} {shape.value} {ell} {verts(w)} {w.family_tag}\n".encode())
         assert h.hexdigest() == "a03aad4629596598818becfefbb564eac9ba5a9684083e956d038b0671a71df7"
@@ -238,6 +328,20 @@ class TestCombinedConditions:
                         with pytest.raises(UnachievableError):
                             combined(cond, ell, shape)
 
+    def test_tripled_cells_admit_exactly_the_tripled_inner_sets(self):
+        # _tripled's precondition for every l: a GH (FGH) cell admits l exactly where the explicit
+        # table lists it, or 3 | l and the H (F) cell of the same shape admits l / 3.  Above both
+        # cells' T (the inner one's times 3) each side repeats with period lcm(m, 3 * inner m), so
+        # one period above covers every l
+        for condition, inner in cons._TRIPLED.items():
+            for shape in ShapeClass:
+                outer_set, inner_set = ACHIEVABLE[(condition, shape)], ACHIEVABLE[(inner, shape)]
+                top = max(_periodic_above(condition, shape), 3 * _periodic_above(inner, shape))
+                for ell in range(3, top + math.lcm(outer_set.modulus, 3 * inner_set.modulus) + 1):
+                    tripled = ell % 3 == 0 and inner_set.admits(ell // 3)
+                    explicit = _explicit(condition, shape, ell)
+                    assert outer_set.admits(ell) == (explicit or tripled), (condition, shape, ell)
+
 
 class TestScaleAndShear:
     def test_scale_examples(self):
@@ -281,8 +385,8 @@ class TestScaleAndShear:
 # triangles with lattice F, G, H and I, not only random ones without
 _CENTERED = [
     build_witness(WitnessRequest(condition, shape, ell)).triangle
-    for (condition, shape), (achievable, _) in ACHIEVABLE.items()
-    for ell in filter(achievable, range(3, 25))
+    for (condition, shape), admitted in ACHIEVABLE.items()
+    for ell in filter(admitted.admits, range(3, 25))
 ] + [t for t, _ in search_witnesses(SearchConfig(6, 24, (CenterCondition.INCENTER,))).values()]
 
 _coords = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
@@ -363,6 +467,43 @@ class TestDelta:
             assert delta(n) == oracle(n), n
 
 
+class TestAchievable:
+    def test_rows_are_canonical(self):
+        # least is the set's least member and the exceptions ascend above it in the modulus's
+        # class, so a set has one row; equal sets print equal words and distinct ones do not
+        for row in ACHIEVABLE.values():
+            assert row.modulus >= 1 and row.least >= 3 and row.least % row.modulus == 0, row
+            assert list(row.exceptions) == sorted(set(row.exceptions)), row
+            assert all(ell > row.least and ell % row.modulus == 0 for ell in row.exceptions), row
+        assert len(set(ACHIEVABLE.values())) == len({row.words for row in ACHIEVABLE.values()}) == 7
+        assert ACHIEVABLE[(G, RIGHT)].words == ACHIEVABLE[(GH, RIGHT)].words == "multiples of 3 >= 9"
+
+    def test_words(self):
+        assert ACHIEVABLE[(F, ACUTE)].words == "even perimeters >= 8 except 10"
+        assert ACHIEVABLE[(G, OBTUSE)].words == "all perimeters >= 3 except 5 and 11"
+        assert ACHIEVABLE[(FGH, RIGHT)].words == "multiples of 6 >= 12"
+
+    def test_admitted_sets_to_3000_are_pinned(self):
+        # every admitted (cell, l) with l <= 3000; the digest was recorded from the
+        # (predicate, phrase) pairs the rows replaced
+        h = hashlib.sha256()
+        for condition in CenterCondition:
+            for shape in ShapeClass:
+                if (condition, shape) in ACHIEVABLE:
+                    for ell in filter(ACHIEVABLE[(condition, shape)].admits, range(3, 3001)):
+                        h.update(f"{condition.value} {shape.value} {ell}\n".encode())
+        assert h.hexdigest() == "4aebd989023629fc356f18346a22eb39ca0352a98cacbe9758ebb28590284e03"
+
+    def test_readme_table_states_each_rows_words(self):
+        rows = {}
+        for line in (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines():
+            condition, *cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and condition.strip("`") in {c.value for c in CenterCondition}:
+                rows[CenterCondition(condition.strip("`"))] = cells
+        for (condition, shape), admitted in ACHIEVABLE.items():
+            assert rows[condition][[ACUTE, OBTUSE, RIGHT].index(shape)] == admitted.words, (condition, shape)
+
+
 class TestDispatch:
     def test_build_witness_routes_all_cells(self):
         for cond in (
@@ -383,17 +524,17 @@ class TestDispatch:
         other cell it refuses has an exclusion proof, so no standard cell
         is left unknown."""
         assert len(ACHIEVABLE) == 15
-        for (cond, shape), (achievable, expression) in ACHIEVABLE.items():
+        for (cond, shape), admitted in ACHIEVABLE.items():
             for ell in range(3, 151):
                 request = WitnessRequest(cond, shape, ell)
-                if achievable(ell):
+                if admitted.admits(ell):
                     build_witness(request)
                     continue
                 with pytest.raises(UnachievableError) as refusal:
                     build_witness(request)
                 assert str(refusal.value) == (
                     f"no {shape} triangle meets lattice condition {cond} at perimeter {ell}; "
-                    f"achievable: {expression}"
+                    f"achievable: {admitted.words}"
                 )
                 assert exclusion_report(ell, cond, shape).proven_impossible, request
 
@@ -450,8 +591,8 @@ class TestVerification:
         monkeypatch.setattr(centers_mod, "center_numerators", numerators)
         monkeypatch.setattr(cons, "center_numerators", numerators)
         monkeypatch.setattr(cons, "Witness", witness)
-        for (condition, shape), (achievable, _) in ACHIEVABLE.items():
-            for ell in filter(achievable, range(3, 61)):
+        for (condition, shape), admitted in ACHIEVABLE.items():
+            for ell in filter(admitted.admits, range(3, 61)):
                 derived.clear()
                 checked.clear()
                 build_witness(WitnessRequest(condition, shape, ell))
@@ -463,8 +604,8 @@ class TestVerification:
             raise AssertionError("a witness built a RationalPoint")
 
         monkeypatch.setattr(RationalPoint, "__post_init__", refuse)
-        for (condition, shape), (achievable, _) in ACHIEVABLE.items():
-            for ell in filter(achievable, range(3, 61)):
+        for (condition, shape), admitted in ACHIEVABLE.items():
+            for ell in filter(admitted.admits, range(3, 61)):
                 build_witness(WitnessRequest(condition, shape, ell))
 
     def test_report_is_computed_on_first_read(self, monkeypatch):

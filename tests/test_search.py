@@ -181,7 +181,7 @@ class TestSearch:
         config = SearchConfig(box_radius=box, lmax=lmax)
         cells = frozenset(itertools.product(STANDARD_CONDITIONS, SHAPE_ORDER, range(3, lmax + 1)))
         found = oracles.search_shard_full_grid(config, 0, cells)
-        assert set(found) == {cell for cell in cells if ACHIEVABLE[cell[:2]][0](cell[2])}
+        assert set(found) == {cell for cell in cells if ACHIEVABLE[cell[:2]].admits(cell[2])}
         for (cond, shape, ell), (_, _, px, py, qx, qy) in found.items():
             rep = center_report(triangle((0, 0), (px, py), (qx, qy)))
             assert rep.shape is shape and rep.perimeter == ell and cond.met_by(oracles.report_flags(rep))
@@ -555,8 +555,8 @@ class TestAtlas:
     def test_refused_cell_without_certificates_fails_alike_in_build_and_construct(self, monkeypatch):
         # acute-H refusing 8, which no certificate settles: the build and
         # construct decide the cell through resolve_cell, and fail alike
-        admits, words = ACHIEVABLE[(H, ShapeClass.ACUTE)]
-        monkeypatch.setitem(ACHIEVABLE, (H, ShapeClass.ACUTE), (lambda ell: ell != 8 and admits(ell), words))
+        admitted = ACHIEVABLE[(H, ShapeClass.ACUTE)]
+        monkeypatch.setitem(ACHIEVABLE, (H, ShapeClass.ACUTE), dataclasses.replace(admitted, exceptions=(7, 8)))
         with pytest.raises(ArithmeticError) as built:
             build_atlas(SearchConfig(lmax=8, conditions=(H,)))
         with pytest.raises(ArithmeticError) as constructed:
